@@ -46,7 +46,7 @@ class IntMatrix:
         for r in rows:
             row = []
             for x in r:
-                if not isinstance(x, int):
+                if not isinstance(x, int) or isinstance(x, bool):
                     raise ValueError(f"entry {x!r} is not an integer")
                 row.append(int(x))
             checked.append(tuple(row))

@@ -73,47 +73,12 @@ class _Parser(argparse.ArgumentParser):
         raise UsageError(message)
 
 
-def read_bott_matrix_file(path: str) -> BottMatrix:
-    """Parse the 0/1 matrix format, naming bad entries as (row, col)."""
-    try:
-        with open(path, encoding="utf-8") as fh:
-            lines = [ln.strip() for ln in fh if ln.strip()]
-    except OSError as exc:
-        raise UsageError(f"cannot read {path}: {exc}") from exc
-    if not lines:
-        raise UsageError(f"{path}: empty matrix file")
-    try:
-        d = int(lines[0])
-    except ValueError:
-        raise UsageError(f"{path}: first line must be the dimension, "
-                         f"got {lines[0]!r}") from None
-    if len(lines) != d + 1:
-        raise UsageError(f"{path}: expected {d} matrix rows, got {len(lines) - 1}")
-    entries = []
-    for i, ln in enumerate(lines[1:], start=1):
-        tokens = ln.split()
-        row = []
-        for j, tok in enumerate(tokens, start=1):
-            if tok not in ("0", "1"):
-                raise UsageError(
-                    f"{path}: entry ({i}, {j}) is {tok!r}, expected 0 or 1")
-            row.append(int(tok))
-        entries.append(row)
-    try:
-        return BottMatrix.from_entries(entries)
-    except InvalidMatrixError as exc:
-        raise UsageError(f"{path}: {exc}") from exc
+def _read_matrix_file(path: str, parse_entry, expected: str) -> list[list]:
+    """Read a dimension line d, then d rows of d whitespace-separated entries.
 
-
-def format_matrix_file(matrix: BottMatrix) -> str:
-    lines = [str(matrix.dim)]
-    for i in range(matrix.dim):
-        lines.append(" ".join(str(matrix.entry(i, j)) for j in range(matrix.dim)))
-    return "\n".join(lines) + "\n"
-
-
-def read_int_matrix_file(path: str) -> IntMatrix:
-    """Parse the same shape of file with arbitrary integer entries."""
+    Each token goes through ``parse_entry``; a ValueError from it is reported
+    as entry (row, col) of ``path`` not being ``expected``.
+    """
     try:
         with open(path, encoding="utf-8") as fh:
             lines = [ln.strip() for ln in fh if ln.strip()]
@@ -137,12 +102,34 @@ def read_int_matrix_file(path: str) -> IntMatrix:
         row = []
         for j, tok in enumerate(tokens, start=1):
             try:
-                row.append(int(tok))
+                row.append(parse_entry(tok))
             except ValueError:
                 raise UsageError(f"{path}: entry ({i}, {j}) is {tok!r}, "
-                                 f"expected an integer") from None
+                                 f"expected {expected}") from None
         entries.append(row)
-    return IntMatrix.from_rows(entries)
+    return entries
+
+
+def _bit(tok: str) -> int:
+    if tok not in ("0", "1"):
+        raise ValueError(tok)
+    return int(tok)
+
+
+def read_bott_matrix_file(path: str) -> BottMatrix:
+    """Parse the 0/1 matrix format, naming bad entries as (row, col)."""
+    entries = _read_matrix_file(path, _bit, "0 or 1")
+    try:
+        return BottMatrix.from_entries(entries)
+    except InvalidMatrixError as exc:
+        raise UsageError(f"{path}: {exc}") from exc
+
+
+def format_matrix_file(matrix: BottMatrix) -> str:
+    lines = [str(matrix.dim)]
+    for i in range(matrix.dim):
+        lines.append(" ".join(str(matrix.entry(i, j)) for j in range(matrix.dim)))
+    return "\n".join(lines) + "\n"
 
 
 def read_system_file(path: str) -> tuple[StationarySystem, dict]:
@@ -160,25 +147,35 @@ def read_system_file(path: str) -> tuple[StationarySystem, dict]:
     except json.JSONDecodeError as exc:
         raise UsageError(f"{path}: invalid JSON: {exc}") from exc
     try:
-        gens = int(data["generators"])
+        gens = data["generators"]
         relations = data.get("relations", [])
         beta_rows = data["beta"]
-        multiplier = int(data["n"])
-    except (KeyError, TypeError, ValueError) as exc:
+        multiplier = data["n"]
+    except (KeyError, TypeError) as exc:
         raise UsageError(f"{path}: missing or malformed field: {exc}") from exc
+    for key, value in (("generators", gens), ("n", multiplier)):
+        # bool is a subclass of int, and JSON true must not read as 1
+        if type(value) is not int:
+            raise UsageError(f"{path}: {key} must be an integer, got {value!r}")
     if gens < 1:
         raise UsageError(f"{path}: generators must be positive")
+    if not (isinstance(relations, list)
+            and all(isinstance(v, list) for v in relations)):
+        raise UsageError(f"{path}: relations must be a list of lists")
     for v in relations:
         if len(v) != gens:
             raise UsageError(f"{path}: relation {v!r} has length {len(v)}, "
                              f"expected {gens}")
-    rel_matrix = IntMatrix.from_rows(
-        [[int(v[i]) for v in relations] for i in range(gens)])
+    try:
+        rel_matrix = IntMatrix.from_rows(
+            [[v[i] for v in relations] for i in range(gens)])
+        beta = IntMatrix.from_rows(beta_rows)
+        alpha = None
+        if data.get("alpha") is not None:
+            alpha = IntMatrix.from_rows(data["alpha"])
+    except (TypeError, ValueError) as exc:
+        raise UsageError(f"{path}: malformed matrix: {exc}") from exc
     group = FgAbGroup(rel_matrix)
-    beta = IntMatrix.from_rows(beta_rows)
-    alpha = None
-    if data.get("alpha") is not None:
-        alpha = IntMatrix.from_rows(data["alpha"])
     return StationarySystem(group=group, beta=beta, multiplier=multiplier,
                             alpha=alpha), data
 
@@ -242,7 +239,7 @@ def _env_jobs() -> int:
         jobs = int(raw)
     except ValueError:
         raise UsageError(f"BOTT_THREADS={raw!r} is not an integer") from None
-    return max(jobs, 1)
+    return max(1, min(jobs, os.cpu_count() or 1))
 
 
 def cmd_search(args) -> int:
@@ -335,7 +332,8 @@ def cmd_limit_torsion(args) -> int:
 
 
 def cmd_odometer(args) -> int:
-    matrix = read_int_matrix_file(args.matrix)
+    matrix = IntMatrix.from_rows(
+        _read_matrix_file(args.matrix, int, "an integer"))
     if matrix.nrows != args.dim:
         raise UsageError(f"matrix is {matrix.nrows}x{matrix.ncols}, "
                          f"--dim says {args.dim}")
@@ -345,9 +343,6 @@ def cmd_odometer(args) -> int:
               file=sys.stderr)
         return 1
     verdict = odometer.expanding_check(matrix)
-    if verdict is None:
-        print("warning: expanding check inconclusive, proceeding on |det| >= 2",
-              file=sys.stderr)
     tower = odometer.OdometerTower(matrix)
     levels = []
     for i in range(args.levels + 1):

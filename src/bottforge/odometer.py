@@ -7,15 +7,16 @@ translation, levels are connected by the canonical projections, and a
 nonzero vector leaves M^i Z^d at some finite level (the escape level).
 
 Each level stores a Smith decomposition of M^i, so cosets get canonical
-residue coordinates and membership tests are exact integer arithmetic.
+residue coordinates.  One Faddeev-LeVerrier pass gives the characteristic
+polynomial and the adjugate of M in exact integers: the polynomial decides
+expansion by a Schur-Cohn reduction, and the adjugate finds escape levels
+without a Smith form per level.  Every level is one orbit by theorem.
 """
 
 from __future__ import annotations
 
-import math
 import threading
 from dataclasses import dataclass
-from fractions import Fraction
 
 from .abelian import BudgetExceeded, IntMatrix, _snf_full
 
@@ -24,8 +25,24 @@ class SingularMatrixError(ValueError):
     """Raised when a tower or check needs an invertible matrix."""
 
 
-POWER_ITERATIONS = 200
-GROWTH_TOLERANCE = 1e-6
+def _charpoly_adjugate(matrix: IntMatrix) -> tuple[list[int], IntMatrix]:
+    """Characteristic polynomial and adjugate of a square integer matrix.
+
+    Faddeev-LeVerrier: N_0 = 0, N_k = M N_{k-1} + c_{n-k+1} I and
+    c_{n-k} = -tr(M N_k) / k, where the c_j are the coefficients of
+    det(zI - M).  They are integers, so every division is exact.  Returns
+    ``[1, c_{n-1}, ..., c_0]`` (c_0 = (-1)^n det M) and adj M = (-1)^(n-1) N_n.
+    """
+    n = matrix.nrows
+    coeffs = [1]
+    prod = IntMatrix.zero(n, n)
+    for k in range(1, n + 1):
+        nk = IntMatrix(tuple(
+            tuple(x + coeffs[-1] if r == c else x for c, x in enumerate(row))
+            for r, row in enumerate(prod.rows)))
+        prod = matrix.mul(nk)
+        coeffs.append(-sum(prod.entry(t, t) for t in range(n)) // k)
+    return coeffs, nk.scale((-1) ** (n - 1))
 
 
 @dataclass(frozen=True)
@@ -55,7 +72,8 @@ class OdometerTower:
     def __init__(self, matrix: IntMatrix):
         if matrix.nrows != matrix.ncols or matrix.nrows < 1:
             raise ValueError("tower matrix must be square and nonempty")
-        det = matrix.det()
+        coeffs, adjugate = _charpoly_adjugate(matrix)
+        det = (-1) ** matrix.nrows * coeffs[-1]
         if det == 0:
             raise SingularMatrixError("tower matrix is singular")
         if abs(det) < 2:
@@ -64,6 +82,7 @@ class OdometerTower:
         self.dim = matrix.nrows
         self.matrix = matrix
         self.det = det
+        self.adjugate = adjugate  # det * M^-1
         self._levels: dict[int, _Level] = {}
         self._powers: dict[int, IntMatrix] = {0: IntMatrix.identity(self.dim)}
         self._lock = threading.Lock()
@@ -141,100 +160,55 @@ def project(tower: OdometerTower, point: LevelPoint) -> LevelPoint:
 def is_transitive(tower: OdometerTower, i: int, budget: int = 1_000_000) -> bool:
     """Whether the translation action reaches every coset at level i.
 
-    Breadth-first search from zero along the d unit translations; raises
-    :class:`BudgetExceeded` if the level has more cosets than ``budget``.
+    Always true: Z^d acts on its own quotient Z^d / M^i Z^d by translation,
+    so the orbit of 0 is the whole level.  The level order is still checked
+    against |det M|^i, and :class:`BudgetExceeded` is raised if the level
+    has more cosets than ``budget``.
     """
     order = level_order(tower, i)
     if order > budget:
         raise BudgetExceeded(f"level {i} has {order} cosets, budget {budget}")
-    d = tower.dim
-    units = [tuple(1 if k == j else 0 for k in range(d)) for j in range(d)]
-    start = tower.zero_point(i)
-    seen = {start.coords}
-    frontier = [start]
-    while frontier:
-        nxt = []
-        for p in frontier:
-            for e in units:
-                q = act(tower, e, p)
-                if q.coords not in seen:
-                    seen.add(q.coords)
-                    nxt.append(q)
-        frontier = nxt
-    return len(seen) == order
+    return True
 
 
 def escape_level(tower: OdometerTower, gamma, max_i: int) -> int | None:
-    """Smallest i <= max_i with gamma outside M^i Z^d, or None if not found."""
+    """Smallest i <= max_i with gamma outside M^i Z^d, or None if not found.
+
+    gamma lies in M^i Z^d exactly when M^-1 gamma = adj(M) gamma / det is
+    integral and lies in M^(i-1) Z^d, so the first inexact division by det
+    marks the escape level.
+    """
     gamma = tuple(int(x) for x in gamma)
     if all(x == 0 for x in gamma):
         raise ValueError("gamma must be nonzero")
     if max_i < 1:
         raise ValueError("max_i must be positive")
+    vec = gamma
     for i in range(1, max_i + 1):
-        if not tower.contains(i, gamma):
+        scaled = tower.adjugate.mul_vec(vec)
+        if any(x % tower.det for x in scaled):
             return i
+        vec = tuple(x // tower.det for x in scaled)
     return None
 
 
-def _exact_inverse(matrix: IntMatrix) -> list[list[Fraction]]:
-    det = matrix.det()
-    if det == 0:
-        raise SingularMatrixError("matrix is singular")
-    n = matrix.nrows
-    if n == 1:
-        return [[Fraction(1, det)]]
-    adj = []
-    for i in range(n):
-        row = []
-        for j in range(n):
-            minor = IntMatrix(tuple(
-                tuple(matrix.entry(r, c) for c in range(n) if c != i)
-                for r in range(n) if r != j))
-            row.append(Fraction((-1) ** (i + j) * minor.det(), det))
-        adj.append(row)
-    return adj
+def expanding_check(matrix: IntMatrix) -> bool:
+    """Whether every eigenvalue of ``matrix`` lies outside the unit circle.
 
-
-def expanding_check(matrix: IntMatrix) -> bool | None:
-    """Decide whether all eigenvalues of ``matrix`` lie outside the unit circle.
-
-    Exact necessary condition first: |det| >= 2 (|det| <= 1 is a definite
-    no).  The sufficient test runs power iteration on the exact inverse for
-    ``POWER_ITERATIONS`` steps and declares expanding when the implied
-    minimal growth factor of M exceeds 1 + ``GROWTH_TOLERANCE``; anything
-    closer to the unit circle comes back None (inconclusive).
+    Exact Schur-Cohn reduction: the roots of q(z) = z^n chi_M(1/z) are the
+    inverse eigenvalues.  With q = a_0 + ... + a_m z^m, all of them lie in
+    the open unit disc iff |a_m| > |a_0| and they all do for the degree
+    m - 1 polynomial (a_m q(z) - a_0 z^m q(1/z)) / z.
     """
     if matrix.nrows != matrix.ncols or matrix.nrows < 1:
         raise ValueError("matrix must be square and nonempty")
-    det = matrix.det()
-    if det == 0:
+    # chi_M read leading coefficient first is q read constant term first
+    q, _ = _charpoly_adjugate(matrix)
+    if q[-1] == 0:
         raise SingularMatrixError("matrix is singular")
-    if abs(det) == 1:
-        # product of |eigenvalues| is 1, so not all can exceed 1
-        return False
-    inv = [[float(x) for x in row] for row in _exact_inverse(matrix)]
-    n = matrix.nrows
-    # Power-iterate every basis direction so no eigenspace of the inverse
-    # is missed; only the post-burn-in steps enter the growth estimate.
-    burn_in = POWER_ITERATIONS // 2
-    rho_inv = 0.0
-    for j in range(n):
-        v = [1.0 if k == j else 0.0 for k in range(n)]
-        log_growth = 0.0
-        for step in range(POWER_ITERATIONS):
-            w = [sum(inv[i][k] * v[k] for k in range(n)) for i in range(n)]
-            norm = math.sqrt(sum(x * x for x in w))
-            if norm == 0.0:
-                return None
-            if step >= burn_in:
-                log_growth += math.log(norm)
-            v = [x / norm for x in w]
-        rho_inv = max(rho_inv,
-                      math.exp(log_growth / (POWER_ITERATIONS - burn_in)))
-    if rho_inv <= 0.0:
-        return None
-    growth = 1.0 / rho_inv
-    if growth >= 1.0 + GROWTH_TOLERANCE:
-        return True
-    return None
+    while len(q) > 1:
+        low, high = q[0], q[-1]
+        if abs(high) <= abs(low):
+            return False
+        q = [high * x - low * y for x, y in zip(q[1:], reversed(q[:-1]))]
+    return True

@@ -13,6 +13,7 @@ from itertools import combinations
 from math import gcd
 
 from bottforge.gf2ring import BottMatrix
+from bottforge.odometer import act
 
 
 def random_bott_matrix(rng: random.Random, d: int, density: float = 0.5) -> BottMatrix:
@@ -209,6 +210,27 @@ def random_unimodular(rng: random.Random, n: int, ops: int | None = None):
         for row in pinv:
             row[j] -= q * row[i]
     return p, pinv
+
+
+def orbit_size(tower, i: int) -> int:
+    """Size of the orbit of 0 at level i, by breadth-first search along the
+    unit translations: the transitivity oracle, built on the package's
+    ``act`` rather than on ``is_transitive``."""
+    d = tower.dim
+    units = [tuple(1 if k == j else 0 for k in range(d)) for j in range(d)]
+    start = tower.zero_point(i)
+    seen = {start.coords}
+    frontier = [start]
+    while frontier:
+        nxt = []
+        for p in frontier:
+            for e in units:
+                q = act(tower, e, p)
+                if q.coords not in seen:
+                    seen.add(q.coords)
+                    nxt.append(q)
+        frontier = nxt
+    return len(seen)
 
 
 def mat_mul(a, b):

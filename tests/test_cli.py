@@ -1,6 +1,10 @@
 """End-to-end command line behaviour via in-process main() calls."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import jsonschema
 import pytest
@@ -197,6 +201,7 @@ def test_search_threads_env_uses_partitioned_path(capsys, monkeypatch):
         return real(spec, jobs)
 
     monkeypatch.setenv("BOTT_THREADS", "2")
+    monkeypatch.setattr(cli.os, "cpu_count", lambda: 4)
     monkeypatch.setattr(cli.search, "run_partitioned", spy)
     rc, out, err = run_cli(capsys, ["search", "--dim", "6"])
     assert rc == 0
@@ -211,6 +216,14 @@ def test_search_threads_env_must_be_integer(capsys, monkeypatch):
     rc, _, err = run_cli(capsys, ["search", "--dim", "5"])
     assert rc == 1
     assert "BOTT_THREADS" in err
+
+
+def test_search_threads_env_capped_at_cpu_count(monkeypatch):
+    monkeypatch.setenv("BOTT_THREADS", "64")
+    monkeypatch.setattr(cli.os, "cpu_count", lambda: 3)
+    assert cli._env_jobs() == 3
+    monkeypatch.setattr(cli.os, "cpu_count", lambda: None)
+    assert cli._env_jobs() == 1
 
 
 # --------------------------------------------------------------- reproduce
@@ -335,6 +348,27 @@ def test_limit_torsion_bad_relation_length(capsys, tmp_path):
     assert "length 1, expected 2" in err
 
 
+@pytest.mark.parametrize("field, value, message", [
+    ("relations", [[0, 4.7]], "entry 4.7 is not an integer"),
+    ("relations", [[0, True]], "entry True is not an integer"),
+    ("relations", [0, 4], "relations must be a list of lists"),
+    ("n", 5.9, "n must be an integer, got 5.9"),
+    ("generators", True, "generators must be an integer, got True"),
+    ("beta", 5, "malformed matrix"),
+], ids=["float-entry", "bool-entry", "flat-relation", "float-n",
+        "bool-generators", "scalar-beta"])
+def test_limit_torsion_rejects_malformed_fields(capsys, tmp_path, field,
+                                                value, message):
+    payload = {"generators": 2, "relations": [[0, 4]],
+               "beta": [[5, 0], [0, 5]], "n": 5, "alpha": [[1, 0], [0, 1]]}
+    payload[field] = value
+    rc, out, err = run_cli(capsys, ["limit-torsion", "--system",
+                                    write_system(tmp_path, payload)])
+    assert rc == 1
+    assert out == ""
+    assert message in err
+
+
 # ---------------------------------------------------------------- odometer
 
 def test_odometer_report(capsys, tmp_path):
@@ -403,16 +437,16 @@ def test_odometer_dim_mismatch(capsys, tmp_path):
     assert "--dim says 3" in err
 
 
-def test_odometer_inconclusive_warns_but_runs(capsys, tmp_path):
+def test_odometer_non_expanding_reports_false(capsys, tmp_path):
     # eigenvalues 2 and 1: |det| >= 2 but not expanding, tower still valid
     path = tmp_path / "m.txt"
     path.write_text("2\n2 0\n0 1\n")
     rc, out, err = run_cli(capsys, ["odometer", "--dim", "2", "--matrix",
                                     str(path), "--levels", "2"])
     assert rc == 0
-    assert "inconclusive" in err
+    assert err == ""
     payload = json.loads(out)
-    assert payload["expanding"] is None
+    assert payload["expanding"] is False
     assert [lvl["order"] for lvl in payload["levels"]] == [1, 2, 4]
 
 
@@ -438,3 +472,21 @@ def test_internal_error_maps_to_2(capsys, tmp_path, monkeypatch):
     rc, _, err = run_cli(capsys, ["check", "--matrix", write_d9(tmp_path)])
     assert rc == 2
     assert err.startswith("internal error: RuntimeError")
+
+
+def test_cli_imports_only_stdlib():
+    # diff against the modules already loaded, since site hooks may
+    # preload third-party modules before any bottforge code runs
+    code = ("import sys\n"
+            "before = set(sys.modules)\n"
+            "import bottforge.cli\n"
+            "added = {m.split('.')[0] for m in set(sys.modules) - before}\n"
+            "print('\\n'.join(sorted(added)))\n")
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p))
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                          text=True, check=True, timeout=60, env=env)
+    added = set(proc.stdout.split())
+    assert "bottforge" in added
+    assert added - {"bottforge"} <= set(sys.stdlib_module_names)

@@ -11,6 +11,7 @@ from bottforge.odometer import (
     LevelPoint,
     OdometerTower,
     SingularMatrixError,
+    _charpoly_adjugate,
     act,
     escape_level,
     expanding_check,
@@ -19,7 +20,7 @@ from bottforge.odometer import (
     project,
 )
 
-from helpers import solve_integer
+from helpers import mat_mul, orbit_size, random_unimodular, solve_integer
 
 
 def tower1(m: int) -> OdometerTower:
@@ -174,6 +175,15 @@ def test_translation_action_transitive():
                          2) is True
 
 
+def test_transitivity_matches_orbit_search():
+    # the non-expanding [[2, 0], [0, 1]] still has one orbit per level
+    for rows in ([[2]], [[2, 0], [0, 2]], [[2, 1], [0, 3]], [[2, 0], [0, 1]]):
+        t = OdometerTower(IntMatrix.from_rows(rows))
+        for i in range(4):
+            assert orbit_size(t, i) == level_order(t, i)
+            assert is_transitive(t, i) is True
+
+
 def test_transitivity_budget():
     with pytest.raises(BudgetExceeded):
         is_transitive(scaled_identity(2, 2), 3, budget=10)
@@ -223,7 +233,8 @@ def test_escape_cross_checked_by_rational_solve():
             gamma = (1,) + (0,) * (d - 1)
         e = escape_level(t, gamma, 64)
         assert e is not None and 1 <= e <= 64
-        # membership at each level must agree with solving M^i x = gamma
+        # the adjugate walk must agree with the Smith-form membership test,
+        # and both with solving M^i x = gamma over the rationals
         for i in range(1, e + 1):
             power = t.level(i).power
             assert t.contains(i, gamma) == solve_integer(power.rows, gamma)
@@ -240,9 +251,9 @@ def test_expanding_check_frozen_cases():
     assert expanding_check(IntMatrix.from_rows([[0, 2], [1, 0]])) is True
     assert expanding_check(IntMatrix.from_rows([[1]])) is False
     assert expanding_check(IntMatrix.from_rows([[0, -1], [1, 0]])) is False
-    # eigenvalue exactly on the unit circle with |det| >= 2: inconclusive
-    assert expanding_check(IntMatrix.from_rows([[2, 0], [0, 1]])) is None
-    assert expanding_check(IntMatrix.from_rows([[1, 1], [0, 2]])) is None
+    # eigenvalue exactly on the unit circle with |det| >= 2
+    assert expanding_check(IntMatrix.from_rows([[2, 0], [0, 1]])) is False
+    assert expanding_check(IntMatrix.from_rows([[1, 1], [0, 2]])) is False
 
 
 def test_expanding_check_errors():
@@ -258,6 +269,39 @@ def test_expanding_check_random_diagonal():
         d = rng.randint(1, 3)
         entries = [rng.choice([-5, -3, -2, 2, 3, 4, 5]) for _ in range(d)]
         assert expanding_check(IntMatrix.diagonal(entries)) is True
+
+
+def test_expanding_check_conjugated_triangular():
+    # P T P^-1 has the diagonal of T as its eigenvalues, so the expected
+    # answer needs no eigenvalue solver
+    rng = random.Random(14)
+    for _ in range(300):
+        d = rng.randint(1, 5)
+        diag = [rng.choice([-3, -2, -1, 1, 2, 3]) for _ in range(d)]
+        tri = [[diag[i] if i == j else rng.randint(-3, 3) if j > i else 0
+                for j in range(d)] for i in range(d)]
+        p, pinv = random_unimodular(rng, d)
+        m = IntMatrix.from_rows(mat_mul(p, mat_mul(tri, pinv)))
+        assert expanding_check(m) is all(abs(x) > 1 for x in diag)
+
+
+def test_charpoly_adjugate_identities():
+    rng = random.Random(15)
+    for _ in range(100):
+        d = rng.randint(1, 5)
+        m = IntMatrix.from_rows(
+            [[rng.randint(-5, 5) for _ in range(d)] for _ in range(d)])
+        coeffs, adj = _charpoly_adjugate(m)
+        det = m.det()
+        assert len(coeffs) == d + 1 and coeffs[0] == 1
+        assert coeffs[-1] == (-1) ** d * det
+        acc = [[0] * d for _ in range(d)]
+        for c in coeffs:  # Horner: chi_M(M) = 0 by Cayley-Hamilton
+            acc = mat_mul(acc, m.rows)
+            for t in range(d):
+                acc[t][t] += c
+        assert acc == [[0] * d for _ in range(d)]
+        assert m.mul(adj) == adj.mul(m) == IntMatrix.diagonal([det] * d)
 
 
 # ------------------------------------------------------------- concurrency
