@@ -91,6 +91,8 @@ def _read_matrix_file(path: str, parse_entry, expected: str) -> list[list]:
     except ValueError:
         raise UsageError(f"{path}: first line must be the dimension, "
                          f"got {lines[0]!r}") from None
+    if d < 1:
+        raise UsageError(f"{path}: dimension must be at least 1, got {d}")
     if len(lines) != d + 1:
         raise UsageError(f"{path}: expected {d} matrix rows, got {len(lines) - 1}")
     entries = []
@@ -332,6 +334,9 @@ def cmd_limit_torsion(args) -> int:
 
 
 def cmd_odometer(args) -> int:
+    for flag, value in (("--levels", args.levels), ("--samples", args.samples)):
+        if value < 0:
+            raise UsageError(f"{flag} must be non-negative, got {value}")
     matrix = IntMatrix.from_rows(
         _read_matrix_file(args.matrix, int, "an integer"))
     if matrix.nrows != args.dim:

@@ -103,8 +103,9 @@ class BottMatrix:
         return [[self.entry(i, j) for j in range(self.dim)] for i in range(self.dim)]
 
     def to_row_strings(self) -> list[str]:
-        return ["".join(str(self.entry(i, j)) for j in range(self.dim))
-                for i in range(self.dim)]
+        # format() puts bit 0 last; reversing puts column 0 first
+        spec = f"0{self.dim}b"
+        return [format(row, spec)[::-1] for row in self.rows]
 
 
 @dataclass(frozen=True)
@@ -213,32 +214,78 @@ class RingContext:
 
     The context chooses a dense int-bitset polynomial kernel for
     dim <= ``DENSE_DIM_LIMIT`` and a frozenset kernel above it; the public
-    API is identical either way.
+    API is identical either way.  ``y_support`` is the source of truth;
+    ``matrix`` and ``yclass`` are derived from it on first use.
     """
 
-    __slots__ = ("matrix", "dim", "yclass", "y_support", "_dense",
+    __slots__ = ("dim", "y_support", "_matrix", "_yclass", "_dense",
                  "_mulvar", "_monomul")
 
     def __init__(self, matrix: BottMatrix):
-        self.matrix = matrix
         d = matrix.dim
-        self.dim = d
-        self.y_support = tuple(matrix.column_support(j) for j in range(d))
-        self.yclass = tuple(
-            Gf2Poly(frozenset(1 << k for k in _bits(sup)))
-            for sup in self.y_support)
-        self._dense = d <= DENSE_DIM_LIMIT
-        self._mulvar: dict = {}
-        self._monomul: dict = {}
+        self._setup(d, tuple(matrix.column_support(j) for j in range(d)))
+        self._matrix = matrix
 
     @classmethod
     def from_column_supports(cls, dim: int, supports) -> "RingContext":
-        """Build directly from per-column support masks (search hot path)."""
-        rows = [0] * dim
-        for j, sup in enumerate(supports):
-            for i in _bits(sup):
-                rows[i] |= 1 << j
-        return cls(BottMatrix(dim, tuple(rows)))
+        """Build directly from per-column support masks (search hot path).
+
+        The supports are trusted: support j must only use bits below j.
+        """
+        ctx = cls.__new__(cls)
+        ctx._setup(dim, tuple(supports))
+        return ctx
+
+    def _setup(self, dim: int, supports: tuple) -> None:
+        self.dim = dim
+        self.y_support = supports
+        self._matrix = self._yclass = None
+        self._dense = dim <= DENSE_DIM_LIMIT
+        # _mulvar[k] memoizes x_mask * x_k by mask; it depends on y_0..y_k
+        self._mulvar = [{} for _ in range(dim)]
+        self._monomul: dict = {}
+
+    @property
+    def matrix(self) -> BottMatrix:
+        if self._matrix is None:
+            rows = [0] * self.dim
+            for j, sup in enumerate(self.y_support):
+                for i in _bits(sup):
+                    rows[i] |= 1 << j
+            self._matrix = BottMatrix(self.dim, tuple(rows))
+        return self._matrix
+
+    @property
+    def yclass(self) -> tuple:
+        if self._yclass is None:
+            self._yclass = tuple(
+                Gf2Poly(frozenset(1 << k for k in _bits(sup)))
+                for sup in self.y_support)
+        return self._yclass
+
+    def retarget(self, supports) -> None:
+        """Switch to the matrix with column supports ``supports``, trusted
+        like :meth:`from_column_supports`.
+
+        A product whose factors only involve generators below the first
+        changed column c rewrites through y_0..y_{c-1} alone, so only the
+        memo entries that touch columns >= c are dropped.
+        """
+        supports = tuple(supports)
+        old = self.y_support
+        if len(supports) != self.dim:
+            raise ValueError(f"expected {self.dim} supports, got {len(supports)}")
+        c = 0
+        while c < self.dim and supports[c] == old[c]:
+            c += 1
+        if c == self.dim:
+            return
+        self.y_support = supports
+        self._matrix = self._yclass = None
+        for memo in self._mulvar[c:]:
+            memo.clear()
+        self._monomul = {key: rep for key, rep in self._monomul.items()
+                         if (key[0] | key[1]).bit_length() <= c}
 
     # kernel primitives: a kernel value is an int bitset over monomial slots
     # when dense, otherwise a frozenset of masks; both support ^.
@@ -267,8 +314,8 @@ class RingContext:
         When k already occurs in mask the square rewrites through y_k, which
         only involves smaller indices, so the recursion terminates.
         """
-        key = (mask << 6) | k
-        cached = self._mulvar.get(key)
+        memo = self._mulvar[k]
+        cached = memo.get(mask)
         if cached is not None:
             return cached
         bit = 1 << k
@@ -278,7 +325,7 @@ class RingContext:
             out = self._kzero()
             for l in _bits(self.y_support[k]):
                 out ^= self._mul_var(mask, l)
-        self._mulvar[key] = out
+        memo[mask] = out
         return out
 
     def _mono_mul(self, a: int, b: int):

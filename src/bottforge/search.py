@@ -8,9 +8,13 @@ counters from a seeded xorshift64* stream.  Either mode can be split into
 K contiguous parts which together reproduce the unpartitioned run exactly,
 including candidate indices.
 
-With orientability pruning, candidates whose row sums are not all even are
-skipped before any ring work and only counted; the survivors (and, without
-pruning, everything) get the full criterion evaluation.
+Candidates whose row sums are not all even are never orientable and get
+no ring work; with orientability pruning they are counted as pruned,
+without it as tested.  Exhaustive mode seeks straight to the first
+all-even counter of its range, then walks aligned blocks of all-even
+counters: each block is sorted by column supports and evaluated with one
+retargeted ring context, and its hits are emitted together in increasing
+counter order.  Every hit is re-checked by the full criterion.
 """
 
 from __future__ import annotations
@@ -18,12 +22,15 @@ from __future__ import annotations
 import json
 import time
 from dataclasses import dataclass
-from itertools import product as _iterproduct
+from functools import lru_cache
+from itertools import groupby
 
 from .charclass import SwReport, counterexample_criterion, stiefel_whitney
 from .gf2ring import BottMatrix, RingContext, format_monomial, square
 
 MAX_EXHAUSTIVE_SPAN = 1 << 36
+# w3^2 sits in degree 6, above the top class of a smaller ring
+MIN_HIT_DIM = 6
 
 
 class SpecTooLargeError(ValueError):
@@ -125,27 +132,125 @@ def _column_supports(d: int, counter: int) -> list[int]:
     return sup
 
 
+def _next_even_counter(counter: int, chunks, row: int) -> int | None:
+    """Smallest all-even-row counter above ``counter``, by per-row carry.
+
+    Assumes no such counter agrees with ``counter`` on rows ``row`` and up
+    (row ``row`` is odd, or is row 0) and that the rows above it are even:
+    row ``row`` then moves to its next even-weight value and the rows below
+    it to zero, carrying upward on overflow.  None past the last counter.
+    """
+    for off, width in chunks[row:]:
+        v = (counter >> off & ((1 << width) - 1)) + 1
+        while v.bit_count() & 1:
+            v += 1
+        if not v >> width:
+            top = off + width
+            return counter >> top << top | v << off
+    return None
+
+
 def _even_parity_counters(d: int, lo: int, hi: int):
     """All-even-row counters in increasing order, restricted to [lo, hi).
 
-    Per-row chunk values run through the even-weight patterns; the top row
-    occupies the least significant bits, so iterating later rows as outer
-    loops yields numerically increasing counters.
+    The top row occupies the least significant bits.  The first counter
+    carries from the highest odd row of ``lo`` and each later one from row
+    0, so nothing below ``lo`` is ever visited.
     """
     chunks = _row_chunks(d)
-    choices = []
-    for _, width in chunks:
-        choices.append([v for v in range(1 << width) if v.bit_count() % 2 == 0])
-    offsets = [off for off, _ in chunks]
-    for combo in _iterproduct(*reversed(choices)):
-        counter = 0
-        for chunk, off in zip(reversed(combo), offsets):
-            counter |= chunk << off
-        if counter < lo:
-            continue
-        if counter >= hi:
-            return
+    counter = lo
+    for row in range(len(chunks) - 1, -1, -1):
+        off, width = chunks[row]
+        if (lo >> off & ((1 << width) - 1)).bit_count() & 1:
+            counter = _next_even_counter(lo, chunks, row)
+            break
+    while counter is not None and counter < hi:
         yield counter
+        counter = _next_even_counter(counter, chunks, 0)
+
+
+# A block is an aligned run of counters holding at most 2^16 all-even ones.
+BLOCK_TESTED_BITS = 16
+
+
+def _column_fields(d: int) -> list[tuple[int, int]]:
+    """(shift, mask) of each column support in a packed key, column 0 first.
+
+    Column j takes j bits and column 0 is the most significant, above the
+    ``free_bit_count(d)`` counter bits, so sorting packed keys orders
+    candidates by (y_0, y_1, ..., y_{d-1}).
+    """
+    top = 2 * free_bit_count(d)
+    return [(top - j * (j + 1) // 2, (1 << j) - 1) for j in range(d)]
+
+
+def _column_pack(d: int, counter: int) -> int:
+    """The packed key of ``counter`` without its counter bits."""
+    fields = _column_fields(d)
+    out = 0
+    for b, (i, j) in enumerate(free_positions(d)):
+        if counter >> b & 1:
+            out |= 1 << (fields[j][0] + i)
+    return out
+
+
+@lru_cache(maxsize=None)
+def _block_layout(d: int) -> tuple[int, list]:
+    """Block width s (in counter bits) and byte tables mapping the low s
+    bits of a counter to their part of :func:`_column_pack`."""
+    chunks = _row_chunks(d)
+
+    def tested_bits(s):
+        # all-even counters in an aligned run of 2^s, as a power of two
+        return sum(max(min(width, s - off), 1) - 1
+                   for off, width in chunks if s > off)
+
+    s = 0
+    while s < free_bit_count(d) and tested_bits(s + 1) <= BLOCK_TESTED_BITS:
+        s += 1
+    low = (1 << s) - 1
+    tables = [(base, [_column_pack(d, v << base & low) for v in range(256)])
+              for base in range(0, s, 8)]
+    return s, tables
+
+
+def _sorted_blocks(d: int, lo: int, hi: int):
+    """Packed keys of the all-even counters of [lo, hi), one sorted list per
+    aligned block, blocks in increasing counter order."""
+    shift, tables = _block_layout(d)
+    for block, counters in groupby(_even_parity_counters(d, lo, hi),
+                                   key=lambda c: c >> shift):
+        high = _column_pack(d, block << shift)
+        keys = []
+        for c in counters:
+            key = high + c
+            for base, table in tables:
+                key += table[c >> base & 255]
+            keys.append(key)
+        keys.sort()
+        yield keys
+
+
+def _block_hits(d: int, keys: list) -> list[int]:
+    """Hit counters of one block of sorted keys, in increasing order.
+
+    ``keys`` is emptied once walked, so that the non-hit keys are freed
+    before the block's hits are re-checked and printed.
+
+    Neighbouring keys share their leading columns, so one retargeted
+    context keeps most rewrite memos from one candidate to the next.
+    """
+    hits = []
+    if d >= MIN_HIT_DIM:
+        fields = _column_fields(d)
+        ctx = RingContext.from_column_supports(d, (0,) * d)
+        for key in keys:
+            ctx.retarget([key >> at & m for at, m in fields])
+            if _verdict(ctx):
+                hits.append(key)
+    keys.clear()
+    counter_mask = (1 << free_bit_count(d)) - 1
+    return sorted(key & counter_mask for key in hits)
 
 
 MASK64 = (1 << 64) - 1
@@ -175,16 +280,10 @@ def _draw_counter(stream, bits: int) -> int:
     return value & ((1 << bits) - 1)
 
 
-def _verdict(d: int, supports) -> bool:
+def _verdict(ctx: RingContext) -> bool:
     """Criterion tail for an orientable candidate: w3 != 0 and w3^2 != 0."""
-    if d < 6:
-        # w3^2 sits in degree 6, above the top class of a smaller ring
-        return False
-    ctx = RingContext.from_column_supports(d, supports)
     w3 = stiefel_whitney(ctx, 3)
-    if not w3:
-        return False
-    return bool(square(ctx, w3))
+    return bool(w3) and bool(square(ctx, w3))
 
 
 def _partition_range(total: int, partition) -> tuple[int, int]:
@@ -241,26 +340,22 @@ def enumerate_space(spec: SearchSpec, sink=None) -> SearchStats:
                 f"{hi - lo} candidates in one run exceeds 2^36; "
                 f"use partition to split the range")
         stats.candidates = hi - lo
-        chunks = _row_chunks(d)
+        for keys in _sorted_blocks(d, lo, hi):
+            stats.tested += len(keys)
+            for counter in _block_hits(d, keys):
+                emit(counter, counter)
         if spec.prune_orientable:
-            for counter in _even_parity_counters(d, lo, hi):
-                stats.tested += 1
-                if _verdict(d, _column_supports(d, counter)):
-                    emit(counter, counter)
             stats.pruned = stats.candidates - stats.tested
         else:
-            for counter in range(lo, hi):
-                stats.tested += 1
-                if not _rows_even(counter, chunks):
-                    continue
-                if _verdict(d, _column_supports(d, counter)):
-                    emit(counter, counter)
+            # the odd-row counters count as tested; they all fail w1 = 0
+            stats.tested = stats.candidates
     else:
         lo, hi = _partition_range(spec.limit, spec.partition)
         stream = _xorshift_stream(spec.seed)
         for _ in range(lo):
             _draw_counter(stream, bits)
         chunks = _row_chunks(d)
+        ctx = RingContext.from_column_supports(d, (0,) * d)
         for index in range(lo, hi):
             counter = _draw_counter(stream, bits)
             stats.candidates += 1
@@ -271,7 +366,10 @@ def enumerate_space(spec: SearchSpec, sink=None) -> SearchStats:
                 stats.tested += 1
                 continue
             stats.tested += 1
-            if _verdict(d, _column_supports(d, counter)):
+            if d < MIN_HIT_DIM:
+                continue
+            ctx.retarget(_column_supports(d, counter))
+            if _verdict(ctx):
                 emit(counter, index)
 
     stats.wall_time_s = time.perf_counter() - start

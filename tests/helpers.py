@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import random
 from fractions import Fraction
-from itertools import combinations
+from itertools import combinations, product
 from math import gcd
 
 from bottforge.gf2ring import BottMatrix
@@ -25,6 +25,27 @@ def random_bott_matrix(rng: random.Random, d: int, density: float = 0.5) -> Bott
                 r |= 1 << j
         rows.append(r)
     return BottMatrix(d, tuple(rows))
+
+
+def even_parity_counters_scan(d: int, lo: int, hi: int):
+    """Search counters whose rows all have even weight, in [lo, hi), by a
+    scan from counter 0 over the product of each row's even patterns.
+
+    The top row owns the least significant bits of a counter, so taking
+    the later rows as the outer loops gives increasing counters.
+    """
+    widths = [d - 1 - i for i in range(d - 1)]
+    offsets = [sum(widths[:i]) for i in range(d - 1)]
+    choices = [[v for v in range(1 << w) if v.bit_count() % 2 == 0]
+               for w in widths]
+    for combo in product(*reversed(choices)):
+        counter = 0
+        for chunk, off in zip(reversed(combo), offsets):
+            counter |= chunk << off
+        if counter >= hi:
+            return
+        if counter >= lo:
+            yield counter
 
 
 def gf2_rank(rows: list[int], width: int) -> int:

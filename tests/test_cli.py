@@ -117,6 +117,18 @@ def test_check_wrong_row_count(capsys, tmp_path):
     assert "expected 3 matrix rows, got 2" in err
 
 
+@pytest.mark.parametrize("dim", [0, -1])
+@pytest.mark.parametrize("command", [
+    ["check"], ["odometer", "--dim", "1", "--levels", "1"]])
+def test_matrix_file_dimension_below_one(capsys, tmp_path, command, dim):
+    path = tmp_path / "m.txt"
+    path.write_text(f"{dim}\n")
+    rc, out, err = run_cli(capsys, command + ["--matrix", str(path)])
+    assert rc == 1
+    assert out == ""
+    assert f"{path}: dimension must be at least 1, got {dim}" in err
+
+
 def test_check_sq_degree_out_of_range(capsys, tmp_path):
     rc, _, err = run_cli(capsys, ["check", "--matrix", write_d9(tmp_path),
                                   "--sq", "12"])
@@ -448,6 +460,17 @@ def test_odometer_non_expanding_reports_false(capsys, tmp_path):
     payload = json.loads(out)
     assert payload["expanding"] is False
     assert [lvl["order"] for lvl in payload["levels"]] == [1, 2, 4]
+
+
+@pytest.mark.parametrize("flag, value", [("--levels", -2), ("--samples", -3)])
+def test_odometer_rejects_negative_count(capsys, tmp_path, flag, value):
+    path = tmp_path / "m.txt"
+    path.write_text("2\n2 1\n0 2\n")
+    argv = ["odometer", "--dim", "2", "--matrix", str(path), "--levels", "2"]
+    rc, out, err = run_cli(capsys, argv + [flag, str(value)])
+    assert rc == 1
+    assert out == ""
+    assert f"{flag} must be non-negative, got {value}" in err
 
 
 # ------------------------------------------------------------- error paths

@@ -8,10 +8,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from bottforge.charclass import stiefel_whitney
 from bottforge.gf2ring import (
+    DENSE_DIM_LIMIT,
     BottMatrix,
     Gf2Poly,
     InvalidMatrixError,
+    RingContext,
     add,
     basis_masks,
     format_monomial,
@@ -259,6 +262,58 @@ def test_d9_y_classes():
     assert [str(y) for y in ctx.yclass] == [
         "0", "x1", "x2", "x3", "x4", "x5", "x6", "x7",
         "x1 + x2 + x3 + x4 + x5 + x6 + x7"]
+
+
+def _supports(m: BottMatrix) -> list[int]:
+    return [m.column_support(j) for j in range(m.dim)]
+
+
+def _successor(rng: random.Random, m: BottMatrix) -> BottMatrix:
+    """A next matrix sharing a random number of leading columns with m."""
+    d = m.dim
+    move = rng.randrange(4)
+    if move == 0:
+        return m
+    if move == 1:
+        return random_bott_matrix(rng, d)
+    rows = list(m.rows)
+    if move == 2:  # flip one entry
+        j = rng.randrange(1, d)
+        rows[rng.randrange(j)] ^= 1 << j
+    else:  # redraw every column from c on
+        c = rng.randrange(1, d)
+        for i in range(d):
+            for j in range(max(c, i + 1), d):
+                rows[i] = rows[i] & ~(1 << j) | rng.getrandbits(1) << j
+    return BottMatrix(d, tuple(rows))
+
+
+@pytest.mark.parametrize("d", [6, 9, DENSE_DIM_LIMIT + 1, DENSE_DIM_LIMIT + 2])
+def test_retarget_matches_fresh_context(d):
+    rng = random.Random(1000 + d)
+    for seq in range(2):
+        m = random_bott_matrix(rng, d)
+        ctx = (make_context(m) if seq else
+               RingContext.from_column_supports(d, _supports(m)))
+        for _ in range(25):
+            m = _successor(rng, m)
+            ctx.retarget(_supports(m))
+            fresh = make_context(m)
+            assert ctx.y_support == fresh.y_support
+            assert ctx.yclass == fresh.yclass
+            assert ctx.matrix == m
+            w3 = stiefel_whitney(ctx, 3)
+            assert w3 == stiefel_whitney(fresh, 3)
+            assert square(ctx, w3) == square(fresh, w3)
+            p = Gf2Poly.from_masks(rng.getrandbits(d) for _ in range(4))
+            q = Gf2Poly.from_masks(rng.getrandbits(d) for _ in range(4))
+            assert multiply(ctx, p, q) == multiply(fresh, p, q)
+
+
+def test_retarget_rejects_wrong_length():
+    ctx = RingContext.from_column_supports(3, [0, 1, 3])
+    with pytest.raises(ValueError):
+        ctx.retarget([0, 1])
 
 
 def test_zero_matrix_y_classes_vanish():

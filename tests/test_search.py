@@ -6,6 +6,7 @@ import random
 
 import pytest
 
+from bottforge import search
 from bottforge.charclass import counterexample_criterion
 from bottforge.gf2ring import BottMatrix
 from bottforge.search import (
@@ -30,7 +31,7 @@ from bottforge.search import (
     run_partitioned,
 )
 
-from helpers import random_bott_matrix
+from helpers import even_parity_counters_scan, random_bott_matrix
 
 # hit counts from this tool's own exhaustive runs, committed as regression
 # constants (no external source for these numbers)
@@ -158,6 +159,102 @@ def test_every_emitted_hit_passes_criterion():
     for h in hits:
         assert h.report.verdict
         assert counterexample_criterion(h.matrix).verdict
+
+
+# ------------------------------------------------------ seek and blocks
+
+def test_seek_matches_scan_small():
+    rng = random.Random(5)
+    for d in range(1, 8):
+        total = 1 << free_bit_count(d)
+        for _ in range(40):
+            lo = rng.randrange(total + 1)
+            hi = rng.randrange(lo, total + 1)
+            assert list(search._even_parity_counters(d, lo, hi)) == \
+                list(even_parity_counters_scan(d, lo, hi))
+
+
+def test_seek_matches_scan_d8_partitions():
+    rng = random.Random(8)
+    total = 1 << free_bit_count(8)
+    for k in [0] + [rng.randrange(1 << 14) for _ in range(3)]:
+        lo, hi = k * total >> 14, (k + 1) * total >> 14
+        assert list(search._even_parity_counters(8, lo, hi)) == \
+            list(even_parity_counters_scan(8, lo, hi))
+
+
+# partition 1023 starts with an odd last row, so it holds no orientable
+# candidate; partition 384 starts at a counter whose rows are all even
+@pytest.mark.parametrize("k, limit, orientable", [
+    (1023, 64, 0), (384, 1 << 14, 4096)])
+def test_far_partition_seeks_directly(k, limit, orientable):
+    d, parts = 9, 1024
+    stats = enumerate_space(
+        SearchSpec(dim=d, partition=(k, parts), limit=limit), None)
+    lo = k * (1 << free_bit_count(d)) // parts
+    # the scan oracle would walk from counter 0, so filter the range directly
+    matrices = [matrix_from_counter(d, c) for c in range(lo, lo + limit)]
+    tested = [m for m in matrices
+              if all(r.bit_count() % 2 == 0 for r in m.rows)]
+    hits = [m for m in tested if counterexample_criterion(m).verdict]
+    assert (stats.candidates, stats.tested, stats.pruned, stats.hits) == \
+        (limit, len(tested), limit - len(tested), len(hits))
+    assert len(tested) == orientable
+    # a linear seek from counter 0 would run for minutes
+    assert stats.wall_time_s < 10
+
+
+def test_blocks_are_sorted_aligned_and_bounded():
+    d = 7
+    bits = free_bit_count(d)
+    shift, _ = search._block_layout(d)
+    seen = []
+    for keys in search._sorted_blocks(d, 12345, 1 << bits):
+        assert 0 < len(keys) <= 1 << search.BLOCK_TESTED_BITS
+        assert keys == sorted(keys)
+        counters = [key & ((1 << bits) - 1) for key in keys]
+        assert len({c >> shift for c in counters}) == 1
+        for key, c in zip(keys, counters):
+            assert key == search._column_pack(d, c) + c
+            assert [key >> at & m for at, m in search._column_fields(d)] == \
+                search._column_supports(d, c)
+        seen.extend(sorted(counters))
+    assert seen == list(even_parity_counters_scan(d, 12345, 1 << bits))
+    # one K = 2048 shard of d = 8 is a single block
+    total = 1 << free_bit_count(8)
+    blocks = list(search._sorted_blocks(8, 870 * total // 2048,
+                                        871 * total // 2048))
+    assert [len(b) for b in blocks] == [16384]
+
+
+def test_exhaustive_hits_match_brute_criterion_d8():
+    total = 1 << free_bit_count(8)
+    parts = 131072
+    for k in (55692, 55948, 70000):
+        lo, hi = k * total // parts, (k + 1) * total // parts
+        stats, hits = collect_hits(SearchSpec(dim=8, partition=(k, parts)))
+        brute = [c for c in range(lo, hi)
+                 if counterexample_criterion(matrix_from_counter(8, c)).verdict]
+        assert [h.candidate_index for h in hits] == brute
+        assert stats.hits == len(brute)
+
+
+def test_random_hits_match_brute_criterion():
+    for d in range(9, 14):
+        # about 24 orientable draws: all d - 1 rows of a draw are even
+        # with probability 2^-(d-1)
+        spec = SearchSpec(dim=d, mode="random", limit=24 << (d - 1), seed=d)
+        stats, hits = collect_hits(spec)
+        stream = search._xorshift_stream(spec.seed)
+        brute = []
+        for index in range(spec.limit):
+            m = matrix_from_counter(
+                d, search._draw_counter(stream, free_bit_count(d)))
+            if all(r.bit_count() % 2 == 0 for r in m.rows) and \
+                    counterexample_criterion(m).verdict:
+                brute.append(index)
+        assert stats.tested > 8
+        assert [h.candidate_index for h in hits] == brute
 
 
 # -------------------------------------------------------------- partitions
