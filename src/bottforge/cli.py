@@ -337,6 +337,9 @@ def cmd_odometer(args) -> int:
     for flag, value in (("--levels", args.levels), ("--samples", args.samples)):
         if value < 0:
             raise UsageError(f"{flag} must be non-negative, got {value}")
+    if args.max_escape < 1:
+        raise UsageError(
+            f"--max-escape must be positive, got {args.max_escape}")
     matrix = IntMatrix.from_rows(
         _read_matrix_file(args.matrix, int, "an integer"))
     if matrix.nrows != args.dim:

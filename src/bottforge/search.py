@@ -14,7 +14,13 @@ without it as tested.  Exhaustive mode seeks straight to the first
 all-even counter of its range, then walks aligned blocks of all-even
 counters: each block is sorted by column supports and evaluated with one
 retargeted ring context, and its hits are emitted together in increasing
-counter order.  Every hit is re-checked by the full criterion.
+counter order.  Random mode jumps the xorshift64* stream straight to the
+first draw of its range with powers of the GF(2) matrix of one state step
+(Haramoto et al., INFORMS J. Comput. 20, 2008), then steps LANES runs of
+consecutive draws at once, packed in 128-bit lanes of one int, and prunes
+them all with a few big-int operations per step; the orientable draws of
+each bounded window are sorted by index and evaluated with one retargeted
+ring context.  Every hit is re-checked by the full criterion.
 """
 
 from __future__ import annotations
@@ -112,13 +118,6 @@ def _row_chunks(d: int) -> list[tuple[int, int]]:
         out.append((offset, width))
         offset += width
     return out
-
-
-def _rows_even(counter: int, chunks) -> bool:
-    for offset, width in chunks:
-        if (counter >> offset & ((1 << width) - 1)).bit_count() % 2:
-            return False
-    return True
 
 
 def _column_supports(d: int, counter: int) -> list[int]:
@@ -258,26 +257,164 @@ _XS_MULT = 0x2545F4914F6CDD1D
 _XS_ZERO_SEED = 0x9E3779B97F4A7C15
 
 
-def _xorshift_stream(seed: int):
-    """xorshift64* output stream; a zero seed is replaced by a fixed odd
+def _xs_seed_state(seed: int) -> int:
+    """Initial xorshift64* state; a zero seed is replaced by a fixed odd
     constant because the all-zero state is a fixed point."""
-    state = seed & MASK64
-    if state == 0:
-        state = _XS_ZERO_SEED
-    while True:
-        state ^= state >> 12
-        state = (state ^ (state << 25)) & MASK64
-        state ^= state >> 27
-        yield (state * _XS_MULT) & MASK64
+    return seed & MASK64 or _XS_ZERO_SEED
 
 
-def _draw_counter(stream, bits: int) -> int:
-    value = 0
-    taken = 0
-    while taken < bits:
-        value |= next(stream) << taken
-        taken += 64
-    return value & ((1 << bits) - 1)
+def _xs_step(state: int) -> int:
+    """One xorshift64* state step, a GF(2)-linear map of 64-bit words."""
+    state ^= state >> 12
+    state ^= state << 25 & MASK64
+    return state ^ state >> 27
+
+
+def _gf2_apply(columns, v: int) -> int:
+    """Image of ``v`` under the GF(2) matrix with these 64 columns."""
+    out = 0
+    while v:
+        low = v & -v
+        out ^= columns[low.bit_length() - 1]
+        v ^= low
+    return out
+
+
+def _gf2_byte_tables(columns) -> list:
+    """The GF(2) matrix with these 64 columns as 8 tables: table k maps
+    each byte b to the image of b << 8k."""
+    tables = []
+    for at in range(0, 64, 8):
+        table = [0]
+        for column in columns[at:at + 8]:
+            table += [x ^ column for x in table]
+        tables.append(table)
+    return tables
+
+
+def _gf2_apply_bytes(tables, v: int) -> int:
+    """Image of ``v`` under a matrix given by :func:`_gf2_byte_tables`."""
+    out = 0
+    for table in tables:
+        out ^= table[v & 255]
+        v >>= 8
+    return out
+
+
+@lru_cache(maxsize=None)
+def _step_power(i: int) -> tuple:
+    """Columns of the GF(2) matrix of 2^i state steps, squared up lazily."""
+    if i == 0:
+        return tuple(_xs_step(1 << j) for j in range(64))
+    half = _step_power(i - 1)
+    return tuple(_gf2_apply(half, c) for c in half)
+
+
+def _xs_jump(state: int, n: int) -> int:
+    """The state ``n`` steps after ``state``: one product per set bit of n."""
+    i = 0
+    while n:
+        if n & 1:
+            state = _gf2_apply(_step_power(i), state)
+        n >>= 1
+        i += 1
+    return state
+
+
+# Random mode steps LANES runs of consecutive draws at once, each run in a
+# 128-bit lane of one int, so a lane's 64x64-bit product never carries into
+# the next.  A window steps every lane at most 2^12 times, and fewer below
+# d = 9, so that it expects at most 2^12 orientable draws.
+LANES = 256
+WINDOW_STEP_BITS = 12
+
+
+@lru_cache(maxsize=None)
+def _draw_words(d: int) -> tuple:
+    """(mask, row-end bits, prefix shifts) of each 64-bit word of a draw.
+
+    A draw takes one xorshift output per word, the first in the least
+    significant bits.  Its rows are all even exactly when the prefix XOR
+    of its bits is 0 at the last bit of every row.
+    """
+    bits = free_bit_count(d)
+    ends = [off + width - 1 for off, width in _row_chunks(d)]
+    words = []
+    for at in range(0, bits, 64):
+        width = min(64, bits - at)
+        words.append(((1 << width) - 1,
+                      sum(1 << (e - at) for e in ends if at <= e < at + 64),
+                      [1 << k for k in range((width - 1).bit_length())]))
+    return tuple(words)
+
+
+def _orientable_draws(d: int, seed: int, lo: int, hi: int):
+    """(index, counter) of the all-even-row draws among draws [lo, hi), in
+    index order.
+
+    Draw i is the counter made of xorshift outputs i*w+1 .. i*w+w, w words
+    per draw.  The stream jumps straight to draw ``lo``, then runs in
+    windows of at most LANES lanes, each lane owning ``steps`` consecutive
+    draws.  A step moves every lane one draw: xorshift and multiply, a
+    prefix XOR whose row-end bits are 0 in an orientable lane (the parity
+    carries from word to word), and one borrow-free subtraction that sets
+    bit 64 of exactly those lanes.
+    """
+    words = _draw_words(d)
+    w = len(words)
+    steps = 1 << min(WINDOW_STEP_BITS, d + 3,
+                     (-(-(hi - lo) // LANES) - 1).bit_length())
+    state = _xs_jump(_xs_seed_state(seed), lo * w)
+    # the jump by one lane's run, as byte tables: it is applied once per
+    # lane of every window
+    lane_jump = _gf2_byte_tables(
+        [_xs_jump(1 << j, steps * w) for j in range(64)])
+    base = lo
+    while base < hi:
+        lanes = min(LANES, -(-(hi - base) // steps))
+        starts = [state]
+        for _ in range(lanes - 1):
+            starts.append(_gf2_apply_bytes(lane_jump, starts[-1]))
+        s = int.from_bytes(b"".join(x.to_bytes(16, "little") for x in starts),
+                           "little")
+        ones = int.from_bytes((b"\x01" + bytes(15)) * lanes, "little")
+        low = MASK64 * ones
+        flag = ones << 64
+        lane_words = [(mask * ones, ends * ones, shifts)
+                      for mask, ends, shifts in words]
+        found = []
+        for t in range(base, base + steps):
+            odd = carry = 0
+            outs = []
+            for mask, ends, shifts in lane_words:
+                s ^= s >> 12 & low
+                s ^= s << 25 & low
+                s ^= s >> 27 & low
+                out = s * _XS_MULT & mask
+                outs.append(out)
+                prefix = out ^ carry
+                for k in shifts:
+                    prefix ^= prefix << k
+                odd |= prefix & ends
+                carry = prefix >> 63 & ones
+            even = flag - odd & flag
+            if even:
+                # one byte per lane: 1 where the lane's draw is orientable
+                marks = (even >> 64).to_bytes(lanes << 4, "little")[::16]
+                lane = marks.find(1)
+                while lane >= 0:
+                    counter = 0
+                    for k, out in enumerate(outs):
+                        counter |= (out >> (lane << 7) & MASK64) << (k << 6)
+                    found.append((t + lane * steps, counter))
+                    lane = marks.find(1, lane + 1)
+        found.sort()
+        for index, counter in found:
+            if index >= hi:
+                break
+            yield index, counter
+        state = s >> ((lanes - 1) << 7) & MASK64
+        base += lanes * steps
 
 
 def _verdict(ctx: RingContext) -> bool:
@@ -351,26 +488,18 @@ def enumerate_space(spec: SearchSpec, sink=None) -> SearchStats:
             stats.tested = stats.candidates
     else:
         lo, hi = _partition_range(spec.limit, spec.partition)
-        stream = _xorshift_stream(spec.seed)
-        for _ in range(lo):
-            _draw_counter(stream, bits)
-        chunks = _row_chunks(d)
+        stats.candidates = hi - lo
         ctx = RingContext.from_column_supports(d, (0,) * d)
-        for index in range(lo, hi):
-            counter = _draw_counter(stream, bits)
-            stats.candidates += 1
-            if not _rows_even(counter, chunks):
-                if spec.prune_orientable:
-                    stats.pruned += 1
-                    continue
-                stats.tested += 1
-                continue
+        for index, counter in _orientable_draws(d, spec.seed, lo, hi):
             stats.tested += 1
-            if d < MIN_HIT_DIM:
-                continue
-            ctx.retarget(_column_supports(d, counter))
-            if _verdict(ctx):
-                emit(counter, index)
+            if d >= MIN_HIT_DIM:
+                ctx.retarget(_column_supports(d, counter))
+                if _verdict(ctx):
+                    emit(counter, index)
+        if spec.prune_orientable:
+            stats.pruned = stats.candidates - stats.tested
+        else:
+            stats.tested = stats.candidates
 
     stats.wall_time_s = time.perf_counter() - start
     return stats
@@ -388,8 +517,15 @@ def _partition_worker(args) -> tuple[SearchStats, list[SearchHit]]:
     return collect_hits(spec)
 
 
+# Parts per worker: the exhaustive work is uneven across equal counter
+# ranges (every counter in the upper half has an odd last row), so the pool
+# hands out many small parts in order instead of one large part per worker.
+PARTS_PER_JOB = 8
+
+
 def run_partitioned(spec: SearchSpec, jobs: int) -> tuple[SearchStats, list[SearchHit]]:
-    """Split a run into ``jobs`` partitions over a process pool and merge.
+    """Split a run into ``PARTS_PER_JOB * jobs`` partitions over a pool of
+    ``jobs`` processes and merge them in order.
 
     The merged hit list and counters match the single-process run; wall
     time is the elapsed time of the whole fan-out.
@@ -405,9 +541,11 @@ def run_partitioned(spec: SearchSpec, jobs: int) -> tuple[SearchStats, list[Sear
               "seed": spec.seed, "prune_orientable": spec.prune_orientable}
     merged = SearchStats(dim=spec.dim, mode=spec.mode)
     hits: list[SearchHit] = []
+    parts = PARTS_PER_JOB * jobs
     with multiprocessing.Pool(jobs) as pool:
         for part_stats, part_hits in pool.imap(
-                _partition_worker, [(fields, k, jobs) for k in range(jobs)]):
+                _partition_worker, [(fields, k, parts) for k in range(parts)],
+                chunksize=1):
             merged.candidates += part_stats.candidates
             merged.tested += part_stats.tested
             merged.pruned += part_stats.pruned

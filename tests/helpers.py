@@ -48,6 +48,31 @@ def even_parity_counters_scan(d: int, lo: int, hi: int):
             yield counter
 
 
+XS_MASK = (1 << 64) - 1
+
+
+def xorshift_stream(seed: int):
+    """xorshift64* outputs, one state step at a time, from the state
+    ``seed`` (zero replaced by the fixed odd constant of random mode)."""
+    state = seed & XS_MASK or 0x9E3779B97F4A7C15
+    while True:
+        state ^= state >> 12
+        state = (state ^ (state << 25)) & XS_MASK
+        state ^= state >> 27
+        yield (state * 0x2545F4914F6CDD1D) & XS_MASK
+
+
+def draw_counter(stream, bits: int) -> int:
+    """One random-mode draw: enough 64-bit outputs for ``bits`` bits, the
+    first in the least significant bits, masked to ``bits``."""
+    value = 0
+    taken = 0
+    while taken < bits:
+        value |= next(stream) << taken
+        taken += 64
+    return value & ((1 << bits) - 1)
+
+
 def gf2_rank(rows: list[int], width: int) -> int:
     """Rank of a GF(2) matrix given as row bitmasks."""
     rows = list(rows)

@@ -473,6 +473,18 @@ def test_odometer_rejects_negative_count(capsys, tmp_path, flag, value):
     assert f"{flag} must be non-negative, got {value}" in err
 
 
+@pytest.mark.parametrize("value", [0, -1])
+def test_odometer_rejects_nonpositive_max_escape(capsys, tmp_path, value):
+    path = tmp_path / "m.txt"
+    path.write_text("2\n2 1\n0 2\n")
+    argv = ["odometer", "--dim", "2", "--matrix", str(path), "--levels", "2",
+            "--max-escape", str(value)]
+    rc, out, err = run_cli(capsys, argv)
+    assert rc == 1
+    assert out == ""
+    assert err.strip() == f"error: --max-escape must be positive, got {value}"
+
+
 # ------------------------------------------------------------- error paths
 
 def test_no_subcommand_is_usage_error(capsys):
@@ -497,6 +509,17 @@ def test_internal_error_maps_to_2(capsys, tmp_path, monkeypatch):
     assert err.startswith("internal error: RuntimeError")
 
 
+def _fresh_python(code: str) -> str:
+    """Stdout of ``code`` run by a new interpreter that imports this
+    checkout of the package."""
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p))
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                          text=True, check=True, timeout=60, env=env)
+    return proc.stdout
+
+
 def test_cli_imports_only_stdlib():
     # diff against the modules already loaded, since site hooks may
     # preload third-party modules before any bottforge code runs
@@ -505,11 +528,14 @@ def test_cli_imports_only_stdlib():
             "import bottforge.cli\n"
             "added = {m.split('.')[0] for m in set(sys.modules) - before}\n"
             "print('\\n'.join(sorted(added)))\n")
-    src = str(Path(cli.__file__).resolve().parents[1])
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-        p for p in (src, os.environ.get("PYTHONPATH")) if p))
-    proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
-                          text=True, check=True, timeout=60, env=env)
-    added = set(proc.stdout.split())
+    added = set(_fresh_python(code).split())
     assert "bottforge" in added
     assert added - {"bottforge"} <= set(sys.stdlib_module_names)
+
+
+def test_cli_import_builds_no_jump_table():
+    # the random-mode jump powers are built on first use, never at import
+    code = ("import bottforge.cli\n"
+            "from bottforge import search\n"
+            "print(search._step_power.cache_info().currsize)\n")
+    assert _fresh_python(code).split() == ["0"]

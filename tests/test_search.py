@@ -3,6 +3,8 @@
 import json
 import os
 import random
+from dataclasses import replace
+from itertools import islice
 
 import pytest
 
@@ -31,7 +33,12 @@ from bottforge.search import (
     run_partitioned,
 )
 
-from helpers import even_parity_counters_scan, random_bott_matrix
+from helpers import (
+    draw_counter,
+    even_parity_counters_scan,
+    random_bott_matrix,
+    xorshift_stream,
+)
 
 # hit counts from this tool's own exhaustive runs, committed as regression
 # constants (no external source for these numbers)
@@ -245,11 +252,11 @@ def test_random_hits_match_brute_criterion():
         # with probability 2^-(d-1)
         spec = SearchSpec(dim=d, mode="random", limit=24 << (d - 1), seed=d)
         stats, hits = collect_hits(spec)
-        stream = search._xorshift_stream(spec.seed)
+        stream = xorshift_stream(spec.seed)
         brute = []
         for index in range(spec.limit):
             m = matrix_from_counter(
-                d, search._draw_counter(stream, free_bit_count(d)))
+                d, draw_counter(stream, free_bit_count(d)))
             if all(r.bit_count() % 2 == 0 for r in m.rows) and \
                     counterexample_criterion(m).verdict:
                 brute.append(index)
@@ -293,6 +300,128 @@ def test_run_partitioned_merges_like_serial():
         (serial.candidates, serial.tested, serial.pruned, serial.hits)
     assert [h.candidate_index for h in merged_hits] == \
         [h.candidate_index for h in serial_hits]
+
+
+def test_run_partitioned_parts_share_exhaustive_work():
+    # with one part per worker, part 1/2 of d=8 holds no orientable counter
+    d, jobs = 8, 2
+    parts = search.PARTS_PER_JOB * jobs
+    total = 1 << free_bit_count(d)
+    busy = [k for k in range(parts)
+            if next(search._even_parity_counters(
+                d, k * total // parts, (k + 1) * total // parts), None)
+            is not None]
+    assert len(busy) >= 2
+
+
+def test_run_partitioned_random_merges_like_serial():
+    spec = SearchSpec(dim=9, mode="random", limit=20000, seed=42)
+    serial, serial_hits = collect_hits(spec)
+    merged, merged_hits = run_partitioned(spec, 2)
+    assert (merged.candidates, merged.tested, merged.pruned, merged.hits) == \
+        (serial.candidates, serial.tested, serial.pruned, serial.hits)
+    assert [h.candidate_index for h in merged_hits] == \
+        [h.candidate_index for h in serial_hits]
+
+
+# ------------------------------------------------- random-mode jump-ahead
+
+def _brute_random(d, stream, count):
+    """Orientable count and hit offsets of the next ``count`` draws of
+    ``stream``, by the full criterion on every orientable draw."""
+    orientable, hits = 0, []
+    for offset in range(count):
+        m = matrix_from_counter(d, draw_counter(stream, free_bit_count(d)))
+        if all(r.bit_count() % 2 == 0 for r in m.rows):
+            orientable += 1
+            if counterexample_criterion(m).verdict:
+                hits.append(offset)
+    return orientable, hits
+
+
+@pytest.mark.parametrize("seed", [0, 42, 0xDEADBEEFCAFEF00D])
+def test_jump_matches_stepping(seed):
+    start = search._xs_seed_state(seed)
+    if seed == 0:
+        assert start == search._XS_ZERO_SEED
+    rng = random.Random(seed)
+    counts = [0, 1, 2, 63, 64, 65] + [rng.randrange(10**5) for _ in range(5)]
+    outputs = list(islice(xorshift_stream(seed), max(counts) + 1))
+    for n in counts:
+        # output n of the stream is the first output after n steps
+        assert next(xorshift_stream(search._xs_jump(start, n))) == outputs[n]
+
+
+def test_jumps_compose():
+    rng = random.Random(4)
+    for _ in range(20):
+        state = rng.getrandbits(64) or 1
+        a = rng.getrandbits(rng.randrange(1, 70))
+        b = rng.getrandbits(rng.randrange(1, 70))
+        assert search._xs_jump(search._xs_jump(state, a), b) == \
+            search._xs_jump(state, a + b)
+    # xorshift64* has period 2^64 - 1 on nonzero states
+    assert search._xs_jump(state, (1 << 64) - 1) == state
+
+
+def test_far_random_partition_starts_at_once():
+    parts = 10**9
+    spec = SearchSpec(dim=9, mode="random", limit=10**12,
+                      partition=(parts - 1, parts))
+    stats, hits = collect_hits(spec)
+    assert stats.wall_time_s < 1
+    lo = (parts - 1) * spec.limit // parts
+    stream = xorshift_stream(search._xs_jump(search._xs_seed_state(0), lo))
+    orientable, brute = _brute_random(9, stream, 1000)
+    assert (stats.candidates, stats.tested, stats.pruned, stats.hits) == \
+        (1000, orientable, 1000 - orientable, len(brute))
+    assert [h.candidate_index - lo for h in hits] == brute
+
+
+@pytest.mark.parametrize("d, prune", [
+    (12, True), (13, True), (9, False), (13, False)])
+def test_random_partitions_match_brute_criterion(d, prune):
+    # d = 12 and 13 draw two words; about 16 orientable draws
+    spec = SearchSpec(dim=d, mode="random", limit=16 << (d - 1), seed=d,
+                      prune_orientable=prune)
+    orientable, brute = _brute_random(d, xorshift_stream(d), spec.limit)
+    tested = orientable if prune else spec.limit
+    expected = (spec.limit, tested, spec.limit - tested, len(brute))
+    full, full_hits = collect_hits(spec)
+    parts = [collect_hits(replace(spec, partition=(k, 3))) for k in range(3)]
+    assert (full.candidates, full.tested, full.pruned, full.hits) == expected
+    assert tuple(sum(getattr(st, f) for st, _ in parts) for f in (
+        "candidates", "tested", "pruned", "hits")) == expected
+    assert [h.candidate_index for h in full_hits] == brute
+    assert [h.candidate_index for _, hs in parts for h in hs] == brute
+    assert orientable > 4
+
+
+def _scalar_orientable(d, seed, lo, hi):
+    stream = xorshift_stream(seed)
+    draws = [draw_counter(stream, free_bit_count(d)) for _ in range(hi)]
+    return [(i, c) for i, c in enumerate(draws) if i >= lo and all(
+        r.bit_count() % 2 == 0 for r in matrix_from_counter(d, c).rows)]
+
+
+def test_orientable_draws_match_scalar_stream():
+    # d = 4 runs windows of 2^15 draws, so this range spans four of them
+    for d, seed, lo, hi in [(4, 7, 5000, 105000), (9, 0, 0, 1)]:
+        assert list(search._orientable_draws(d, seed, lo, hi)) == \
+            _scalar_orientable(d, seed, lo, hi)
+
+
+def test_orientable_draws_small_lanes(monkeypatch):
+    # three lanes of four steps put many windows and a ragged tail in every
+    # range, for draws of zero to three words
+    monkeypatch.setattr(search, "LANES", 3)
+    monkeypatch.setattr(search, "WINDOW_STEP_BITS", 2)
+    rng = random.Random(9)
+    for d in list(range(1, 15)) + [17, 20]:
+        seed = rng.choice([0, rng.getrandbits(64)])
+        lo, hi = rng.randrange(100), rng.randrange(100, 400)
+        assert list(search._orientable_draws(d, seed, lo, hi)) == \
+            _scalar_orientable(d, seed, lo, hi)
 
 
 # ------------------------------------------------------------- random mode
