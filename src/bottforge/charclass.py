@@ -22,7 +22,6 @@ from .gf2ring import (
     BottMatrix,
     Gf2Poly,
     RingContext,
-    _bits,
     make_context,
     square,
 )
@@ -50,20 +49,19 @@ def _esym_reps(ctx: RingContext, m: int) -> list:
     """Kernel values of e_0(y)..e_m(y) via the product of (1 + y_i).
 
     Degrees above m are never formed, which keeps the w_1 / w_3 path cheap
-    inside the search loop.
+    inside the search loop.  The context keeps the partial product after
+    each column, so a retargeted context resumes at its first changed
+    column.
     """
-    g = [ctx._unit(0)] + [ctx._kzero()] * m
-    for i in range(ctx.dim):
-        sup = ctx.y_support[i]
-        if not sup:
-            continue
-        sup_bits = list(_bits(sup))
-        for k in range(m, 0, -1):
-            acc = ctx._kzero()
-            for t in ctx._kmasks(g[k - 1]):
-                for l in sup_bits:
-                    acc ^= ctx._mul_var(t, l)
-            g[k] ^= acc
+    rows = ctx._esym.get(m)
+    if rows is None:
+        rows = ctx._esym[m] = [(ctx._unit(0),) + (ctx._kzero(),) * m]
+    g = list(rows[-1])
+    for i in range(len(rows) - 1, ctx.dim):
+        if ctx.y_support[i]:
+            for k in range(m, 0, -1):
+                g[k] ^= ctx._mul_y(g[k - 1], i)
+        rows.append(tuple(g))
     return g
 
 

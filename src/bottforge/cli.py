@@ -309,6 +309,8 @@ def cmd_reproduce(args) -> int:
 
 
 def cmd_limit_torsion(args) -> int:
+    if args.depth < 1:
+        raise UsageError(f"--depth must be positive, got {args.depth}")
     system, raw = read_system_file(args.system)
     group = system.group
     payload = {
@@ -334,7 +336,8 @@ def cmd_limit_torsion(args) -> int:
 
 
 def cmd_odometer(args) -> int:
-    for flag, value in (("--levels", args.levels), ("--samples", args.samples)):
+    for flag, value in (("--levels", args.levels), ("--samples", args.samples),
+                        ("--transitive-budget", args.transitive_budget)):
         if value < 0:
             raise UsageError(f"{flag} must be non-negative, got {value}")
     if args.max_escape < 1:

@@ -23,6 +23,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
+from functools import lru_cache
 from itertools import combinations
 
 MAX_DIM = 64
@@ -219,7 +220,7 @@ class RingContext:
     """
 
     __slots__ = ("dim", "y_support", "_matrix", "_yclass", "_dense",
-                 "_mulvar", "_monomul")
+                 "_free", "_mulvar", "_monomul", "_esym")
 
     def __init__(self, matrix: BottMatrix):
         d = matrix.dim
@@ -241,9 +242,12 @@ class RingContext:
         self.y_support = supports
         self._matrix = self._yclass = None
         self._dense = dim <= DENSE_DIM_LIMIT
+        self._free = _free_slots(dim) if self._dense else None
         # _mulvar[k] memoizes x_mask * x_k by mask; it depends on y_0..y_k
         self._mulvar = [{} for _ in range(dim)]
         self._monomul: dict = {}
+        # _esym[m][j] holds e_0..e_m of y_0..y_{j-1}, so only columns < j matter
+        self._esym: dict = {}
 
     @property
     def matrix(self) -> BottMatrix:
@@ -269,7 +273,8 @@ class RingContext:
 
         A product whose factors only involve generators below the first
         changed column c rewrites through y_0..y_{c-1} alone, so only the
-        memo entries that touch columns >= c are dropped.
+        memo entries that touch columns >= c are dropped, and likewise the
+        partial products of (1 + y_j) past column c.
         """
         supports = tuple(supports)
         old = self.y_support
@@ -284,6 +289,8 @@ class RingContext:
         self._matrix = self._yclass = None
         for memo in self._mulvar[c:]:
             memo.clear()
+        for rows in self._esym.values():
+            del rows[c + 1:]
         self._monomul = {key: rep for key, rep in self._monomul.items()
                          if (key[0] | key[1]).bit_length() <= c}
 
@@ -308,44 +315,83 @@ class RingContext:
     def _wrap(self, rep) -> Gf2Poly:
         return Gf2Poly(frozenset(self._kmasks(rep)))
 
+    def _mul_y(self, rep, k: int):
+        """Reduced product of a kernel value and the linear form y_k.
+
+        Dense: the terms t without x_l, for l in the support of y_k, move
+        to slot t | 2^l all at once, one shift of the bitset; only the
+        terms holding x_l rewrite.
+        """
+        form = self.y_support[k]
+        if self._dense:
+            acc = 0
+            free = self._free
+            while form:
+                bit = form & -form
+                form ^= bit
+                l = bit.bit_length() - 1
+                part = rep & free[l]
+                acc ^= part << bit
+                held = rep ^ part
+                while held:
+                    low = held & -held
+                    acc ^= self._mul_var(low.bit_length() - 1, l)
+                    held ^= low
+            return acc
+        acc = set()
+        for l in _bits(form):
+            for t in rep:
+                acc ^= self._mul_var(t, l)
+        return frozenset(acc)
+
     def _mul_var(self, mask: int, k: int):
         """Reduced product x_mask * x_k as a kernel value.
 
-        When k already occurs in mask the square rewrites through y_k, which
+        When k already occurs in mask the product is x_mask * y_k, and y_k
         only involves smaller indices, so the recursion terminates.
         """
         memo = self._mulvar[k]
         cached = memo.get(mask)
         if cached is not None:
             return cached
-        bit = 1 << k
-        if not mask & bit:
-            out = self._unit(mask | bit)
+        if mask >> k & 1:
+            out = self._mul_y(self._unit(mask), k)
         else:
-            out = self._kzero()
-            for l in _bits(self.y_support[k]):
-                out ^= self._mul_var(mask, l)
+            out = self._unit(mask | 1 << k)
         memo[mask] = out
         return out
 
     def _mono_mul(self, a: int, b: int):
-        """Reduced product of two squarefree monomials as a kernel value."""
-        if a & b == 0:
+        """Reduced product of two squarefree monomials as a kernel value.
+
+        x_a * x_b is x_{a|b} times x_k for each k in a & b.  Every term of
+        the reduced form of a multiple of x_{a|b} holds each such x_k, and
+        there x_k acts as y_k since x_k^2 = x_k * y_k.
+        """
+        common = a & b
+        if not common:
             return self._unit(a | b)
-        if a.bit_count() < b.bit_count():
-            a, b = b, a
-        key = (a, b)
+        key = (a | b, common)
         cached = self._monomul.get(key)
         if cached is not None:
             return cached
-        rep = self._unit(a)
-        for k in _bits(b):
-            acc = self._kzero()
-            for m in self._kmasks(rep):
-                acc ^= self._mul_var(m, k)
-            rep = acc
+        rep = self._unit(a | b)
+        for k in _bits(common):
+            rep = self._mul_y(rep, k)
         self._monomul[key] = rep
         return rep
+
+
+@lru_cache(maxsize=None)
+def _free_slots(dim: int) -> tuple:
+    """Per generator l, the dense bitset of the monomial slots without x_l."""
+    out = []
+    for l in range(dim):
+        period = 1 << (l + 1)
+        # the repunit of base 2^period, times the low half of one period
+        reps = ((1 << (1 << dim)) - 1) // ((1 << period) - 1)
+        out.append(reps * ((1 << (1 << l)) - 1))
+    return tuple(out)
 
 
 def make_context(matrix: BottMatrix) -> RingContext:
@@ -353,11 +399,6 @@ def make_context(matrix: BottMatrix) -> RingContext:
     if not isinstance(matrix, BottMatrix):
         raise TypeError("make_context expects a BottMatrix")
     return RingContext(matrix)
-
-
-def add(p: Gf2Poly, q: Gf2Poly) -> Gf2Poly:
-    """Sum over GF(2): symmetric difference of term sets."""
-    return p + q
 
 
 def multiply(ctx: RingContext, p: Gf2Poly, q: Gf2Poly) -> Gf2Poly:

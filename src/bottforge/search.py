@@ -10,17 +10,23 @@ including candidate indices.
 
 Candidates whose row sums are not all even are never orientable and get
 no ring work; with orientability pruning they are counted as pruned,
-without it as tested.  Exhaustive mode seeks straight to the first
-all-even counter of its range, then walks aligned blocks of all-even
-counters: each block is sorted by column supports and evaluated with one
-retargeted ring context, and its hits are emitted together in increasing
-counter order.  Random mode jumps the xorshift64* stream straight to the
-first draw of its range with powers of the GF(2) matrix of one state step
-(Haramoto et al., INFORMS J. Comput. 20, 2008), then steps LANES runs of
-consecutive draws at once, packed in 128-bit lanes of one int, and prunes
-them all with a few big-int operations per step; the orientable draws of
-each bounded window are sorted by index and evaluated with one retargeted
-ring context.  Every hit is re-checked by the full criterion.
+without it as tested.  Both modes walk the orientable candidates in
+column order: a batch of them is sorted by column supports (column 0
+first) and evaluated with one ring context per run, retargeted from one
+candidate to the next.  Neighbours share their leading columns, so the
+context keeps the rewrite memos and the partial products e_0..e_3 of
+(1 + y_j) over those columns.  The hits of a batch are emitted together,
+back in candidate order.
+
+Exhaustive mode seeks straight to the first all-even counter of its range
+and takes aligned blocks of all-even counters as batches.  Random mode
+jumps the xorshift64* stream straight to the first draw of its range with
+powers of the GF(2) matrix of one state step (Haramoto et al., INFORMS J.
+Comput. 20, 2008), then steps LANES runs of consecutive draws at once,
+packed in 128-bit lanes of one int, and prunes them all with a few big-int
+operations per step; its batches are the orientable draws in index order,
+2^BATCH_BITS at a time.  Every hit is re-checked by the full criterion on
+a fresh context.
 """
 
 from __future__ import annotations
@@ -29,10 +35,10 @@ import json
 import time
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import groupby
+from itertools import groupby, islice
 
 from .charclass import SwReport, counterexample_criterion, stiefel_whitney
-from .gf2ring import BottMatrix, RingContext, format_monomial, square
+from .gf2ring import BottMatrix, RingContext, _bits, format_monomial, square
 
 MAX_EXHAUSTIVE_SPAN = 1 << 36
 # w3^2 sits in degree 6, above the top class of a smaller ring
@@ -120,17 +126,6 @@ def _row_chunks(d: int) -> list[tuple[int, int]]:
     return out
 
 
-def _column_supports(d: int, counter: int) -> list[int]:
-    sup = [0] * d
-    b = 0
-    for i in range(d - 1):
-        for j in range(i + 1, d):
-            if (counter >> b) & 1:
-                sup[j] |= 1 << i
-            b += 1
-    return sup
-
-
 def _next_even_counter(counter: int, chunks, row: int) -> int | None:
     """Smallest all-even-row counter above ``counter``, by per-row carry.
 
@@ -175,21 +170,28 @@ BLOCK_TESTED_BITS = 16
 def _column_fields(d: int) -> list[tuple[int, int]]:
     """(shift, mask) of each column support in a packed key, column 0 first.
 
-    Column j takes j bits and column 0 is the most significant, above the
-    ``free_bit_count(d)`` counter bits, so sorting packed keys orders
+    Column j takes j bits and column 0 is the most significant, above a
+    low field of ``free_bit_count(d)`` bits (the counter in exhaustive mode,
+    the batch position in random mode), so sorting packed keys orders
     candidates by (y_0, y_1, ..., y_{d-1}).
     """
     top = 2 * free_bit_count(d)
     return [(top - j * (j + 1) // 2, (1 << j) - 1) for j in range(d)]
 
 
+@lru_cache(maxsize=None)
+def _pack_bits(d: int) -> tuple:
+    """Per counter bit, its bit in a packed key."""
+    fields = _column_fields(d)
+    return tuple(1 << (fields[j][0] + i) for i, j in free_positions(d))
+
+
 def _column_pack(d: int, counter: int) -> int:
     """The packed key of ``counter`` without its counter bits."""
-    fields = _column_fields(d)
+    pack = _pack_bits(d)
     out = 0
-    for b, (i, j) in enumerate(free_positions(d)):
-        if counter >> b & 1:
-            out |= 1 << (fields[j][0] + i)
+    for b in _bits(counter):
+        out |= pack[b]
     return out
 
 
@@ -230,26 +232,28 @@ def _sorted_blocks(d: int, lo: int, hi: int):
         yield keys
 
 
-def _block_hits(d: int, keys: list) -> list[int]:
-    """Hit counters of one block of sorted keys, in increasing order.
+def _block_hits(ctx, keys: list) -> list[int]:
+    """Low fields of the hits among sorted keys, in increasing order.
 
-    ``keys`` is emptied once walked, so that the non-hit keys are freed
-    before the block's hits are re-checked and printed.
+    The low field is the counter in exhaustive mode and the position in
+    its batch in random mode.  ``keys`` is emptied once walked, so that the
+    non-hit keys are freed before the block's hits are re-checked and
+    printed.
 
-    Neighbouring keys share their leading columns, so one retargeted
-    context keeps most rewrite memos from one candidate to the next.
+    Neighbouring keys share their leading columns, so the retargeted
+    context keeps most rewrite memos and partial products of (1 + y_j)
+    from one candidate to the next.
     """
+    d = ctx.dim
+    fields = _column_fields(d)
     hits = []
-    if d >= MIN_HIT_DIM:
-        fields = _column_fields(d)
-        ctx = RingContext.from_column_supports(d, (0,) * d)
-        for key in keys:
-            ctx.retarget([key >> at & m for at, m in fields])
-            if _verdict(ctx):
-                hits.append(key)
+    for key in keys:
+        ctx.retarget([key >> at & m for at, m in fields])
+        if _verdict(ctx):
+            hits.append(key)
     keys.clear()
-    counter_mask = (1 << free_bit_count(d)) - 1
-    return sorted(key & counter_mask for key in hits)
+    low_mask = (1 << free_bit_count(d)) - 1
+    return sorted(key & low_mask for key in hits)
 
 
 MASK64 = (1 << 64) - 1
@@ -258,9 +262,10 @@ _XS_ZERO_SEED = 0x9E3779B97F4A7C15
 
 
 def _xs_seed_state(seed: int) -> int:
-    """Initial xorshift64* state; a zero seed is replaced by a fixed odd
-    constant because the all-zero state is a fixed point."""
-    return seed & MASK64 or _XS_ZERO_SEED
+    """Initial xorshift64* state of a seed in 0..2^64-1; a zero seed is
+    replaced by a fixed odd constant because the all-zero state is a fixed
+    point."""
+    return seed or _XS_ZERO_SEED
 
 
 def _xs_step(state: int) -> int:
@@ -327,6 +332,9 @@ def _xs_jump(state: int, n: int) -> int:
 # d = 9, so that it expects at most 2^12 orientable draws.
 LANES = 256
 WINDOW_STEP_BITS = 12
+# Orientable draws are walked in column order in batches of at most 2^12;
+# a batch position fits the low field of a key from MIN_HIT_DIM on.
+BATCH_BITS = 12
 
 
 @lru_cache(maxsize=None)
@@ -440,6 +448,8 @@ def _validate_spec(spec: SearchSpec) -> None:
     if spec.mode == "random":
         if spec.limit is None or spec.limit < 1:
             raise ValueError("random mode needs a positive limit")
+        if not 0 <= spec.seed <= MASK64:
+            raise ValueError(f"seed {spec.seed} outside 0..2^64-1")
     if spec.limit is not None and spec.limit < 0:
         raise ValueError("limit must be non-negative")
 
@@ -467,6 +477,10 @@ def enumerate_space(spec: SearchSpec, sink=None) -> SearchStats:
         if sink is not None:
             sink(SearchHit(matrix=matrix, report=report, candidate_index=index))
 
+    # one context for the whole run, retargeted from candidate to candidate;
+    # below MIN_HIT_DIM no candidate needs it
+    walk = d >= MIN_HIT_DIM
+    ctx = RingContext.from_column_supports(d, (0,) * d)
     if spec.mode == "exhaustive":
         total = 1 << bits
         lo, hi = _partition_range(total, spec.partition)
@@ -479,8 +493,9 @@ def enumerate_space(spec: SearchSpec, sink=None) -> SearchStats:
         stats.candidates = hi - lo
         for keys in _sorted_blocks(d, lo, hi):
             stats.tested += len(keys)
-            for counter in _block_hits(d, keys):
-                emit(counter, counter)
+            if walk:
+                for counter in _block_hits(ctx, keys):
+                    emit(counter, counter)
         if spec.prune_orientable:
             stats.pruned = stats.candidates - stats.tested
         else:
@@ -489,13 +504,18 @@ def enumerate_space(spec: SearchSpec, sink=None) -> SearchStats:
     else:
         lo, hi = _partition_range(spec.limit, spec.partition)
         stats.candidates = hi - lo
-        ctx = RingContext.from_column_supports(d, (0,) * d)
-        for index, counter in _orientable_draws(d, spec.seed, lo, hi):
-            stats.tested += 1
-            if d >= MIN_HIT_DIM:
-                ctx.retarget(_column_supports(d, counter))
-                if _verdict(ctx):
-                    emit(counter, index)
+        draws = _orientable_draws(d, spec.seed, lo, hi)
+        while batch := list(islice(draws, 1 << BATCH_BITS)):
+            stats.tested += len(batch)
+            if not walk:
+                continue
+            keys = [_column_pack(d, counter) + pos
+                    for pos, (_, counter) in enumerate(batch)]
+            keys.sort()
+            # positions come back in increasing order, which is index order
+            for pos in _block_hits(ctx, keys):
+                index, counter = batch[pos]
+                emit(counter, index)
         if spec.prune_orientable:
             stats.pruned = stats.candidates - stats.tested
         else:

@@ -191,6 +191,23 @@ def test_search_partition(capsys):
     assert stats["candidates"] == 2 ** 15 // 8
 
 
+@pytest.mark.parametrize("seed", ["18446744073709551616", "-1"])
+def test_search_random_seed_outside_64_bits(capsys, seed):
+    rc, out, err = run_cli(capsys, ["search", "--dim", "9", "--mode", "random",
+                                    "--limit", "100", "--seed", seed])
+    assert rc == 1
+    assert out == ""
+    assert err.strip() == f"error: seed {seed} outside 0..2^64-1"
+
+
+def test_search_random_largest_seed(capsys):
+    rc, _, err = run_cli(capsys, ["search", "--dim", "9", "--mode", "random",
+                                  "--limit", "100",
+                                  "--seed", str((1 << 64) - 1)])
+    assert rc == 0
+    assert json.loads(err)["candidates"] == 100
+
+
 def test_search_bad_partition(capsys):
     rc, _, err = run_cli(capsys, ["search", "--dim", "6",
                                   "--partition", "eight"])
@@ -325,6 +342,17 @@ def test_limit_torsion_depth_flag(capsys, tmp_path):
     assert payload["limit_torsion"] == [2]
     assert payload["stage_torsion_orders"] == [2] * 5
     assert payload["depth"] == 4
+
+
+@pytest.mark.parametrize("depth", [0, -3])
+def test_limit_torsion_rejects_nonpositive_depth(capsys, tmp_path, depth):
+    # checked before the system file is read: this one does not exist
+    argv = ["limit-torsion", "--system", str(tmp_path / "missing.json"),
+            "--depth", str(depth)]
+    rc, out, err = run_cli(capsys, argv)
+    assert rc == 1
+    assert out == ""
+    assert err.strip() == f"error: --depth must be positive, got {depth}"
 
 
 def test_limit_torsion_invalid_json(capsys, tmp_path):
@@ -462,7 +490,8 @@ def test_odometer_non_expanding_reports_false(capsys, tmp_path):
     assert [lvl["order"] for lvl in payload["levels"]] == [1, 2, 4]
 
 
-@pytest.mark.parametrize("flag, value", [("--levels", -2), ("--samples", -3)])
+@pytest.mark.parametrize("flag, value", [
+    ("--levels", -2), ("--samples", -3), ("--transitive-budget", -1)])
 def test_odometer_rejects_negative_count(capsys, tmp_path, flag, value):
     path = tmp_path / "m.txt"
     path.write_text("2\n2 1\n0 2\n")

@@ -8,14 +8,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from bottforge.charclass import stiefel_whitney
+from bottforge.charclass import stiefel_whitney, total_stiefel_whitney
 from bottforge.gf2ring import (
     DENSE_DIM_LIMIT,
     BottMatrix,
     Gf2Poly,
     InvalidMatrixError,
     RingContext,
-    add,
     basis_masks,
     format_monomial,
     make_context,
@@ -159,8 +158,8 @@ def test_multiply_ring_axioms(p, q, r, hyp_random):
     ctx = make_context(random_bott_matrix(hyp_random, 9))
     assert multiply(ctx, p, q) == multiply(ctx, q, p)
     assert multiply(ctx, multiply(ctx, p, q), r) == multiply(ctx, p, multiply(ctx, q, r))
-    assert multiply(ctx, p, add(q, r)) == add(
-        multiply(ctx, p, q), multiply(ctx, p, r))
+    assert multiply(ctx, p, q + r) == \
+        multiply(ctx, p, q) + multiply(ctx, p, r)
 
 
 @settings(max_examples=50, deadline=None)
@@ -308,6 +307,28 @@ def test_retarget_matches_fresh_context(d):
             p = Gf2Poly.from_masks(rng.getrandbits(d) for _ in range(4))
             q = Gf2Poly.from_masks(rng.getrandbits(d) for _ in range(4))
             assert multiply(ctx, p, q) == multiply(fresh, p, q)
+            # each degree keeps its own partial products; checking a varying
+            # subset lets them outlive several retargets before they resume
+            for k in rng.sample((1, 2, 3), rng.randrange(1, 4)):
+                assert stiefel_whitney(ctx, k) == stiefel_whitney(fresh, k)
+            assert total_stiefel_whitney(ctx) == total_stiefel_whitney(fresh)
+
+
+@pytest.mark.parametrize("d", [9, DENSE_DIM_LIMIT + 1])
+def test_mul_y_matches_multiply(d):
+    """The kernel's product by y_k against multiply on a fresh context, on
+    both kernels."""
+    rng = random.Random(77 + d)
+    for _ in range(4):
+        m = random_bott_matrix(rng, d)
+        ctx = make_context(m)
+        for k in range(d):
+            p = Gf2Poly.from_masks(rng.getrandbits(d) for _ in range(5))
+            rep = ctx._kzero()
+            for t in p.terms:
+                rep ^= ctx._unit(t)
+            assert ctx._wrap(ctx._mul_y(rep, k)) == \
+                multiply(make_context(m), p, ctx.yclass[k])
 
 
 def test_retarget_rejects_wrong_length():

@@ -114,6 +114,19 @@ def test_spec_validation():
         enumerate_space(SearchSpec(dim=6, partition=(2, 2)), None)
     with pytest.raises(ValueError):
         enumerate_space(SearchSpec(dim=6, mode="random"), None)  # no limit
+    # a masked seed would replay the stream of another seed
+    for seed in (-1, 1 << 64, 1 << 70):
+        with pytest.raises(ValueError, match="outside 0..2"):
+            enumerate_space(
+                SearchSpec(dim=9, mode="random", limit=10, seed=seed), None)
+
+
+def test_random_seed_64_bit_range_accepted():
+    for seed in (0, (1 << 64) - 1):
+        spec = SearchSpec(dim=9, mode="random", limit=3000, seed=seed)
+        stats, hits = collect_hits(spec)
+        _, brute = _brute_random(9, xorshift_stream(seed), spec.limit)
+        assert [h.candidate_index for h in hits] == brute
 
 
 # ----------------------------------------------------------------- golden
@@ -223,8 +236,9 @@ def test_blocks_are_sorted_aligned_and_bounded():
         assert len({c >> shift for c in counters}) == 1
         for key, c in zip(keys, counters):
             assert key == search._column_pack(d, c) + c
-            assert [key >> at & m for at, m in search._column_fields(d)] == \
-                search._column_supports(d, c)
+            m = matrix_from_counter(d, c)
+            assert [key >> at & mask for at, mask in search._column_fields(d)] \
+                == [m.column_support(j) for j in range(d)]
         seen.extend(sorted(counters))
     assert seen == list(even_parity_counters_scan(d, 12345, 1 << bits))
     # one K = 2048 shard of d = 8 is a single block
@@ -422,6 +436,32 @@ def test_orientable_draws_small_lanes(monkeypatch):
         lo, hi = rng.randrange(100), rng.randrange(100, 400)
         assert list(search._orientable_draws(d, seed, lo, hi)) == \
             _scalar_orientable(d, seed, lo, hi)
+
+
+@pytest.mark.parametrize("batch_bits", [search.BATCH_BITS, 3])
+def test_random_batches_walk_column_order(monkeypatch, batch_bits):
+    # about 64 orientable draws, in one batch or in batches of 8; the walk
+    # meets the hits in column order, which is not their index order
+    monkeypatch.setattr(search, "BATCH_BITS", batch_bits)
+    d, seed = 9, 5
+    spec = SearchSpec(dim=d, mode="random", limit=64 << (d - 1), seed=seed)
+    stats, hits = collect_hits(spec)
+    orientable, brute = _brute_random(d, xorshift_stream(seed), spec.limit)
+    assert (stats.tested, stats.hits) == (orientable, len(brute))
+    assert [h.candidate_index for h in hits] == brute
+    packs = [search._column_pack(d, counter_from_matrix(h.matrix))
+             for h in hits]
+    assert packs != sorted(packs)
+    if batch_bits == 3:
+        # inside one batch of 8 orientable draws too
+        found = {h.candidate_index: pack for h, pack in zip(hits, packs)}
+        stream = xorshift_stream(seed)
+        orientable = [i for i in range(spec.limit) if all(
+            r.bit_count() % 2 == 0 for r in matrix_from_counter(
+                d, draw_counter(stream, free_bit_count(d))).rows)]
+        batches = [[found[i] for i in orientable[at:at + 8] if i in found]
+                   for at in range(0, len(orientable), 8)]
+        assert any(b != sorted(b) for b in batches)
 
 
 # ------------------------------------------------------------- random mode
