@@ -22,6 +22,7 @@ from .gf2ring import (
     BottMatrix,
     Gf2Poly,
     RingContext,
+    _bits,
     make_context,
     square,
 )
@@ -48,21 +49,74 @@ class SwReport:
 def _esym_reps(ctx: RingContext, m: int) -> list:
     """Kernel values of e_0(y)..e_m(y) via the product of (1 + y_i).
 
-    Degrees above m are never formed, which keeps the w_1 / w_3 path cheap
-    inside the search loop.  The context keeps the partial product after
-    each column, so a retargeted context resumes at its first changed
-    column.
+    Degrees above m are never formed, which keeps the w_1 / w_3 path of
+    the criterion cheap.
     """
-    rows = ctx._esym.get(m)
-    if rows is None:
-        rows = ctx._esym[m] = [(ctx._unit(0),) + (ctx._kzero(),) * m]
-    g = list(rows[-1])
-    for i in range(len(rows) - 1, ctx.dim):
+    g = [ctx._unit(0)] + [ctx._kzero()] * m
+    for i in range(ctx.dim):
         if ctx.y_support[i]:
             for k in range(m, 0, -1):
                 g[k] ^= ctx._mul_y(g[k - 1], i)
-        rows.append(tuple(g))
     return g
+
+
+def _lane_times_y(entries, memo: dict, s: int, l: int) -> dict:
+    """x_s * y_l as a lane polynomial with coefficient 1 on every lane."""
+    out = memo.get((s, l))
+    if out is None:
+        out = {}
+        for k, e in enumerate(entries[l]):
+            if not e:
+                continue
+            if s >> k & 1:
+                # x_s * x_k = x_s * y_k, and y_k only involves x_i, i < k
+                for t, v in _lane_times_y(entries, memo, s, k).items():
+                    out[t] = out.get(t, 0) ^ v & e
+            else:
+                t = s | 1 << k
+                out[t] = out.get(t, 0) ^ e
+        memo[s, l] = out
+    return out
+
+
+def w3_square_lanes(dim: int, entries, lanes: int) -> int:
+    """Mask of the lanes whose matrix has w3^2 != 0, many matrices at once.
+
+    Bit-sliced (Biham, FSE 1997): ``entries[j][i]``, for i < j, is an int
+    whose bit n is entry (i, j) of the matrix in lane n, for ``lanes``
+    lanes.  A polynomial is a dict from a monomial mask to the lane int of
+    its coefficient, so every int operation below acts on all lanes.  The
+    rewrite x_S * y_l is that of the ring context, each coefficient ANDed
+    with the entry lanes of column l, and is memoised per (S, l) for the
+    call.  w3 = e_3(y) is formed truncated at degree 3, then squared term
+    by term, x_S^2 = x_S * prod_{k in S} y_k.  This is a separate route
+    from the ring context, which re-checks every hit.
+    """
+    memo: dict = {}
+
+    def mul_y(p: dict, l: int, acc: dict) -> dict:
+        for s, c in p.items():
+            for t, v in _lane_times_y(entries, memo, s, l).items():
+                acc[t] = acc.get(t, 0) ^ c & v
+        return acc
+
+    g = [{0: (1 << lanes) - 1}, {}, {}, {}]
+    for i in range(dim):
+        if any(entries[i]):
+            for k in (3, 2, 1):
+                mul_y(g[k - 1], i, g[k])
+    w3sq: dict = {}
+    for s, c in g[3].items():
+        if c:
+            p = {s: c}
+            for k in _bits(s):
+                p = mul_y(p, k, {})
+            for t, v in p.items():
+                w3sq[t] = w3sq.get(t, 0) ^ v
+    out = 0
+    for v in w3sq.values():
+        out |= v
+    return out
 
 
 def stiefel_whitney(ctx: RingContext, m: int) -> Gf2Poly:

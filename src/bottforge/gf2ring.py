@@ -220,11 +220,14 @@ class RingContext:
     """
 
     __slots__ = ("dim", "y_support", "_matrix", "_yclass", "_dense",
-                 "_free", "_mulvar", "_monomul", "_esym")
+                 "_free", "_mulvar", "_monomul")
 
     def __init__(self, matrix: BottMatrix):
-        d = matrix.dim
-        self._setup(d, tuple(matrix.column_support(j) for j in range(d)))
+        supports = [0] * matrix.dim
+        for i, row in enumerate(matrix.rows):
+            for j in _bits(row):
+                supports[j] |= 1 << i
+        self._setup(matrix.dim, tuple(supports))
         self._matrix = matrix
 
     @classmethod
@@ -246,8 +249,6 @@ class RingContext:
         # _mulvar[k] memoizes x_mask * x_k by mask; it depends on y_0..y_k
         self._mulvar = [{} for _ in range(dim)]
         self._monomul: dict = {}
-        # _esym[m][j] holds e_0..e_m of y_0..y_{j-1}, so only columns < j matter
-        self._esym: dict = {}
 
     @property
     def matrix(self) -> BottMatrix:
@@ -266,33 +267,6 @@ class RingContext:
                 Gf2Poly(frozenset(1 << k for k in _bits(sup)))
                 for sup in self.y_support)
         return self._yclass
-
-    def retarget(self, supports) -> None:
-        """Switch to the matrix with column supports ``supports``, trusted
-        like :meth:`from_column_supports`.
-
-        A product whose factors only involve generators below the first
-        changed column c rewrites through y_0..y_{c-1} alone, so only the
-        memo entries that touch columns >= c are dropped, and likewise the
-        partial products of (1 + y_j) past column c.
-        """
-        supports = tuple(supports)
-        old = self.y_support
-        if len(supports) != self.dim:
-            raise ValueError(f"expected {self.dim} supports, got {len(supports)}")
-        c = 0
-        while c < self.dim and supports[c] == old[c]:
-            c += 1
-        if c == self.dim:
-            return
-        self.y_support = supports
-        self._matrix = self._yclass = None
-        for memo in self._mulvar[c:]:
-            memo.clear()
-        for rows in self._esym.values():
-            del rows[c + 1:]
-        self._monomul = {key: rep for key, rep in self._monomul.items()
-                         if (key[0] | key[1]).bit_length() <= c}
 
     # kernel primitives: a kernel value is an int bitset over monomial slots
     # when dense, otherwise a frozenset of masks; both support ^.

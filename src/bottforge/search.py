@@ -10,23 +10,25 @@ including candidate indices.
 
 Candidates whose row sums are not all even are never orientable and get
 no ring work; with orientability pruning they are counted as pruned,
-without it as tested.  Both modes walk the orientable candidates in
-column order: a batch of them is sorted by column supports (column 0
-first) and evaluated with one ring context per run, retargeted from one
-candidate to the next.  Neighbours share their leading columns, so the
-context keeps the rewrite memos and the partial products e_0..e_3 of
-(1 + y_j) over those columns.  The hits of a batch are emitted together,
-back in candidate order.
+without it as tested.  The orientable candidates are decided
+2^LANE_BITS at a time by the bit-sliced kernel
+:func:`charclass.w3_square_lanes`: entry (i, j) of every candidate of a
+batch sits in one int, bit n for candidate n, so one big-int operation
+acts on the whole batch.  The hits of a batch leave in candidate order,
+and each is re-checked by the full criterion on a fresh ring context, a
+separate route.
 
-Exhaustive mode seeks straight to the first all-even counter of its range
-and takes aligned blocks of all-even counters as batches.  Random mode
-jumps the xorshift64* stream straight to the first draw of its range with
-powers of the GF(2) matrix of one state step (Haramoto et al., INFORMS J.
-Comput. 20, 2008), then steps LANES runs of consecutive draws at once,
-packed in 128-bit lanes of one int, and prunes them all with a few big-int
-operations per step; its batches are the orientable draws in index order,
-2^BATCH_BITS at a time.  Every hit is re-checked by the full criterion on
-a fresh context.
+Exhaustive mode numbers the all-even counters by rank.  A rank drops
+entry (i, i+1) of every row, the parity of the rest of the row, so ranks
+map one to one and in order onto the all-even counters.  A counter range
+becomes a rank range by per-row carry, without a walk from counter 0, and
+the entry lanes of an aligned block of ranks are periodic patterns.
+Random mode jumps the xorshift64* stream straight to the first draw of
+its range with powers of the GF(2) matrix of one state step (Haramoto et
+al., INFORMS J. Comput. 20, 2008), then steps LANES runs of consecutive
+draws at once, packed in 128-bit lanes of one int, and prunes them all
+with a few big-int operations per step; each batch of orientable draws,
+in index order, is transposed into entry lanes.
 """
 
 from __future__ import annotations
@@ -35,14 +37,22 @@ import json
 import time
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import groupby, islice
+from itertools import islice
 
-from .charclass import SwReport, counterexample_criterion, stiefel_whitney
-from .gf2ring import BottMatrix, RingContext, _bits, format_monomial, square
+from .charclass import SwReport, counterexample_criterion, w3_square_lanes
+from .gf2ring import BottMatrix, _bits, _free_slots, format_monomial
+# importable from here for the benchmark's trace hooks, which patch them by
+# name; the search itself no longer calls them
+from .charclass import stiefel_whitney  # noqa: F401
+from .gf2ring import RingContext, square  # noqa: F401
 
 MAX_EXHAUSTIVE_SPAN = 1 << 36
 # w3^2 sits in degree 6, above the top class of a smaller ring
 MIN_HIT_DIM = 6
+# The criterion decides 2^LANE_BITS candidates per call of the bit-sliced
+# kernel, one per bit of its lane ints; 2^12 and 2^13 measure alike, 2^11
+# and 2^14 slower.
+LANE_BITS = 13
 
 
 class SpecTooLargeError(ValueError):
@@ -94,45 +104,32 @@ def free_positions(d: int) -> list[tuple[int, int]]:
 
 
 def matrix_from_counter(d: int, counter: int) -> BottMatrix:
-    rows = [0] * d
-    b = 0
-    for i in range(d - 1):
-        for j in range(i + 1, d):
-            if (counter >> b) & 1:
-                rows[i] |= 1 << j
-            b += 1
-    return BottMatrix(d, tuple(rows))
+    # row i holds entries (i, i+1) .. (i, d-1): its chunk shifted by i + 1
+    rows = [(counter >> off & ((1 << width) - 1)) << d - width
+            for off, width in _row_chunks(d)]
+    return BottMatrix(d, tuple(rows) + (0,))
 
 
 def counter_from_matrix(matrix: BottMatrix) -> int:
     counter = 0
-    b = 0
-    for i in range(matrix.dim - 1):
-        for j in range(i + 1, matrix.dim):
-            if matrix.entry(i, j):
-                counter |= 1 << b
-            b += 1
+    for i, (off, width) in enumerate(_row_chunks(matrix.dim)):
+        counter |= (matrix.rows[i] >> i + 1 & ((1 << width) - 1)) << off
     return counter
 
 
-def _row_chunks(d: int) -> list[tuple[int, int]]:
+@lru_cache(maxsize=None)
+def _row_chunks(d: int) -> tuple:
     """(offset, width) of each row's slice of the counter, top row first."""
-    out = []
-    offset = 0
-    for i in range(d - 1):
-        width = d - 1 - i
-        out.append((offset, width))
-        offset += width
-    return out
+    return tuple((i * (2 * d - i - 1) // 2, d - 1 - i) for i in range(d - 1))
 
 
 def _next_even_counter(counter: int, chunks, row: int) -> int | None:
     """Smallest all-even-row counter above ``counter``, by per-row carry.
 
     Assumes no such counter agrees with ``counter`` on rows ``row`` and up
-    (row ``row`` is odd, or is row 0) and that the rows above it are even:
-    row ``row`` then moves to its next even-weight value and the rows below
-    it to zero, carrying upward on overflow.  None past the last counter.
+    (row ``row`` is odd) and that the rows above it are even: row ``row``
+    then moves to its next even-weight value and the rows below it to
+    zero, carrying upward on overflow.  None past the last counter.
     """
     for off, width in chunks[row:]:
         v = (counter >> off & ((1 << width) - 1)) + 1
@@ -144,116 +141,72 @@ def _next_even_counter(counter: int, chunks, row: int) -> int | None:
     return None
 
 
-def _even_parity_counters(d: int, lo: int, hi: int):
-    """All-even-row counters in increasing order, restricted to [lo, hi).
+# Ranks number the all-even-row counters in increasing order.  A rank drops
+# entry (i, i+1) of every row, the lowest bit of the row's chunk, because
+# that entry is the parity of the row's other entries; row i's part of a
+# rank sits at offset off_i - i.
 
-    The top row occupies the least significant bits.  The first counter
-    carries from the highest odd row of ``lo`` and each later one from row
-    0, so nothing below ``lo`` is ever visited.
-    """
+def rank_bit_count(d: int) -> int:
+    return free_bit_count(d) - (d - 1)
+
+
+def _even_rank(d: int, counter: int) -> int:
+    """Number of all-even-row counters below ``counter``: the rank of the
+    first one at or above it, found by per-row carry from the highest odd
+    row, so nothing below ``counter`` is visited."""
     chunks = _row_chunks(d)
-    counter = lo
     for row in range(len(chunks) - 1, -1, -1):
         off, width = chunks[row]
-        if (lo >> off & ((1 << width) - 1)).bit_count() & 1:
-            counter = _next_even_counter(lo, chunks, row)
+        if (counter >> off & ((1 << width) - 1)).bit_count() & 1:
+            counter = _next_even_counter(counter, chunks, row)
             break
-    while counter is not None and counter < hi:
-        yield counter
-        counter = _next_even_counter(counter, chunks, 0)
+    if counter is None or counter >> free_bit_count(d):
+        return 1 << rank_bit_count(d)
+    rank = 0
+    for i, (off, width) in enumerate(chunks):
+        rank |= (counter >> off + 1 & ((1 << width - 1) - 1)) << off - i
+    return rank
 
 
-# A block is an aligned run of counters holding at most 2^16 all-even ones.
-BLOCK_TESTED_BITS = 16
+def _counter_from_rank(d: int, rank: int) -> int:
+    counter = 0
+    for i, (off, width) in enumerate(_row_chunks(d)):
+        v = rank >> off - i & ((1 << width - 1) - 1)
+        counter |= (v << 1 | v.bit_count() & 1) << off
+    return counter
 
 
-def _column_fields(d: int) -> list[tuple[int, int]]:
-    """(shift, mask) of each column support in a packed key, column 0 first.
+def _block_entries(d: int, base: int, lane_bits: int) -> list:
+    """Entry lanes of the 2^lane_bits ranks from ``base`` (a multiple of
+    2^lane_bits), rank base + n in lane n.
 
-    Column j takes j bits and column 0 is the most significant, above a
-    low field of ``free_bit_count(d)`` bits (the counter in exhaustive mode,
-    the batch position in random mode), so sorting packed keys orders
-    candidates by (y_0, y_1, ..., y_{d-1}).
+    Rank bit t below lane_bits is bit t of the lane number, a periodic
+    pattern; a higher rank bit is fixed over the block, so its lane is 0
+    or all ones; entry (i, i+1) is the XOR of the rest of row i.
     """
-    top = 2 * free_bit_count(d)
-    return [(top - j * (j + 1) // 2, (1 << j) - 1) for j in range(d)]
+    full = (1 << (1 << lane_bits)) - 1
+    free = _free_slots(lane_bits)
+    entries = [[0] * j for j in range(d)]
+    for i, (off, _) in enumerate(_row_chunks(d)):
+        parity = 0
+        for t, j in enumerate(range(i + 2, d), off - i):
+            lane = full ^ free[t] if t < lane_bits else -(base >> t & 1) & full
+            entries[j][i] = lane
+            parity ^= lane
+        entries[i + 1][i] = parity
+    return entries
 
 
-@lru_cache(maxsize=None)
-def _pack_bits(d: int) -> tuple:
-    """Per counter bit, its bit in a packed key."""
-    fields = _column_fields(d)
-    return tuple(1 << (fields[j][0] + i) for i, j in free_positions(d))
-
-
-def _column_pack(d: int, counter: int) -> int:
-    """The packed key of ``counter`` without its counter bits."""
-    pack = _pack_bits(d)
-    out = 0
-    for b in _bits(counter):
-        out |= pack[b]
-    return out
-
-
-@lru_cache(maxsize=None)
-def _block_layout(d: int) -> tuple[int, list]:
-    """Block width s (in counter bits) and byte tables mapping the low s
-    bits of a counter to their part of :func:`_column_pack`."""
-    chunks = _row_chunks(d)
-
-    def tested_bits(s):
-        # all-even counters in an aligned run of 2^s, as a power of two
-        return sum(max(min(width, s - off), 1) - 1
-                   for off, width in chunks if s > off)
-
-    s = 0
-    while s < free_bit_count(d) and tested_bits(s + 1) <= BLOCK_TESTED_BITS:
-        s += 1
-    low = (1 << s) - 1
-    tables = [(base, [_column_pack(d, v << base & low) for v in range(256)])
-              for base in range(0, s, 8)]
-    return s, tables
-
-
-def _sorted_blocks(d: int, lo: int, hi: int):
-    """Packed keys of the all-even counters of [lo, hi), one sorted list per
-    aligned block, blocks in increasing counter order."""
-    shift, tables = _block_layout(d)
-    for block, counters in groupby(_even_parity_counters(d, lo, hi),
-                                   key=lambda c: c >> shift):
-        high = _column_pack(d, block << shift)
-        keys = []
-        for c in counters:
-            key = high + c
-            for base, table in tables:
-                key += table[c >> base & 255]
-            keys.append(key)
-        keys.sort()
-        yield keys
-
-
-def _block_hits(ctx, keys: list) -> list[int]:
-    """Low fields of the hits among sorted keys, in increasing order.
-
-    The low field is the counter in exhaustive mode and the position in
-    its batch in random mode.  ``keys`` is emptied once walked, so that the
-    non-hit keys are freed before the block's hits are re-checked and
-    printed.
-
-    Neighbouring keys share their leading columns, so the retargeted
-    context keeps most rewrite memos and partial products of (1 + y_j)
-    from one candidate to the next.
-    """
-    d = ctx.dim
-    fields = _column_fields(d)
-    hits = []
-    for key in keys:
-        ctx.retarget([key >> at & m for at, m in fields])
-        if _verdict(ctx):
-            hits.append(key)
-    keys.clear()
-    low_mask = (1 << free_bit_count(d)) - 1
-    return sorted(key & low_mask for key in hits)
+def _draw_entries(d: int, counters: list) -> list:
+    """Entry lanes of ``counters``, counter n in lane n: their bit matrix
+    transposed."""
+    bits = free_bit_count(d)
+    # format() puts bit 0 last, and the last counter first puts lane 0 last
+    columns = list(zip(*(format(c, f"0{bits}b") for c in reversed(counters))))
+    entries = [[0] * j for j in range(d)]
+    for b, (i, j) in enumerate(free_positions(d)):
+        entries[j][i] = int("".join(columns[bits - 1 - b]), 2)
+    return entries
 
 
 MASK64 = (1 << 64) - 1
@@ -332,9 +285,6 @@ def _xs_jump(state: int, n: int) -> int:
 # d = 9, so that it expects at most 2^12 orientable draws.
 LANES = 256
 WINDOW_STEP_BITS = 12
-# Orientable draws are walked in column order in batches of at most 2^12;
-# a batch position fits the low field of a key from MIN_HIT_DIM on.
-BATCH_BITS = 12
 
 
 @lru_cache(maxsize=None)
@@ -425,12 +375,6 @@ def _orientable_draws(d: int, seed: int, lo: int, hi: int):
         base += lanes * steps
 
 
-def _verdict(ctx: RingContext) -> bool:
-    """Criterion tail for an orientable candidate: w3 != 0 and w3^2 != 0."""
-    w3 = stiefel_whitney(ctx, 3)
-    return bool(w3) and bool(square(ctx, w3))
-
-
 def _partition_range(total: int, partition) -> tuple[int, int]:
     if partition is None:
         return 0, total
@@ -454,6 +398,22 @@ def _validate_spec(spec: SearchSpec) -> None:
         raise ValueError("limit must be non-negative")
 
 
+def _spec_range(spec: SearchSpec) -> tuple[int, int]:
+    """The validated range [lo, hi) of a run: counters in exhaustive mode,
+    draw indices in random mode."""
+    _validate_spec(spec)
+    if spec.mode == "random":
+        return _partition_range(spec.limit, spec.partition)
+    lo, hi = _partition_range(1 << free_bit_count(spec.dim), spec.partition)
+    if spec.limit is not None:
+        hi = min(hi, lo + spec.limit)
+    if hi - lo > MAX_EXHAUSTIVE_SPAN:
+        raise SpecTooLargeError(
+            f"{hi - lo} candidates in one run exceeds 2^36; "
+            f"use partition to split the range")
+    return lo, hi
+
+
 def enumerate_space(spec: SearchSpec, sink=None) -> SearchStats:
     """Run one enumeration, feeding every hit to ``sink`` as a SearchHit.
 
@@ -462,10 +422,14 @@ def enumerate_space(spec: SearchSpec, sink=None) -> SearchStats:
     single run, but consumers must tolerate arbitrary order when partition
     runs are merged.
     """
-    _validate_spec(spec)
+    lo, hi = _spec_range(spec)
+    return _enumerate_range(spec, lo, hi, sink)
+
+
+def _enumerate_range(spec: SearchSpec, lo: int, hi: int, sink) -> SearchStats:
+    """:func:`enumerate_space` over the range [lo, hi) of ``spec``'s mode."""
     d = spec.dim
-    bits = free_bit_count(d)
-    stats = SearchStats(dim=d, mode=spec.mode)
+    stats = SearchStats(dim=d, mode=spec.mode, candidates=hi - lo)
     start = time.perf_counter()
 
     def emit(counter: int, index: int) -> None:
@@ -477,49 +441,41 @@ def enumerate_space(spec: SearchSpec, sink=None) -> SearchStats:
         if sink is not None:
             sink(SearchHit(matrix=matrix, report=report, candidate_index=index))
 
-    # one context for the whole run, retargeted from candidate to candidate;
-    # below MIN_HIT_DIM no candidate needs it
-    walk = d >= MIN_HIT_DIM
-    ctx = RingContext.from_column_supports(d, (0,) * d)
+    # below MIN_HIT_DIM no candidate needs the criterion
+    decide = d >= MIN_HIT_DIM
     if spec.mode == "exhaustive":
-        total = 1 << bits
-        lo, hi = _partition_range(total, spec.partition)
-        if spec.limit is not None:
-            hi = min(hi, lo + spec.limit)
-        if hi - lo > MAX_EXHAUSTIVE_SPAN:
-            raise SpecTooLargeError(
-                f"{hi - lo} candidates in one run exceeds 2^36; "
-                f"use partition to split the range")
-        stats.candidates = hi - lo
-        for keys in _sorted_blocks(d, lo, hi):
-            stats.tested += len(keys)
-            if walk:
-                for counter in _block_hits(ctx, keys):
-                    emit(counter, counter)
-        if spec.prune_orientable:
-            stats.pruned = stats.candidates - stats.tested
-        else:
-            # the odd-row counters count as tested; they all fail w1 = 0
-            stats.tested = stats.candidates
-    else:
-        lo, hi = _partition_range(spec.limit, spec.partition)
-        stats.candidates = hi - lo
-        draws = _orientable_draws(d, spec.seed, lo, hi)
-        while batch := list(islice(draws, 1 << BATCH_BITS)):
-            stats.tested += len(batch)
-            if not walk:
+        r_lo, r_hi = _even_rank(d, lo), _even_rank(d, hi)
+        stats.tested = r_hi - r_lo
+        # a short range needs no full-width block
+        lane_bits = min(LANE_BITS, rank_bit_count(d),
+                        (r_hi - r_lo).bit_length())
+        width = 1 << lane_bits
+        # aligned blocks of ranks, each decided in one kernel call
+        blocks = range(r_lo & -width, r_hi, width) if decide else ()
+        for base in blocks:
+            valid = (1 << min(r_hi - base, width)) - (1 << max(r_lo - base, 0))
+            if not valid:
                 continue
-            keys = [_column_pack(d, counter) + pos
-                    for pos, (_, counter) in enumerate(batch)]
-            keys.sort()
-            # positions come back in increasing order, which is index order
-            for pos in _block_hits(ctx, keys):
-                index, counter = batch[pos]
-                emit(counter, index)
-        if spec.prune_orientable:
-            stats.pruned = stats.candidates - stats.tested
-        else:
-            stats.tested = stats.candidates
+            hits = valid & w3_square_lanes(
+                d, _block_entries(d, base, lane_bits), width)
+            for n in _bits(hits):
+                counter = _counter_from_rank(d, base + n)
+                emit(counter, counter)
+    else:
+        draws = _orientable_draws(d, spec.seed, lo, hi)
+        while batch := list(islice(draws, 1 << LANE_BITS)):
+            stats.tested += len(batch)
+            if decide:
+                hits = w3_square_lanes(
+                    d, _draw_entries(d, [c for _, c in batch]), len(batch))
+                for n in _bits(hits):
+                    index, counter = batch[n]
+                    emit(counter, index)
+    if spec.prune_orientable:
+        stats.pruned = stats.candidates - stats.tested
+    else:
+        # the odd-row candidates count as tested; they all fail w1 = 0
+        stats.tested = stats.candidates
 
     stats.wall_time_s = time.perf_counter() - start
     return stats
@@ -531,10 +487,11 @@ def collect_hits(spec: SearchSpec) -> tuple[SearchStats, list[SearchHit]]:
     return stats, hits
 
 
-def _partition_worker(args) -> tuple[SearchStats, list[SearchHit]]:
-    spec_fields, k, parts = args
-    spec = SearchSpec(**spec_fields, partition=(k, parts))
-    return collect_hits(spec)
+def _range_worker(args) -> tuple[SearchStats, list[SearchHit]]:
+    spec, lo, hi = args
+    hits: list[SearchHit] = []
+    stats = _enumerate_range(spec, lo, hi, hits.append)
+    return stats, hits
 
 
 # Parts per worker: the exhaustive work is uneven across equal counter
@@ -544,8 +501,8 @@ PARTS_PER_JOB = 8
 
 
 def run_partitioned(spec: SearchSpec, jobs: int) -> tuple[SearchStats, list[SearchHit]]:
-    """Split a run into ``PARTS_PER_JOB * jobs`` partitions over a pool of
-    ``jobs`` processes and merge them in order.
+    """Split the range of a run into ``PARTS_PER_JOB * jobs`` parts over a
+    pool of ``jobs`` processes and merge them in order.
 
     The merged hit list and counters match the single-process run; wall
     time is the elapsed time of the whole fan-out.
@@ -557,14 +514,14 @@ def run_partitioned(spec: SearchSpec, jobs: int) -> tuple[SearchStats, list[Sear
     import multiprocessing
 
     start = time.perf_counter()
-    fields = {"dim": spec.dim, "mode": spec.mode, "limit": spec.limit,
-              "seed": spec.seed, "prune_orientable": spec.prune_orientable}
+    lo, hi = _spec_range(spec)
     merged = SearchStats(dim=spec.dim, mode=spec.mode)
     hits: list[SearchHit] = []
     parts = PARTS_PER_JOB * jobs
+    bounds = [lo + k * (hi - lo) // parts for k in range(parts + 1)]
     with multiprocessing.Pool(jobs) as pool:
         for part_stats, part_hits in pool.imap(
-                _partition_worker, [(fields, k, parts) for k in range(parts)],
+                _range_worker, [(spec, a, b) for a, b in zip(bounds, bounds[1:])],
                 chunksize=1):
             merged.candidates += part_stats.candidates
             merged.tested += part_stats.tested

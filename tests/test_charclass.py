@@ -11,6 +11,7 @@ from bottforge.charclass import (
     stiefel_whitney,
     total_steenrod_square,
     total_stiefel_whitney,
+    w3_square_lanes,
 )
 from bottforge.gf2ring import (
     BottMatrix,
@@ -280,3 +281,63 @@ def test_witness_is_smallest_term_and_coefficient_one():
         # re-extract the coefficient through an independent product
         w3 = stiefel_whitney(make_context(m), 3)
         assert report.witness in multiply(make_context(m), w3, w3).terms
+
+
+# ------------------------------------------------------------ lane kernel
+
+def _entry_lanes(matrices):
+    """entries[j][i] with bit n = entry (i, j) of matrices[n]."""
+    d = matrices[0].dim
+    return [[sum((m.rows[i] >> j & 1) << n for n, m in enumerate(matrices))
+             for i in range(j)] for j in range(d)]
+
+
+def _even_rows(m):
+    """m with entry (i, i+1) set to make every row even."""
+    rows = list(m.rows)
+    for i in range(m.dim - 1):
+        if rows[i].bit_count() & 1:
+            rows[i] ^= 1 << (i + 1)
+    return BottMatrix(m.dim, tuple(rows))
+
+
+def _w3sq_mask(matrices):
+    return sum(bool(counterexample_criterion(m).w3sq) << n
+               for n, m in enumerate(matrices))
+
+
+@pytest.mark.parametrize("d", list(range(6, 17)) + [20])
+def test_w3_square_lanes_matches_criterion(d):
+    """Every lane, hit or not, against the ring context's w3^2, on a mix
+    of orientable and non-orientable matrices of random density."""
+    rng = random.Random(600 + d)
+    count = 48 if d <= 16 else 10
+    # lane 0 holds the zero matrix, which is never a hit
+    matrices = [BottMatrix.zero(d)]
+    for n in range(1, count):
+        m = random_bott_matrix(rng, d, rng.random())
+        matrices.append(_even_rows(m) if n % 2 else m)
+    expected = _w3sq_mask(matrices)
+    assert w3_square_lanes(d, _entry_lanes(matrices), count) == expected
+    if d >= 8:
+        assert expected
+
+
+def test_w3_square_lanes_single_lane():
+    rng = random.Random(61)
+    for m in [BottMatrix.from_row_strings(D9_ROWS), BottMatrix.zero(9)] + [
+            _even_rows(random_bott_matrix(rng, 9)) for _ in range(6)]:
+        assert w3_square_lanes(9, _entry_lanes([m]), 1) == _w3sq_mask([m])
+
+
+def test_w3_square_lanes_zero_column():
+    """A column that is zero on every lane: y_j = 0 throughout."""
+    rng = random.Random(62)
+    for d, j in [(8, 3), (10, 9), (11, 1)]:
+        matrices = []
+        for _ in range(40):
+            rows = list(_even_rows(random_bott_matrix(rng, d)).rows)
+            matrices.append(BottMatrix(d, tuple(r & ~(1 << j) for r in rows)))
+        entries = _entry_lanes(matrices)
+        assert not any(entries[j])
+        assert w3_square_lanes(d, entries, 40) == _w3sq_mask(matrices)

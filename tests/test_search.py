@@ -72,6 +72,21 @@ def test_counter_roundtrip_random():
         assert matrix_from_counter(d, c) == m
 
 
+def test_counter_conversions_match_bitwise_definition():
+    # bit b of a counter is entry free_positions(d)[b], one bit at a time
+    rng = random.Random(32)
+    for d in list(range(1, 13)) + [17, 20]:
+        positions = search.free_positions(d)
+        for _ in range(20):
+            c = rng.getrandbits(free_bit_count(d))
+            rows = [0] * d
+            for b, (i, j) in enumerate(positions):
+                rows[i] |= (c >> b & 1) << j
+            m = matrix_from_counter(d, c)
+            assert m == BottMatrix(d, tuple(rows))
+            assert counter_from_matrix(m) == c
+
+
 def test_counter_order_is_row_major():
     # bit 0 toggles entry (1,2), the first free slot of the first row
     m = matrix_from_counter(4, 1)
@@ -144,8 +159,6 @@ def test_golden_counts_d7():
     assert stats.hits == GOLDEN_HITS[7]
 
 
-@pytest.mark.skipif(not os.environ.get("BOTT_SLOW"),
-                    reason="d=8 exhaustive needs minutes; set BOTT_SLOW=1")
 def test_golden_counts_d8():
     stats, hits = run_partitioned(SearchSpec(dim=8), os.cpu_count() or 4)
     assert stats.candidates == 1 << 28
@@ -181,7 +194,13 @@ def test_every_emitted_hit_passes_criterion():
         assert counterexample_criterion(h.matrix).verdict
 
 
-# ------------------------------------------------------ seek and blocks
+# -------------------------------------------------------- ranks and blocks
+
+def _even_counters(d, lo, hi):
+    """The all-even counters of [lo, hi) through the rank map."""
+    return [search._counter_from_rank(d, r) for r in range(
+        search._even_rank(d, lo), search._even_rank(d, hi))]
+
 
 def test_seek_matches_scan_small():
     rng = random.Random(5)
@@ -190,7 +209,7 @@ def test_seek_matches_scan_small():
         for _ in range(40):
             lo = rng.randrange(total + 1)
             hi = rng.randrange(lo, total + 1)
-            assert list(search._even_parity_counters(d, lo, hi)) == \
+            assert _even_counters(d, lo, hi) == \
                 list(even_parity_counters_scan(d, lo, hi))
 
 
@@ -199,8 +218,20 @@ def test_seek_matches_scan_d8_partitions():
     total = 1 << free_bit_count(8)
     for k in [0] + [rng.randrange(1 << 14) for _ in range(3)]:
         lo, hi = k * total >> 14, (k + 1) * total >> 14
-        assert list(search._even_parity_counters(8, lo, hi)) == \
+        assert _even_counters(8, lo, hi) == \
             list(even_parity_counters_scan(8, lo, hi))
+
+
+def test_rank_map_is_monotone_bijection():
+    for d in range(1, 8):
+        evens = list(even_parity_counters_scan(d, 0, 1 << free_bit_count(d)))
+        assert len(evens) == 1 << search.rank_bit_count(d)
+        assert [search._counter_from_rank(d, r)
+                for r in range(len(evens))] == evens
+        for r, c in enumerate(evens):
+            assert search._even_rank(d, c) == r
+            # c itself is the one all-even counter in [c, c + 1)
+            assert search._even_rank(d, c + 1) == r + 1
 
 
 # partition 1023 starts with an odd last row, so it holds no orientable
@@ -224,28 +255,41 @@ def test_far_partition_seeks_directly(k, limit, orientable):
     assert stats.wall_time_s < 10
 
 
-def test_blocks_are_sorted_aligned_and_bounded():
-    d = 7
-    bits = free_bit_count(d)
-    shift, _ = search._block_layout(d)
-    seen = []
-    for keys in search._sorted_blocks(d, 12345, 1 << bits):
-        assert 0 < len(keys) <= 1 << search.BLOCK_TESTED_BITS
-        assert keys == sorted(keys)
-        counters = [key & ((1 << bits) - 1) for key in keys]
-        assert len({c >> shift for c in counters}) == 1
-        for key, c in zip(keys, counters):
-            assert key == search._column_pack(d, c) + c
-            m = matrix_from_counter(d, c)
-            assert [key >> at & mask for at, mask in search._column_fields(d)] \
-                == [m.column_support(j) for j in range(d)]
-        seen.extend(sorted(counters))
-    assert seen == list(even_parity_counters_scan(d, 12345, 1 << bits))
-    # one K = 2048 shard of d = 8 is a single block
-    total = 1 << free_bit_count(8)
-    blocks = list(search._sorted_blocks(8, 870 * total // 2048,
-                                        871 * total // 2048))
-    assert [len(b) for b in blocks] == [16384]
+@pytest.mark.parametrize("d", [6, 8, 9])
+def test_block_entries_decode_ranks(d):
+    """Lane n of a block holds the entries of the counter of rank base + n,
+    for blocks narrower than the rank space and, at d = 6, as wide."""
+    rng = random.Random(40 + d)
+    for lane_bits in (3, min(search.LANE_BITS, search.rank_bit_count(d))):
+        width = 1 << lane_bits
+        for _ in range(3):
+            base = rng.randrange(1 << search.rank_bit_count(d)) & -width
+            entries = search._block_entries(d, base, lane_bits)
+            for n in rng.sample(range(width), min(width, 64)):
+                m = matrix_from_counter(
+                    d, search._counter_from_rank(d, base + n))
+                assert [[e >> n & 1 for e in col] for col in entries] == \
+                    [[m.entry(i, j) for i in range(j)] for j in range(d)]
+            assert all(e >> width == 0 for col in entries for e in col)
+
+
+# blocks of 8 ranks: each range spans many and ends inside a block; the
+# first holds the first d = 8 hit, the second starts at a hit two ranks into
+# its block, after a hit outside the range
+@pytest.mark.parametrize("lo, hi", [
+    (GOLDEN_D8_FIRST_HIT - 3001, GOLDEN_D8_FIRST_HIT + 5003),
+    (114106757, 114114759)])
+def test_exhaustive_blocks_match_brute_criterion(monkeypatch, lo, hi):
+    monkeypatch.setattr(search, "LANE_BITS", 3)
+    hits = []
+    stats = search._enumerate_range(SearchSpec(dim=8), lo, hi, hits.append)
+    tested = [c for c in range(lo, hi) if all(
+        r.bit_count() % 2 == 0 for r in matrix_from_counter(8, c).rows)]
+    brute = [c for c in tested
+             if counterexample_criterion(matrix_from_counter(8, c)).verdict]
+    assert stats.tested == len(tested) > 40
+    assert [h.candidate_index for h in hits] == brute
+    assert brute[0] in (GOLDEN_D8_FIRST_HIT, lo)
 
 
 def test_exhaustive_hits_match_brute_criterion_d8():
@@ -322,10 +366,25 @@ def test_run_partitioned_parts_share_exhaustive_work():
     parts = search.PARTS_PER_JOB * jobs
     total = 1 << free_bit_count(d)
     busy = [k for k in range(parts)
-            if next(search._even_parity_counters(
-                d, k * total // parts, (k + 1) * total // parts), None)
-            is not None]
+            if search._even_rank(d, k * total // parts)
+            < search._even_rank(d, (k + 1) * total // parts)]
     assert len(busy) >= 2
+
+
+@pytest.mark.parametrize("d, limit", [
+    (7, 100000), (8, GOLDEN_D8_FIRST_HIT + (1 << 15))])
+def test_run_partitioned_exhaustive_limit_matches_serial(d, limit):
+    # the pool splits the serial run's range, not each part's own limit
+    spec = SearchSpec(dim=d, limit=limit)
+    serial, serial_hits = collect_hits(spec)
+    merged, merged_hits = run_partitioned(spec, 2)
+    assert (merged.candidates, merged.tested, merged.pruned, merged.hits) == \
+        (serial.candidates, serial.tested, serial.pruned, serial.hits)
+    assert merged.candidates == limit
+    assert [h.candidate_index for h in merged_hits] == \
+        [h.candidate_index for h in serial_hits]
+    assert [h.matrix for h in merged_hits] == [h.matrix for h in serial_hits]
+    assert (serial.hits > 0) == (d == 8)
 
 
 def test_run_partitioned_random_merges_like_serial():
@@ -438,30 +497,18 @@ def test_orientable_draws_small_lanes(monkeypatch):
             _scalar_orientable(d, seed, lo, hi)
 
 
-@pytest.mark.parametrize("batch_bits", [search.BATCH_BITS, 3])
-def test_random_batches_walk_column_order(monkeypatch, batch_bits):
-    # about 64 orientable draws, in one batch or in batches of 8; the walk
-    # meets the hits in column order, which is not their index order
-    monkeypatch.setattr(search, "BATCH_BITS", batch_bits)
+@pytest.mark.parametrize("lane_bits", [search.LANE_BITS, 5])
+def test_random_batches_emit_in_index_order(monkeypatch, lane_bits):
+    # 48 orientable draws, in one kernel call or in a batch of 32 and a
+    # partial last batch
+    monkeypatch.setattr(search, "LANE_BITS", lane_bits)
     d, seed = 9, 5
     spec = SearchSpec(dim=d, mode="random", limit=64 << (d - 1), seed=seed)
     stats, hits = collect_hits(spec)
     orientable, brute = _brute_random(d, xorshift_stream(seed), spec.limit)
     assert (stats.tested, stats.hits) == (orientable, len(brute))
     assert [h.candidate_index for h in hits] == brute
-    packs = [search._column_pack(d, counter_from_matrix(h.matrix))
-             for h in hits]
-    assert packs != sorted(packs)
-    if batch_bits == 3:
-        # inside one batch of 8 orientable draws too
-        found = {h.candidate_index: pack for h, pack in zip(hits, packs)}
-        stream = xorshift_stream(seed)
-        orientable = [i for i in range(spec.limit) if all(
-            r.bit_count() % 2 == 0 for r in matrix_from_counter(
-                d, draw_counter(stream, free_bit_count(d))).rows)]
-        batches = [[found[i] for i in orientable[at:at + 8] if i in found]
-                   for at in range(0, len(orientable), 8)]
-        assert any(b != sorted(b) for b in batches)
+    assert orientable == 48 and len(brute) > 8
 
 
 # ------------------------------------------------------------- random mode
@@ -496,6 +543,17 @@ def test_random_different_seeds_differ():
 
 
 # ------------------------------------------------------------- hit records
+
+def test_benchmark_trace_hooks_resolve():
+    # the traced benchmark runs (perfbench/workloads.py) patch these names
+    # in the search module; they must keep resolving there
+    from bottforge import charclass, gf2ring
+    assert search.RingContext is gf2ring.RingContext
+    assert callable(search.RingContext.from_column_supports)
+    assert search.stiefel_whitney is charclass.stiefel_whitney
+    assert search.square is gf2ring.square
+    assert search.counterexample_criterion is charclass.counterexample_criterion
+
 
 def test_hit_record_shape():
     _, hits = collect_hits(SearchSpec(dim=9, mode="random", limit=2000, seed=42))
