@@ -215,50 +215,38 @@ class RingContext:
 
     The context chooses a dense int-bitset polynomial kernel for
     dim <= ``DENSE_DIM_LIMIT`` and a frozenset kernel above it; the public
-    API is identical either way.  ``y_support`` is the source of truth;
-    ``matrix`` and ``yclass`` are derived from it on first use.
+    API is identical either way.  ``y_support[j]`` is the mask of rows with
+    a 1 in column j; ``yclass`` is derived from it on first use.
     """
 
-    __slots__ = ("dim", "y_support", "_matrix", "_yclass", "_dense",
+    __slots__ = ("dim", "matrix", "y_support", "_yclass", "_dense",
                  "_free", "_mulvar", "_monomul")
 
     def __init__(self, matrix: BottMatrix):
-        supports = [0] * matrix.dim
+        dim = matrix.dim
+        supports = [0] * dim
         for i, row in enumerate(matrix.rows):
             for j in _bits(row):
                 supports[j] |= 1 << i
-        self._setup(matrix.dim, tuple(supports))
-        self._matrix = matrix
-
-    @classmethod
-    def from_column_supports(cls, dim: int, supports) -> "RingContext":
-        """Build directly from per-column support masks (search hot path).
-
-        The supports are trusted: support j must only use bits below j.
-        """
-        ctx = cls.__new__(cls)
-        ctx._setup(dim, tuple(supports))
-        return ctx
-
-    def _setup(self, dim: int, supports: tuple) -> None:
         self.dim = dim
-        self.y_support = supports
-        self._matrix = self._yclass = None
+        self.matrix = matrix
+        self.y_support = tuple(supports)
+        self._yclass = None
         self._dense = dim <= DENSE_DIM_LIMIT
         self._free = _free_slots(dim) if self._dense else None
         # _mulvar[k] memoizes x_mask * x_k by mask; it depends on y_0..y_k
         self._mulvar = [{} for _ in range(dim)]
         self._monomul: dict = {}
 
-    @property
-    def matrix(self) -> BottMatrix:
-        if self._matrix is None:
-            rows = [0] * self.dim
-            for j, sup in enumerate(self.y_support):
-                for i in _bits(sup):
-                    rows[i] |= 1 << j
-            self._matrix = BottMatrix(self.dim, tuple(rows))
-        return self._matrix
+    @classmethod
+    def from_column_supports(cls, dim: int, supports) -> "RingContext":
+        """Build from per-column support masks: support j must only use
+        bits below j."""
+        rows = [0] * dim
+        for j, sup in enumerate(supports):
+            for i in _bits(sup):
+                rows[i] |= 1 << j
+        return cls(BottMatrix(dim, tuple(rows)))
 
     @property
     def yclass(self) -> tuple:

@@ -102,7 +102,7 @@ class OdometerTower:
             if cached is not None:
                 return cached
             power = self._power(i)
-            u, d, _, uinv, _ = _snf_full(power)
+            u, d, _, uinv = _snf_full(power)
             diag = tuple(d.entry(t, t) for t in range(self.dim))
             if any(x <= 0 for x in diag):
                 raise SingularMatrixError(f"M^{i} lost rank")

@@ -8,10 +8,9 @@ counters from a seeded xorshift64* stream.  Either mode can be split into
 K contiguous parts which together reproduce the unpartitioned run exactly,
 including candidate indices.
 
-Candidates whose row sums are not all even are never orientable and get
-no ring work; with orientability pruning they are counted as pruned,
-without it as tested.  The orientable candidates are decided
-2^LANE_BITS at a time by the bit-sliced kernel
+Candidates whose row sums are not all even are never orientable; they
+get no ring work and are counted as pruned.  The orientable candidates
+are decided 2^LANE_BITS at a time by the bit-sliced kernel
 :func:`charclass.w3_square_lanes`: entry (i, j) of every candidate of a
 batch sits in one int, bit n for candidate n, so one big-int operation
 acts on the whole batch.  The hits of a batch leave in candidate order,
@@ -21,8 +20,9 @@ separate route.
 Exhaustive mode numbers the all-even counters by rank.  A rank drops
 entry (i, i+1) of every row, the parity of the rest of the row, so ranks
 map one to one and in order onto the all-even counters.  A counter range
-becomes a rank range by per-row carry, without a walk from counter 0, and
-the entry lanes of an aligned block of ranks are periodic patterns.
+becomes a rank range by counting the all-even counters below each end,
+row by row, without a walk from counter 0, and the entry lanes of an
+aligned block of ranks are periodic patterns.
 Random mode jumps the xorshift64* stream straight to the first draw of
 its range with powers of the GF(2) matrix of one state step (Haramoto et
 al., INFORMS J. Comput. 20, 2008), then steps LANES runs of consecutive
@@ -72,7 +72,6 @@ class SearchSpec:
     mode: str = "exhaustive"
     limit: int | None = None
     seed: int = 0
-    prune_orientable: bool = True
     partition: tuple[int, int] | None = None
 
 
@@ -123,24 +122,6 @@ def _row_chunks(d: int) -> tuple:
     return tuple((i * (2 * d - i - 1) // 2, d - 1 - i) for i in range(d - 1))
 
 
-def _next_even_counter(counter: int, chunks, row: int) -> int | None:
-    """Smallest all-even-row counter above ``counter``, by per-row carry.
-
-    Assumes no such counter agrees with ``counter`` on rows ``row`` and up
-    (row ``row`` is odd) and that the rows above it are even: row ``row``
-    then moves to its next even-weight value and the rows below it to
-    zero, carrying upward on overflow.  None past the last counter.
-    """
-    for off, width in chunks[row:]:
-        v = (counter >> off & ((1 << width) - 1)) + 1
-        while v.bit_count() & 1:
-            v += 1
-        if not v >> width:
-            top = off + width
-            return counter >> top << top | v << off
-    return None
-
-
 # Ranks number the all-even-row counters in increasing order.  A rank drops
 # entry (i, i+1) of every row, the lowest bit of the row's chunk, because
 # that entry is the parity of the row's other entries; row i's part of a
@@ -151,20 +132,27 @@ def rank_bit_count(d: int) -> int:
 
 
 def _even_rank(d: int, counter: int) -> int:
-    """Number of all-even-row counters below ``counter``: the rank of the
-    first one at or above it, found by per-row carry from the highest odd
-    row, so nothing below ``counter`` is visited."""
-    chunks = _row_chunks(d)
-    for row in range(len(chunks) - 1, -1, -1):
-        off, width = chunks[row]
-        if (counter >> off & ((1 << width) - 1)).bit_count() & 1:
-            counter = _next_even_counter(counter, chunks, row)
-            break
-    if counter is None or counter >> free_bit_count(d):
+    """Number of all-even-row counters below ``counter``.
+
+    Such a counter agrees with ``counter`` on the rows after some row i,
+    the more significant ones, and has a smaller even-weight value in
+    row i: of the values below v, one of each pair (2k, 2k+1) has even
+    weight, and so does v - 1 when v is odd with odd weight.  Rows 0..i-1
+    are then any all-even rows, 2^(off_i - i) choices.  The sum runs from
+    the last row to the first and stops after an odd row, which no
+    all-even counter shares.
+    """
+    if counter >> free_bit_count(d):
         return 1 << rank_bit_count(d)
+    chunks = _row_chunks(d)
     rank = 0
-    for i, (off, width) in enumerate(chunks):
-        rank |= (counter >> off + 1 & ((1 << width - 1) - 1)) << off - i
+    for i in range(d - 2, -1, -1):
+        off, width = chunks[i]
+        v = counter >> off & ((1 << width) - 1)
+        odd = v.bit_count() & 1
+        rank += ((v >> 1) + (v & odd)) << off - i
+        if odd:
+            break
     return rank
 
 
@@ -471,12 +459,7 @@ def _enumerate_range(spec: SearchSpec, lo: int, hi: int, sink) -> SearchStats:
                 for n in _bits(hits):
                     index, counter = batch[n]
                     emit(counter, index)
-    if spec.prune_orientable:
-        stats.pruned = stats.candidates - stats.tested
-    else:
-        # the odd-row candidates count as tested; they all fail w1 = 0
-        stats.tested = stats.candidates
-
+    stats.pruned = stats.candidates - stats.tested
     stats.wall_time_s = time.perf_counter() - start
     return stats
 

@@ -12,6 +12,7 @@ from fractions import Fraction
 from itertools import combinations, product
 from math import gcd
 
+from bottforge.abelian import beta_on_coords
 from bottforge.gf2ring import BottMatrix
 from bottforge.odometer import act
 
@@ -277,6 +278,18 @@ def orbit_size(tower, i: int) -> int:
                     nxt.append(q)
         frontier = nxt
     return len(seen)
+
+
+def beta_torsion_bijective_scan(system) -> bool:
+    """Whether beta maps the torsion subgroup onto itself, by enumerating
+    it: the oracle for the theorem behind ``check_beta_torsion_iso``.
+    Onto a finite set from itself is one to one."""
+    g = system.group
+    bc = beta_on_coords(g, system.beta)
+    elements = set(g.torsion_elements())
+    images = {g.coords(g.element_from_coords(bc.mul_vec(c)))
+              for c in elements}
+    return images == elements
 
 
 def mat_mul(a, b):

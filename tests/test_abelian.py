@@ -23,8 +23,10 @@ from bottforge.abelian import (
 )
 
 from helpers import (
+    beta_torsion_bijective_scan,
     det_fraction,
     minors_invariant_factors,
+    random_stationary_system,
     torsion_order_by_minors,
 )
 
@@ -97,11 +99,10 @@ def test_snf_random_suite():
     for _ in range(1000):
         nr, nc = rng.randint(1, 6), rng.randint(1, 6)
         m = random_int_matrix(rng, nr, nc)
-        u, d, v, uinv, vinv = _snf_full(m)
+        u, d, v, uinv = _snf_full(m)
         assert u @ m @ v == d
         assert abs(u.det()) == 1 and abs(v.det()) == 1
         assert u @ uinv == IntMatrix.identity(nr)
-        assert v @ vinv == IntMatrix.identity(nc)
         diag = [d.entry(i, i) for i in range(min(nr, nc))]
         assert all(x >= 0 for x in diag)
         for a, b in zip(diag, diag[1:]):
@@ -264,6 +265,26 @@ def test_beta_torsion_trivial_on_free_group():
     assert sys_.hypothesis_failures(require_alpha=True) == []
     assert check_beta_torsion_iso(sys_) is True  # empty torsion, vacuous
     assert direct_limit_torsion(sys_) == []
+
+
+def test_beta_torsion_theorem_matches_scan():
+    rng = random.Random(91)
+    for _ in range(60):
+        rel, beta, alpha, n, _factors = random_stationary_system(rng)
+        system = StationarySystem(group=FgAbGroup(IntMatrix.from_rows(rel)),
+                                  beta=IntMatrix.from_rows(beta),
+                                  multiplier=n,
+                                  alpha=IntMatrix.from_rows(alpha))
+        assert beta_torsion_bijective_scan(system) is True
+        assert check_beta_torsion_iso(system) is True
+    # the scan does see a non-bijection: x2 on Z/4, where n = 2 is not
+    # 1 mod 4, so the theorem's hypotheses fail
+    doubling = StationarySystem(group=FgAbGroup(IntMatrix.from_rows([[4]])),
+                                beta=IntMatrix.from_rows([[2]]),
+                                multiplier=2, alpha=IntMatrix.identity(1))
+    assert beta_torsion_bijective_scan(doubling) is False
+    with pytest.raises(HypothesisViolation):
+        check_beta_torsion_iso(doubling)
 
 
 def test_z2_identity_multiplier3():

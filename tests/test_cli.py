@@ -327,6 +327,23 @@ def test_limit_torsion_z_z4(capsys, tmp_path):
     assert payload["depth"] == 10
 
 
+def test_limit_torsion_large_torsion(capsys, tmp_path):
+    # Z/20000: bijectivity is decided without listing the torsion
+    path = write_system(tmp_path, {
+        "generators": 1,
+        "relations": [[20000]],
+        "beta": [[1]],
+        "n": 1,
+        "alpha": [[1]],
+    })
+    rc, out, _ = run_cli(capsys, ["limit-torsion", "--system", path])
+    assert rc == 0
+    payload = json.loads(out)
+    assert payload["torsion_order"] == 20000
+    assert payload["beta_torsion_bijective"] is True
+    assert payload["limit_torsion"] == [20000]
+
+
 def test_limit_torsion_depth_flag(capsys, tmp_path):
     path = write_system(tmp_path, {
         "generators": 1,

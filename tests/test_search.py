@@ -172,19 +172,6 @@ def test_golden_d8_first_hit_matrix():
     assert counterexample_criterion(m).verdict
 
 
-# ----------------------------------------------------- pruning equivalence
-
-def test_prune_only_drops_nonorientable():
-    for d in (4, 5, 6):
-        s_on, h_on = collect_hits(SearchSpec(dim=d, prune_orientable=True))
-        s_off, h_off = collect_hits(SearchSpec(dim=d, prune_orientable=False))
-        assert [h.candidate_index for h in h_on] == \
-            [h.candidate_index for h in h_off]
-        assert s_on.candidates == s_off.candidates
-        assert s_on.tested < s_off.tested
-        assert s_on.tested + s_on.pruned == s_on.candidates
-
-
 def test_every_emitted_hit_passes_criterion():
     stats, hits = collect_hits(
         SearchSpec(dim=8, mode="random", limit=30000, seed=99))
@@ -232,6 +219,10 @@ def test_rank_map_is_monotone_bijection():
             assert search._even_rank(d, c) == r
             # c itself is the one all-even counter in [c, c + 1)
             assert search._even_rank(d, c + 1) == r + 1
+    for d in range(1, 10):
+        # the end of the counter range counts every all-even counter
+        assert search._even_rank(d, 1 << free_bit_count(d)) == \
+            1 << search.rank_bit_count(d)
 
 
 # partition 1023 starts with an odd last row, so it holds no orientable
@@ -451,15 +442,14 @@ def test_far_random_partition_starts_at_once():
     assert [h.candidate_index - lo for h in hits] == brute
 
 
-@pytest.mark.parametrize("d, prune", [
-    (12, True), (13, True), (9, False), (13, False)])
-def test_random_partitions_match_brute_criterion(d, prune):
-    # d = 12 and 13 draw two words; about 16 orientable draws
-    spec = SearchSpec(dim=d, mode="random", limit=16 << (d - 1), seed=d,
-                      prune_orientable=prune)
+@pytest.mark.parametrize("d, two_words", [
+    (12, True), (13, True), (9, False)])
+def test_random_partitions_match_brute_criterion(d, two_words):
+    # d = 12 and 13 draw two words, d = 9 one; about 16 orientable draws
+    assert (len(search._draw_words(d)) == 2) == two_words
+    spec = SearchSpec(dim=d, mode="random", limit=16 << (d - 1), seed=d)
     orientable, brute = _brute_random(d, xorshift_stream(d), spec.limit)
-    tested = orientable if prune else spec.limit
-    expected = (spec.limit, tested, spec.limit - tested, len(brute))
+    expected = (spec.limit, orientable, spec.limit - orientable, len(brute))
     full, full_hits = collect_hits(spec)
     parts = [collect_hits(replace(spec, partition=(k, 3))) for k in range(3)]
     assert (full.candidates, full.tested, full.pruned, full.hits) == expected
