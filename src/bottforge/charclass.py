@@ -53,10 +53,10 @@ def _esym_reps(ctx: RingContext, m: int) -> list:
     the criterion cheap.
     """
     g = [ctx._unit(0)] + [ctx._kzero()] * m
-    for i in range(ctx.dim):
-        if ctx.y_support[i]:
+    for form in ctx.y_support:
+        if form:
             for k in range(m, 0, -1):
-                g[k] ^= ctx._mul_y(g[k - 1], i)
+                g[k] ^= ctx._mul_form(g[k - 1], form)
     return g
 
 
@@ -137,16 +137,17 @@ def total_steenrod_square(ctx: RingContext, p: Gf2Poly) -> list[Gf2Poly]:
 
     Sq^m of a monomial x_S is the sum of x_S * x_T over the size-m subsets
     T of S; consequently Sq^0 = id, Sq^{deg} is the Frobenius square and
-    Sq^m vanishes for m above the degree.
+    Sq^m vanishes for m above the degree.  x_S * x_T is x_S times y_k for
+    each k in T, so the products are built up one index of S at a time.
     """
     comps = [ctx._kzero() for _ in range(ctx.dim + 1)]
-    for t in p.terms:
-        sub = t
-        while True:
-            comps[sub.bit_count()] ^= ctx._mono_mul(t, sub)
-            if sub == 0:
-                break
-            sub = (sub - 1) & t
+    for s in p.terms:
+        parts = {0: ctx._unit(s)}
+        for k in _bits(s):
+            parts.update({t | 1 << k: ctx._mul_form(part, ctx.y_support[k])
+                          for t, part in parts.items()})
+        for t, part in parts.items():
+            comps[t.bit_count()] ^= part
     return [ctx._wrap(c) for c in comps]
 
 

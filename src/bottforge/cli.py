@@ -255,15 +255,10 @@ def cmd_search(args) -> int:
                 f"--partition must look like k/K, got {args.partition!r}") from None
     spec = search.SearchSpec(dim=args.dim, mode=args.mode, limit=args.limit,
                              seed=args.seed, partition=partition)
-    jobs = _env_jobs()
-    if jobs > 1 and partition is None:
-        stats, hits = search.run_partitioned(spec, jobs)
-        for hit in hits:
-            print(search.hit_json(hit))
-    else:
-        def sink(hit):
-            print(search.hit_json(hit), flush=True)
-        stats = search.enumerate_space(spec, sink)
+
+    def sink(hit):
+        print(search.hit_json(hit), flush=True)
+    stats, _ = search.run_partitioned(spec, _env_jobs(), sink)
     print(json.dumps({
         "version": SCHEMA_VERSION,
         "dim": stats.dim,

@@ -12,11 +12,11 @@ x_{i+1}.  Polynomials are finite sets of masks and addition is symmetric
 difference.  Code is 0-based throughout; 1-based names appear only in
 rendered strings such as ``"x1x2x4"`` and in diagnostics.
 
-Internally a ring context keeps rewrite tables in one of two equivalent
-forms: for dim <= 12 a polynomial is a single int whose bit at position
-``mask`` marks the monomial (dense, used by the search hot path), and for
-larger dim a frozenset of masks.  Both serialize through the same canonical
-(degree, mask) order.
+Internally a ring context holds a polynomial in one of two equivalent
+forms: for dim <= 12 a single int whose bit at position ``mask`` marks the
+monomial (dense, used by the search's re-check), and for larger dim a
+frozenset of masks; products rewrite whole sets of terms at once, with no
+tables.  Both serialize through the same canonical (degree, mask) order.
 """
 
 from __future__ import annotations
@@ -99,9 +99,6 @@ class BottMatrix:
             if (self.rows[i] >> j) & 1:
                 out |= 1 << i
         return out
-
-    def to_lists(self) -> list[list[int]]:
-        return [[self.entry(i, j) for j in range(self.dim)] for i in range(self.dim)]
 
     def to_row_strings(self) -> list[str]:
         # format() puts bit 0 last; reversing puts column 0 first
@@ -211,7 +208,7 @@ def parse_monomial(s: str) -> int:
 
 
 class RingContext:
-    """Reduction data for one matrix: y classes plus memoized rewrite tables.
+    """Reduction data for one matrix: its y classes, and no memo or tables.
 
     The context chooses a dense int-bitset polynomial kernel for
     dim <= ``DENSE_DIM_LIMIT`` and a frozenset kernel above it; the public
@@ -219,8 +216,7 @@ class RingContext:
     a 1 in column j; ``yclass`` is derived from it on first use.
     """
 
-    __slots__ = ("dim", "matrix", "y_support", "_yclass", "_dense",
-                 "_free", "_mulvar", "_monomul")
+    __slots__ = ("dim", "matrix", "y_support", "_yclass", "_dense", "_free")
 
     def __init__(self, matrix: BottMatrix):
         dim = matrix.dim
@@ -234,9 +230,6 @@ class RingContext:
         self._yclass = None
         self._dense = dim <= DENSE_DIM_LIMIT
         self._free = _free_slots(dim) if self._dense else None
-        # _mulvar[k] memoizes x_mask * x_k by mask; it depends on y_0..y_k
-        self._mulvar = [{} for _ in range(dim)]
-        self._monomul: dict = {}
 
     @classmethod
     def from_column_supports(cls, dim: int, supports) -> "RingContext":
@@ -265,83 +258,53 @@ class RingContext:
     def _unit(self, mask: int):
         return 1 << mask if self._dense else frozenset((mask,))
 
-    def _kmasks(self, rep):
-        if self._dense:
-            while rep:
-                low = rep & -rep
-                yield low.bit_length() - 1
-                rep ^= low
-        else:
-            yield from rep
+    def _rep(self, masks):
+        return sum(1 << m for m in masks) if self._dense else frozenset(masks)
 
     def _wrap(self, rep) -> Gf2Poly:
-        return Gf2Poly(frozenset(self._kmasks(rep)))
+        return Gf2Poly(frozenset(_bits(rep)) if self._dense else rep)
 
-    def _mul_y(self, rep, k: int):
-        """Reduced product of a kernel value and the linear form y_k.
+    def _mul_form(self, rep, form: int):
+        """Reduced product of a kernel value and the linear form
+        sum(x_l for l in form); y_k has the form ``y_support[k]``.
 
-        Dense: the terms t without x_l, for l in the support of y_k, move
-        to slot t | 2^l all at once, one shift of the bitset; only the
-        terms holding x_l rewrite.
+        A term x_S without x_l moves to x_{S+l}; in the dense kernel they
+        all move at once, one shift of the bitset.  A term holding x_l owes
+        x_S * y_l instead, since x_l^2 = x_l * y_l, and y_l only involves
+        x_m, m < l.  The owed terms are settled from the top index down,
+        each index's whole set at once: a term owed twice at one index
+        cancels, so each term is rewritten at most once per index however
+        many paths lead there.
         """
-        form = self.y_support[k]
-        if self._dense:
-            acc = 0
-            free = self._free
-            while form:
-                bit = form & -form
-                form ^= bit
-                l = bit.bit_length() - 1
-                part = rep & free[l]
-                acc ^= part << bit
-                held = rep ^ part
-                while held:
-                    low = held & -held
-                    acc ^= self._mul_var(low.bit_length() - 1, l)
-                    held ^= low
-            return acc
-        acc = set()
-        for l in _bits(form):
-            for t in rep:
-                acc ^= self._mul_var(t, l)
-        return frozenset(acc)
-
-    def _mul_var(self, mask: int, k: int):
-        """Reduced product x_mask * x_k as a kernel value.
-
-        When k already occurs in mask the product is x_mask * y_k, and y_k
-        only involves smaller indices, so the recursion terminates.
-        """
-        memo = self._mulvar[k]
-        cached = memo.get(mask)
-        if cached is not None:
-            return cached
-        if mask >> k & 1:
-            out = self._mul_y(self._unit(mask), k)
-        else:
-            out = self._unit(mask | 1 << k)
-        memo[mask] = out
-        return out
-
-    def _mono_mul(self, a: int, b: int):
-        """Reduced product of two squarefree monomials as a kernel value.
-
-        x_a * x_b is x_{a|b} times x_k for each k in a & b.  Every term of
-        the reduced form of a multiple of x_{a|b} holds each such x_k, and
-        there x_k acts as y_k since x_k^2 = x_k * y_k.
-        """
-        common = a & b
-        if not common:
-            return self._unit(a | b)
-        key = (a | b, common)
-        cached = self._monomul.get(key)
-        if cached is not None:
-            return cached
-        rep = self._unit(a | b)
-        for k in _bits(common):
-            rep = self._mul_y(rep, k)
-        self._monomul[key] = rep
-        return rep
+        dense, free = self._dense, self._free
+        acc = 0 if dense else set()
+        owed = [0 if dense else frozenset()] * self.dim
+        due = 0
+        held = rep
+        while True:
+            if dense:
+                while form:
+                    bit = form & -form
+                    form ^= bit
+                    m = bit.bit_length() - 1
+                    part = held & free[m]
+                    acc ^= part << bit
+                    if new := held ^ part:
+                        owed[m] ^= new
+                        due |= bit
+            else:
+                for m in _bits(form):
+                    bit = 1 << m
+                    acc ^= {t | bit for t in held if not t & bit}
+                    if new := frozenset(t for t in held if t & bit):
+                        owed[m] ^= new
+                        due |= bit
+            if not due:
+                return acc if dense else frozenset(acc)
+            l = due.bit_length() - 1
+            due ^= 1 << l
+            held = owed[l]
+            form = self.y_support[l] if held else 0
 
 
 @lru_cache(maxsize=None)
@@ -357,18 +320,22 @@ def _free_slots(dim: int) -> tuple:
 
 
 def make_context(matrix: BottMatrix) -> RingContext:
-    """Prepare reduction tables for the ring of ``matrix``."""
+    """The ring context of ``matrix``, checked to be a BottMatrix."""
     if not isinstance(matrix, BottMatrix):
         raise TypeError("make_context expects a BottMatrix")
     return RingContext(matrix)
 
 
 def multiply(ctx: RingContext, p: Gf2Poly, q: Gf2Poly) -> Gf2Poly:
-    """Reduced product of two normal-form polynomials."""
+    """Reduced product of two normal-form polynomials: all of q times x_a
+    for each term a of p, one generator of a at a time."""
+    qrep = ctx._rep(q.terms)
     rep = ctx._kzero()
     for a in p.terms:
-        for b in q.terms:
-            rep ^= ctx._mono_mul(a, b)
+        part = qrep
+        for k in _bits(a):
+            part = ctx._mul_form(part, 1 << k)
+        rep ^= part
     return ctx._wrap(rep)
 
 
@@ -376,7 +343,10 @@ def square(ctx: RingContext, p: Gf2Poly) -> Gf2Poly:
     """Frobenius square: (sum m_i)^2 = sum m_i^2 in characteristic 2."""
     rep = ctx._kzero()
     for a in p.terms:
-        rep ^= ctx._mono_mul(a, a)
+        part = ctx._unit(a)
+        for k in _bits(a):
+            part = ctx._mul_form(part, ctx.y_support[k])
+        rep ^= part
     return ctx._wrap(rep)
 
 
@@ -442,11 +412,20 @@ def pairing_matrix(ctx: RingContext, k: int) -> list[list[int]]:
     row_masks = basis_masks(d, k)
     col_masks = basis_masks(d, d - k)
     top = (1 << d) - 1
+    # x_s * x_t is x_{s|t} times y_j for each j in s & t (x_j^2 = x_j y_j),
+    # and many pairs share s | t and s & t
+    memo: dict = {}
     out = []
     for s in row_masks:
         row = []
         for t in col_masks:
-            rep = ctx._mono_mul(s, t)
+            key = (s | t, s & t)
+            rep = memo.get(key)
+            if rep is None:
+                rep = ctx._unit(s | t)
+                for j in _bits(s & t):
+                    rep = ctx._mul_form(rep, ctx.y_support[j])
+                memo[key] = rep
             if ctx._dense:
                 row.append((rep >> top) & 1)
             else:

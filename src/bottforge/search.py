@@ -35,6 +35,7 @@ from __future__ import annotations
 
 import json
 import time
+from collections import deque
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import islice
@@ -464,53 +465,76 @@ def _enumerate_range(spec: SearchSpec, lo: int, hi: int, sink) -> SearchStats:
     return stats
 
 
-def collect_hits(spec: SearchSpec) -> tuple[SearchStats, list[SearchHit]]:
-    hits: list[SearchHit] = []
-    stats = enumerate_space(spec, hits.append)
-    return stats, hits
-
-
-def _range_worker(args) -> tuple[SearchStats, list[SearchHit]]:
-    spec, lo, hi = args
+def _range_worker(spec: SearchSpec, lo: int, hi: int
+                  ) -> tuple[SearchStats, list[SearchHit]]:
     hits: list[SearchHit] = []
     stats = _enumerate_range(spec, lo, hi, hits.append)
     return stats, hits
 
 
-# Parts per worker: the exhaustive work is uneven across equal counter
-# ranges (every counter in the upper half has an odd last row), so the pool
-# hands out many small parts in order instead of one large part per worker.
+def collect_hits(spec: SearchSpec) -> tuple[SearchStats, list[SearchHit]]:
+    return _range_worker(spec, *_spec_range(spec))
+
+
+# Parts per worker: the hits are uneven across equal parts (at d=8 all of
+# them lie in a quarter of the orientable counters), so the pool hands out
+# many small parts in order instead of one large part per worker.
 PARTS_PER_JOB = 8
 
 
-def run_partitioned(spec: SearchSpec, jobs: int) -> tuple[SearchStats, list[SearchHit]]:
-    """Split the range of a run into ``PARTS_PER_JOB * jobs`` parts over a
-    pool of ``jobs`` processes and merge them in order.
+def _part_bounds(spec: SearchSpec, lo: int, hi: int, jobs: int) -> list[int]:
+    """Bounds of the contiguous parts of [lo, hi) for a pool of ``jobs``:
+    ``PARTS_PER_JOB * jobs`` equal draw ranges in random mode.  Exhaustive
+    parts are the aligned lane blocks of ranks that the range meets, so
+    that each part is one kernel call (equal counter ranges would leave
+    most parts without an orientable counter) and its hits stay few at
+    any dimension."""
+    if spec.mode == "random":
+        parts = PARTS_PER_JOB * jobs
+        return [lo + k * (hi - lo) // parts for k in range(parts + 1)]
+    d = spec.dim
+    width = 1 << LANE_BITS
+    cuts = range(_even_rank(d, lo) // width + 1,
+                 -(-_even_rank(d, hi) // width))
+    return [lo, *(_counter_from_rank(d, c * width) for c in cuts), hi]
 
-    The merged hit list and counters match the single-process run; wall
-    time is the elapsed time of the whole fan-out.
+
+def run_partitioned(spec: SearchSpec, jobs: int, sink=None
+                    ) -> tuple[SearchStats, list[SearchHit]]:
+    """Split the range of a run, or of its partition, into parts over a
+    pool of ``jobs`` processes and merge them in order; a range of one
+    part runs in this process.
+
+    Each part's hits go to ``sink`` once the parts before it have; with at
+    most two parts per worker out at once, a slow sink holds the pool back
+    instead of finished parts piling up here.  Without a sink the hits are
+    collected and returned.  Hits and counters match the single-process
+    run; wall time is the elapsed time of the whole fan-out.
     """
-    if spec.partition is not None:
-        raise ValueError("run_partitioned needs an unpartitioned spec")
-    if jobs < 2:
-        return collect_hits(spec)
-    import multiprocessing
-
+    hits: list[SearchHit] = []
+    if sink is None:
+        sink = hits.append
     start = time.perf_counter()
     lo, hi = _spec_range(spec)
-    merged = SearchStats(dim=spec.dim, mode=spec.mode)
-    hits: list[SearchHit] = []
-    parts = PARTS_PER_JOB * jobs
-    bounds = [lo + k * (hi - lo) // parts for k in range(parts + 1)]
+    bounds = _part_bounds(spec, lo, hi, jobs) if jobs > 1 else [lo, hi]
+    if len(bounds) == 2:
+        return _enumerate_range(spec, lo, hi, sink), hits
+    import multiprocessing
+
+    merged = SearchStats(dim=spec.dim, mode=spec.mode, candidates=hi - lo)
+    parts = ((spec, a, b) for a, b in zip(bounds, bounds[1:]))
     with multiprocessing.Pool(jobs) as pool:
-        for part_stats, part_hits in pool.imap(
-                _range_worker, [(spec, a, b) for a, b in zip(bounds, bounds[1:])],
-                chunksize=1):
-            merged.candidates += part_stats.candidates
+        ahead = deque(pool.apply_async(_range_worker, part)
+                      for part in islice(parts, 2 * jobs))
+        while ahead:
+            part_stats, part_hits = ahead.popleft().get()
+            ahead.extend(pool.apply_async(_range_worker, part)
+                         for part in islice(parts, 1))
             merged.tested += part_stats.tested
-            merged.pruned += part_stats.pruned
             merged.hits += part_stats.hits
-            hits.extend(part_hits)
+            for hit in part_hits:
+                sink(hit)
+    merged.pruned = merged.candidates - merged.tested
     merged.wall_time_s = time.perf_counter() - start
     return merged, hits
 

@@ -225,9 +225,9 @@ def test_search_threads_env_uses_partitioned_path(capsys, monkeypatch):
     calls = []
     real = search.run_partitioned
 
-    def spy(spec, jobs):
+    def spy(spec, jobs, sink=None):
         calls.append(jobs)
-        return real(spec, jobs)
+        return real(spec, jobs, sink)
 
     monkeypatch.setenv("BOTT_THREADS", "2")
     monkeypatch.setattr(cli.os, "cpu_count", lambda: 4)

@@ -301,8 +301,86 @@ def test_mul_y_matches_multiply(d):
             rep = ctx._kzero()
             for t in p.terms:
                 rep ^= ctx._unit(t)
-            assert ctx._wrap(ctx._mul_y(rep, k)) == \
+            assert ctx._wrap(ctx._mul_form(rep, ctx.y_support[k])) == \
                 multiply(make_context(m), p, ctx.yclass[k])
+
+
+def _full_matrix(d: int) -> BottMatrix:
+    """Every entry above the diagonal is 1: y_l involves every x_m, m < l,
+    so the terms owed by a held set chain deepest."""
+    return BottMatrix(d, tuple(((1 << d) - 1) & -(2 << i) for i in range(d)))
+
+
+def _low_degree_poly(rng, d: int, size: int) -> Gf2Poly:
+    """Terms of degree up to d/3, so that products and squares rarely
+    vanish."""
+    return Gf2Poly.from_masks(
+        sum(1 << i for i in rng.sample(range(d), rng.randint(1, d // 3)))
+        for _ in range(size))
+
+
+@pytest.mark.parametrize("d", [6, DENSE_DIM_LIMIT, DENSE_DIM_LIMIT + 1,
+                               DENSE_DIM_LIMIT + 2])
+def test_whole_set_rewrite_against_naive_rewriter(d):
+    """Products by y_k and by x_k, multiply and square against the
+    exponent-vector rewriter on the last dense and the first sparse sizes."""
+    rng = random.Random(400 + d)
+    matrices = [_full_matrix(d)] + [random_bott_matrix(rng, d, rng.random())
+                                    for _ in range(3)]
+    for m in matrices:
+        ctx = make_context(m)
+        assert ctx._dense == (d <= DENSE_DIM_LIMIT)
+        supports = tuple(_supports(m))
+        p, q = _low_degree_poly(rng, d, 3), _low_degree_poly(rng, d, 3)
+        rep = ctx._rep(p.terms)
+        for k in rng.sample(range(d), 4):
+            y_k = {1 << i for i in range(d) if supports[k] >> i & 1}
+            assert ctx._wrap(ctx._mul_form(rep, ctx.y_support[k])).terms == \
+                naive_multiply(supports, p.terms, y_k)
+            assert ctx._wrap(ctx._mul_form(rep, 1 << k)).terms == \
+                naive_multiply(supports, p.terms, {1 << k})
+        assert multiply(ctx, p, q).terms == \
+            naive_multiply(supports, p.terms, q.terms)
+        assert square(ctx, p).terms == naive_multiply(supports, p.terms, p.terms)
+
+
+@pytest.mark.parametrize("d", [DENSE_DIM_LIMIT, DENSE_DIM_LIMIT + 1, 40])
+def test_high_degree_terms_on_the_full_matrix(d):
+    """x_0...x_{n-1} * y_n vanishes on the full matrix: each x_l, l < n, is
+    held and owes x_S * y_l, whose generators are all held again, down to
+    y_0 = 0, along 2^(n-1) chains.  Settled one index at a time this is
+    n^2 steps, even at n = 39; followed chain by chain it would be 2^38.
+    Terms missing at most two generators against the exponent-vector
+    rewriter where it is quick."""
+    m = _full_matrix(d)
+    ctx = make_context(m)
+    for n in range(1, d):
+        low = (1 << n) - 1
+        assert ctx._mul_form(ctx._unit(low >> 1), ctx.y_support[n]) == \
+            ctx._unit(low)
+        assert not ctx._mul_form(ctx._unit(low), ctx.y_support[n])
+    if d > DENSE_DIM_LIMIT + 1:
+        return
+    rng = random.Random(600 + d)
+    supports = tuple(_supports(m))
+    p = Gf2Poly.from_masks(((1 << d) - 1) ^ (1 << rng.randrange(d)) ^
+                           (1 << rng.randrange(d)) for _ in range(4))
+    rep = ctx._rep(p.terms)
+    for k in range(d):
+        for form, q in [(ctx.y_support[k], ctx.yclass[k].terms),
+                        (1 << k, {1 << k})]:
+            assert ctx._wrap(ctx._mul_form(rep, form)).terms == \
+                naive_multiply(supports, p.terms, q)
+
+
+@pytest.mark.parametrize("d", [9, DENSE_DIM_LIMIT + 2])
+def test_square_is_self_product(d):
+    rng = random.Random(500 + d)
+    for m in [_full_matrix(d), random_bott_matrix(rng, d)]:
+        ctx = make_context(m)
+        for size in (1, 5, 20):
+            p = _low_degree_poly(rng, d, size)
+            assert square(ctx, p) == multiply(ctx, p, p)
 
 
 def test_zero_matrix_y_classes_vanish():

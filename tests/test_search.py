@@ -4,7 +4,7 @@ import json
 import os
 import random
 from dataclasses import replace
-from itertools import islice
+from itertools import islice, product
 
 import pytest
 
@@ -159,11 +159,32 @@ def test_golden_counts_d7():
     assert stats.hits == GOLDEN_HITS[7]
 
 
+@pytest.mark.parametrize("d, orientable", [(6, 1 << 10), (7, 1 << 15)])
+def test_golden_counts_small_by_criterion(d, orientable):
+    """GOLDEN_HITS[6] and [7] by the full criterion on every orientable
+    candidate, a route apart from the lane kernel and the rank map: row i
+    runs over the even-weight values of its d - 1 - i entries."""
+    even_rows = [[v << i + 1 for v in range(1 << d - 1 - i)
+                  if v.bit_count() % 2 == 0] for i in range(d - 1)]
+    tested = hits = 0
+    for rows in product(*even_rows):
+        tested += 1
+        hits += counterexample_criterion(BottMatrix(d, (*rows, 0))).verdict
+    assert tested == orientable
+    assert hits == GOLDEN_HITS[d]
+
+
 def test_golden_counts_d8():
-    stats, hits = run_partitioned(SearchSpec(dim=8), os.cpu_count() or 4)
+    # streamed, keeping only the first hit, as the CLI streams them
+    first = []
+
+    def sink(hit):
+        if not first:
+            first.append(hit)
+    stats, _ = run_partitioned(SearchSpec(dim=8), os.cpu_count() or 4, sink)
     assert stats.candidates == 1 << 28
     assert stats.hits == GOLDEN_HITS[8]
-    assert hits[0].candidate_index == GOLDEN_D8_FIRST_HIT
+    assert first[0].candidate_index == GOLDEN_D8_FIRST_HIT
 
 
 def test_golden_d8_first_hit_matrix():
@@ -352,14 +373,52 @@ def test_run_partitioned_merges_like_serial():
 
 
 def test_run_partitioned_parts_share_exhaustive_work():
-    # with one part per worker, part 1/2 of d=8 holds no orientable counter
+    # equal counter ranges would leave 12 of the 16 parts of d=8 with no
+    # orientable counter; the parts are the aligned lane blocks of ranks
+    # that the range meets
     d, jobs = 8, 2
-    parts = search.PARTS_PER_JOB * jobs
+    width = 1 << search.LANE_BITS
     total = 1 << free_bit_count(d)
-    busy = [k for k in range(parts)
-            if search._even_rank(d, k * total // parts)
-            < search._even_rank(d, (k + 1) * total // parts)]
-    assert len(busy) >= 2
+    for lo, hi in [(0, total), (12345, GOLDEN_D8_FIRST_HIT), (5, 6)]:
+        bounds = search._part_bounds(SearchSpec(dim=d), lo, hi, jobs)
+        assert bounds[0] == lo and bounds[-1] == hi
+        assert bounds == sorted(set(bounds))
+        ranks = [search._even_rank(d, b) for b in bounds]
+        assert all(r % width == 0 for r in ranks[1:-1])
+        assert len(bounds) - 1 == \
+            max(1, -(-ranks[-1] // width) - ranks[0] // width)
+    assert len(bounds) == 2
+
+
+def test_run_partitioned_streams_to_sink():
+    # the pool also splits the range of a partition, here into 4 parts
+    spec = SearchSpec(dim=8, partition=(219, 512))
+    assert len(search._part_bounds(spec, *search._spec_range(spec), 2)) == 5
+    serial, serial_hits = collect_hits(spec)
+    streamed = []
+    merged, returned = run_partitioned(spec, 2, streamed.append)
+    assert returned == []
+    assert (merged.candidates, merged.tested, merged.pruned) == \
+        (serial.candidates, serial.tested, serial.pruned)
+    assert merged.hits == serial.hits == len(streamed) > 0
+    assert [h.candidate_index for h in streamed] == \
+        [h.candidate_index for h in serial_hits]
+    assert [h.report for h in streamed] == [h.report for h in serial_hits]
+
+
+def test_run_partitioned_runs_one_block_without_a_pool(monkeypatch):
+    # the ranks of shard 1740/4096 of d=8 are one lane block
+    import multiprocessing
+
+    def no_pool(*args, **kwargs):
+        raise AssertionError("a pool for a single part")
+    monkeypatch.setattr(multiprocessing, "Pool", no_pool)
+    spec = SearchSpec(dim=8, partition=(1740, 4096))
+    merged, hits = run_partitioned(spec, 2)
+    serial, serial_hits = collect_hits(spec)
+    assert merged.hits == serial.hits == len(hits) > 0
+    assert [h.candidate_index for h in hits] == \
+        [h.candidate_index for h in serial_hits]
 
 
 @pytest.mark.parametrize("d, limit", [
