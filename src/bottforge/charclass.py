@@ -4,6 +4,9 @@ For the ring of a Bott matrix the total Stiefel-Whitney class factors as a
 product of line-bundle classes (1 + y_i), so w_m is the m-th elementary
 symmetric polynomial in the y classes.  In particular w_1 = sum y_i and the
 manifold is orientable exactly when every row of the matrix has even sum.
+The product is formed as one kernel value, truncated above the highest
+degree asked for, one product by y_i per column; the graded parts are cut
+out of it by degree masks.
 
 The total Steenrod square is determined by Sq(x_i) = x_i + x_i^2 together
 with multiplicativity, which on a squarefree monomial x_S expands to the
@@ -11,7 +14,10 @@ sum of x_S * x_T over subsets T of S.
 
 A matrix passes the counterexample criterion when its manifold is
 orientable and w_3^2 is nonzero; dimensions below 6 never pass because
-w_3^2 lives in degree 6.
+w_3^2 lives in degree 6.  Squaring is a ring map in characteristic 2, so
+w_3^2 = e_3(y_1^2, ..., y_d^2), the degree-6 part of prod (1 + y_i)^2,
+two products by y_i per column.  The criterion evaluates a stack of
+matrices of one dimension in one dense ring context.
 """
 
 from __future__ import annotations
@@ -19,12 +25,12 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .gf2ring import (
+    DENSE_DIM_LIMIT,
     BottMatrix,
     Gf2Poly,
     RingContext,
     _bits,
     make_context,
-    square,
 )
 
 
@@ -46,17 +52,14 @@ class SwReport:
     witness: int | None
 
 
-def _esym_reps(ctx: RingContext, m: int) -> list:
-    """Kernel values of e_0(y)..e_m(y) via the product of (1 + y_i).
-
-    Degrees above m are never formed, which keeps the w_1 / w_3 path of
-    the criterion cheap.
-    """
-    g = [ctx._unit(0)] + [ctx._kzero()] * m
-    for form in ctx.y_support:
+def _total_class(ctx: RingContext, top: int):
+    """Kernel value of prod (1 + y_i) in every slot, without the terms of
+    degree above ``top``: each column adds y_i times the part below
+    ``top``."""
+    g = ctx._unit(0)
+    for form in ctx.y_form:
         if form:
-            for k in range(m, 0, -1):
-                g[k] ^= ctx._mul_form(g[k - 1], form)
+            g ^= ctx._mul_form(ctx._cut(g, 0, top - 1), form)
     return g
 
 
@@ -123,13 +126,13 @@ def stiefel_whitney(ctx: RingContext, m: int) -> Gf2Poly:
     """w_m of the manifold of ``ctx``: e_m(y_1, ..., y_d), reduced."""
     if not 0 <= m <= ctx.dim:
         raise ValueError(f"degree {m} outside 0..{ctx.dim}")
-    return ctx._wrap(_esym_reps(ctx, m)[m])
+    return ctx._wrap(ctx._cut(_total_class(ctx, m), m, m))
 
 
 def total_stiefel_whitney(ctx: RingContext) -> list[Gf2Poly]:
     """All graded parts [w_0, w_1, ..., w_d]."""
-    reps = _esym_reps(ctx, ctx.dim)
-    return [ctx._wrap(r) for r in reps]
+    total = _total_class(ctx, ctx.dim)
+    return [ctx._wrap(ctx._cut(total, k, k)) for k in range(ctx.dim + 1)]
 
 
 def total_steenrod_square(ctx: RingContext, p: Gf2Poly) -> list[Gf2Poly]:
@@ -144,7 +147,7 @@ def total_steenrod_square(ctx: RingContext, p: Gf2Poly) -> list[Gf2Poly]:
     for s in p.terms:
         parts = {0: ctx._unit(s)}
         for k in _bits(s):
-            parts.update({t | 1 << k: ctx._mul_form(part, ctx.y_support[k])
+            parts.update({t | 1 << k: ctx._mul_form(part, ctx.y_form[k])
                           for t, part in parts.items()})
         for t, part in parts.items():
             comps[t.bit_count()] ^= part
@@ -162,23 +165,59 @@ def counterexample_criterion(matrix: BottMatrix) -> SwReport:
     The verdict is true exactly when w_1 = 0 and w_3^2 != 0.  The w_1
     computation is cross-checked against the row-sum test.
     """
-    ctx = make_context(matrix)
-    reps = _esym_reps(ctx, 3)
-    w1 = ctx._wrap(reps[1])
-    w3 = ctx._wrap(reps[3])
-    w3sq = square(ctx, w3)
-    orientable = not w1
-    if orientable != orientable_by_rowsums(matrix):
-        raise AssertionError("w1 vanishing disagrees with row sums")
-    witness = None
-    if w3sq:
-        witness = min(w3sq.terms, key=lambda m: (m.bit_count(), m))
-    return SwReport(
-        dim=matrix.dim,
-        orientable=orientable,
-        w1=w1,
-        w3=w3,
-        w3sq=w3sq,
-        verdict=orientable and bool(w3sq),
-        witness=witness,
-    )
+    return counterexample_criteria([matrix])[0]
+
+
+def counterexample_criteria(matrices) -> list[SwReport]:
+    """:func:`counterexample_criterion` of each of ``matrices``, which must
+    share one dimension, in input order.
+
+    Up to ``DENSE_DIM_LIMIT`` they are evaluated together, one slot each of
+    a stacked dense ring context, so a value holds len(matrices) * 2^dim
+    bits; callers bound the stack.  Above it each matrix has its own
+    sparse context.
+    """
+    matrices = list(matrices)
+    if any(not isinstance(m, BottMatrix) for m in matrices):
+        raise TypeError("counterexample_criteria expects BottMatrix values")
+    if len({m.dim for m in matrices}) > 1:
+        raise ValueError("counterexample_criteria needs matrices of one "
+                         "dimension")
+    if not matrices:
+        return []
+    if matrices[0].dim > DENSE_DIM_LIMIT:
+        return [report for m in matrices
+                for report in _stack_reports(make_context(m), [m])]
+    return _stack_reports(RingContext.stacked(matrices), matrices)
+
+
+def _stack_reports(ctx: RingContext, matrices: list) -> list[SwReport]:
+    """The reports of the matrices in the slots of ``ctx``, in slot
+    order."""
+    g = _total_class(ctx, 3)
+    # prod (1 + y_i^2) up to degree 6, y_i^2 as two products by y_i
+    h = ctx._unit(0)
+    for form in ctx.y_form:
+        if form:
+            h ^= ctx._mul_form(ctx._mul_form(ctx._cut(h, 0, 4), form), form)
+    reports = []
+    for matrix, w1, w3, w3sq in zip(matrices,
+                                    ctx._unstack(ctx._cut(g, 1, 1)),
+                                    ctx._unstack(ctx._cut(g, 3, 3)),
+                                    ctx._unstack(ctx._cut(h, 6, 6))):
+        w1, w3, w3sq = ctx._wrap(w1), ctx._wrap(w3), ctx._wrap(w3sq)
+        orientable = not w1
+        if orientable != orientable_by_rowsums(matrix):
+            raise AssertionError("w1 vanishing disagrees with row sums")
+        reports.append(SwReport(
+            dim=matrix.dim,
+            orientable=orientable,
+            w1=w1,
+            w3=w3,
+            w3sq=w3sq,
+            verdict=orientable and bool(w3sq),
+            # w3sq is homogeneous, so its first term in canonical order is
+            # its smallest mask
+            witness=min(w3sq.terms) if w3sq else None,
+        ))
+    return reports

@@ -14,9 +14,12 @@ rendered strings such as ``"x1x2x4"`` and in diagnostics.
 
 Internally a ring context holds a polynomial in one of two equivalent
 forms: for dim <= 12 a single int whose bit at position ``mask`` marks the
-monomial (dense, used by the search's re-check), and for larger dim a
-frozenset of masks; products rewrite whole sets of terms at once, with no
-tables.  Both serialize through the same canonical (degree, mask) order.
+monomial (dense), and for larger dim a frozenset of masks; products
+rewrite whole sets of terms at once, with no tables.  Both serialize
+through the same canonical (degree, mask) order.  A dense context can also
+stack many matrices of one dimension, each in its own slot of bits of one
+int, so that one big-int operation acts on all of them; the search
+re-checks the hits of a kernel call that way.
 """
 
 from __future__ import annotations
@@ -25,6 +28,7 @@ import re
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import combinations
+from struct import Struct
 
 MAX_DIM = 64
 DENSE_DIM_LIMIT = 12
@@ -208,15 +212,25 @@ def parse_monomial(s: str) -> int:
 
 
 class RingContext:
-    """Reduction data for one matrix: its y classes, and no memo or tables.
+    """Reduction data for one matrix, or a stack of matrices of one
+    dimension: their y classes as linear forms, and no memo or tables.
 
     The context chooses a dense int-bitset polynomial kernel for
     dim <= ``DENSE_DIM_LIMIT`` and a frozenset kernel above it; the public
     API is identical either way.  ``y_support[j]`` is the mask of rows with
     a 1 in column j; ``yclass`` is derived from it on first use.
+
+    A context built by :meth:`stacked` holds ``slots`` matrices in one
+    dense kernel: matrix k owns the k-th run of ``_width`` bits of every
+    value, its slot.  It has no single ``matrix``, ``y_support`` or
+    ``yclass`` (all None).  A linear form is a tuple of pairs (m, sel): in
+    the slots that the mask ``sel`` covers, it holds x_m.  ``y_form[l]`` is
+    y_l of every slot's matrix.  A one-matrix context is the case of one
+    slot, whose selectors are all -1.
     """
 
-    __slots__ = ("dim", "matrix", "y_support", "_yclass", "_dense", "_free")
+    __slots__ = ("dim", "matrix", "y_support", "y_form", "slots", "_yclass",
+                 "_dense", "_free", "_width", "_cuts")
 
     def __init__(self, matrix: BottMatrix):
         dim = matrix.dim
@@ -227,9 +241,54 @@ class RingContext:
         self.dim = dim
         self.matrix = matrix
         self.y_support = tuple(supports)
+        self.y_form = tuple(tuple((m, -1) for m in _bits(sup))
+                            for sup in supports)
+        self.slots = 1
         self._yclass = None
         self._dense = dim <= DENSE_DIM_LIMIT
         self._free = _free_slots(dim) if self._dense else None
+        self._width = _slot_width(dim)
+        self._cuts = {}
+
+    @classmethod
+    def stacked(cls, matrices) -> "RingContext":
+        """One dense context for matrices of one dimension, matrix k in
+        slot k.
+
+        The rows of every matrix are packed into its own slot of one int,
+        so the slots that have entry (m, l) are one shift and AND away;
+        spread over their slots, they are the selector of x_m in y_l.
+        """
+        matrices = list(matrices)
+        dim = matrices[0].dim
+        if any(m.dim != dim for m in matrices):
+            raise ValueError("stacked matrices must share one dimension")
+        if dim > DENSE_DIM_LIMIT:
+            raise ValueError(f"dimension {dim} above the dense limit")
+        if len(matrices) == 1:
+            return cls(matrices[0])
+        self = cls.__new__(cls)
+        self.dim = dim
+        self.matrix = self.y_support = self._yclass = None
+        self.slots = len(matrices)
+        self._dense = True
+        width = self._width = _slot_width(dim)
+        self._cuts = {}
+        self._free = tuple(self._repeat(f) for f in _free_slots(dim))
+        pack = Struct(f"<{dim}H{width // 8 - 2 * dim}x").pack
+        entries = int.from_bytes(b"".join(pack(*m.rows) for m in matrices),
+                                 "little")
+        ones = self._repeat(1)
+        forms = []
+        for l in range(dim):
+            form = []
+            for m in range(l):
+                # bit 0 of the slots whose matrix has entry (m, l)
+                if starts := entries >> 16 * m + l & ones:
+                    form.append((m, (starts << width) - starts))
+            forms.append(tuple(form))
+        self.y_form = tuple(forms)
+        return self
 
     @classmethod
     def from_column_supports(cls, dim: int, supports) -> "RingContext":
@@ -249,51 +308,79 @@ class RingContext:
                 for sup in self.y_support)
         return self._yclass
 
-    # kernel primitives: a kernel value is an int bitset over monomial slots
-    # when dense, otherwise a frozenset of masks; both support ^.
+    # kernel primitives: a kernel value is an int bitset over monomial masks
+    # when dense, one run of bits per slot, otherwise a frozenset of masks;
+    # both support ^.
+
+    def _repeat(self, mask: int) -> int:
+        """A one-slot dense mask copied into every slot."""
+        if self.slots == 1:
+            return mask
+        return int.from_bytes(mask.to_bytes(self._width // 8, "little")
+                              * self.slots, "little")
 
     def _kzero(self):
         return 0 if self._dense else frozenset()
 
     def _unit(self, mask: int):
-        return 1 << mask if self._dense else frozenset((mask,))
+        """The monomial x_mask, in every slot."""
+        return self._repeat(1 << mask) if self._dense else frozenset((mask,))
 
     def _rep(self, masks):
         return sum(1 << m for m in masks) if self._dense else frozenset(masks)
 
     def _wrap(self, rep) -> Gf2Poly:
+        """The polynomial of a one-slot kernel value."""
         return Gf2Poly(frozenset(_bits(rep)) if self._dense else rep)
 
-    def _mul_form(self, rep, form: int):
-        """Reduced product of a kernel value and the linear form
-        sum(x_l for l in form); y_k has the form ``y_support[k]``.
+    def _unstack(self, rep) -> list:
+        """The one-slot kernel values of the slots of ``rep``, in order."""
+        if self.slots == 1:
+            return [rep]
+        n = self._width // 8
+        raw = rep.to_bytes(n * self.slots, "little")
+        return [int.from_bytes(raw[at:at + n], "little")
+                for at in range(0, len(raw), n)]
 
-        A term x_S without x_l moves to x_{S+l}; in the dense kernel they
-        all move at once, one shift of the bitset.  A term holding x_l owes
-        x_S * y_l instead, since x_l^2 = x_l * y_l, and y_l only involves
-        x_m, m < l.  The owed terms are settled from the top index down,
-        each index's whole set at once: a term owed twice at one index
-        cancels, so each term is rewritten at most once per index however
-        many paths lead there.
+    def _cut(self, rep, lo: int, hi: int):
+        """The terms of ``rep`` of degree lo..hi."""
+        if not self._dense:
+            return frozenset(t for t in rep if lo <= t.bit_count() <= hi)
+        mask = self._cuts.get((lo, hi))
+        if mask is None:
+            mask = self._cuts[lo, hi] = self._repeat(
+                _degree_mask(self.dim, lo, hi))
+        return rep & mask
+
+    def _mul_form(self, rep, form):
+        """Reduced product of a kernel value and a linear form, in each
+        slot the sum of the x_m that the form selects there; y_k has the
+        form ``y_form[k]`` and x_k the form ``((k, -1),)``.
+
+        A term x_S without x_m moves to x_{S+m}; in the dense kernel they
+        all move at once, in every slot, one shift of the bitset.  A term
+        holding x_m owes x_S * y_m instead, since x_m^2 = x_m * y_m, and
+        y_m only involves x_i, i < m.  The owed terms are settled from the
+        top index down, each index's whole set at once: a term owed twice
+        at one index cancels, so each term is rewritten at most once per
+        index however many paths lead there.
         """
-        dense, free = self._dense, self._free
+        dense, free, y_form = self._dense, self._free, self.y_form
         acc = 0 if dense else set()
         owed = [0 if dense else frozenset()] * self.dim
         due = 0
         held = rep
         while True:
             if dense:
-                while form:
-                    bit = form & -form
-                    form ^= bit
-                    m = bit.bit_length() - 1
-                    part = held & free[m]
-                    acc ^= part << bit
-                    if new := held ^ part:
+                for m, sel in form:
+                    sub = held & sel
+                    part = sub & free[m]
+                    acc ^= part << (1 << m)
+                    if new := sub ^ part:
                         owed[m] ^= new
-                        due |= bit
+                        due |= 1 << m
             else:
-                for m in _bits(form):
+                for m, _ in form:
                     bit = 1 << m
                     acc ^= {t | bit for t in held if not t & bit}
                     if new := frozenset(t for t in held if t & bit):
@@ -304,12 +391,12 @@ class RingContext:
             l = due.bit_length() - 1
             due ^= 1 << l
             held = owed[l]
-            form = self.y_support[l] if held else 0
+            form = y_form[l] if held else ()
 
 
 @lru_cache(maxsize=None)
 def _free_slots(dim: int) -> tuple:
-    """Per generator l, the dense bitset of the monomial slots without x_l."""
+    """Per generator l, the dense bitset of the monomials without x_l."""
     out = []
     for l in range(dim):
         period = 1 << (l + 1)
@@ -317,6 +404,18 @@ def _free_slots(dim: int) -> tuple:
         reps = ((1 << (1 << dim)) - 1) // ((1 << period) - 1)
         out.append(reps * ((1 << (1 << l)) - 1))
     return tuple(out)
+
+
+@lru_cache(maxsize=None)
+def _degree_mask(dim: int, lo: int, hi: int) -> int:
+    """The dense bitset of the monomials of degree lo..hi."""
+    return sum(1 << s for s in range(1 << dim) if lo <= s.bit_count() <= hi)
+
+
+def _slot_width(dim: int) -> int:
+    """Bits per slot of a stacked context: room for the monomials, and for
+    the matrix rows packed there at 16 bits each."""
+    return max(1 << dim, 16 * dim)
 
 
 def make_context(matrix: BottMatrix) -> RingContext:
@@ -334,7 +433,7 @@ def multiply(ctx: RingContext, p: Gf2Poly, q: Gf2Poly) -> Gf2Poly:
     for a in p.terms:
         part = qrep
         for k in _bits(a):
-            part = ctx._mul_form(part, 1 << k)
+            part = ctx._mul_form(part, ((k, -1),))
         rep ^= part
     return ctx._wrap(rep)
 
@@ -345,7 +444,7 @@ def square(ctx: RingContext, p: Gf2Poly) -> Gf2Poly:
     for a in p.terms:
         part = ctx._unit(a)
         for k in _bits(a):
-            part = ctx._mul_form(part, ctx.y_support[k])
+            part = ctx._mul_form(part, ctx.y_form[k])
         rep ^= part
     return ctx._wrap(rep)
 
@@ -424,7 +523,7 @@ def pairing_matrix(ctx: RingContext, k: int) -> list[list[int]]:
             if rep is None:
                 rep = ctx._unit(s | t)
                 for j in _bits(s & t):
-                    rep = ctx._mul_form(rep, ctx.y_support[j])
+                    rep = ctx._mul_form(rep, ctx.y_form[j])
                 memo[key] = rep
             if ctx._dense:
                 row.append((rep >> top) & 1)

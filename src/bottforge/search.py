@@ -13,9 +13,10 @@ get no ring work and are counted as pruned.  The orientable candidates
 are decided 2^LANE_BITS at a time by the bit-sliced kernel
 :func:`charclass.w3_square_lanes`: entry (i, j) of every candidate of a
 batch sits in one int, bit n for candidate n, so one big-int operation
-acts on the whole batch.  The hits of a batch leave in candidate order,
-and each is re-checked by the full criterion on a fresh ring context, a
-separate route.
+acts on the whole batch.  The hits of a batch leave in candidate order.
+Each is rebuilt from its counter and re-checked by the full criterion, a
+separate route: up to RECHECK_STACK of them at a time, each in its own
+slot of one stacked ring context.
 
 Exhaustive mode numbers the all-even counters by rank.  A rank drops
 entry (i, i+1) of every row, the parity of the rest of the row, so ranks
@@ -33,14 +34,15 @@ in index order, is transposed into entry lanes.
 
 from __future__ import annotations
 
-import json
+import gc
 import time
 from collections import deque
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import islice
 
-from .charclass import SwReport, counterexample_criterion, w3_square_lanes
+from .charclass import (SwReport, counterexample_criteria,
+                        counterexample_criterion, w3_square_lanes)
 from .gf2ring import BottMatrix, _bits, _free_slots, format_monomial
 # importable from here for the benchmark's trace hooks, which patch them by
 # name; the search itself no longer calls them
@@ -54,6 +56,11 @@ MIN_HIT_DIM = 6
 # kernel, one per bit of its lane ints; 2^12 and 2^13 measure alike, 2^11
 # and 2^14 slower.
 LANE_BITS = 13
+# Hits re-checked together in one stacked ring context.  Searches at
+# d = 8..10 measure within 5% of each other from 2^6 to 2^9 hits, 2^8 the
+# best; smaller stacks pay more per stack, larger ones hold more indices
+# owed by some slot.  A d=12 value of 2^8 slots is 128 KB.
+RECHECK_STACK = 1 << 8
 
 
 class SpecTooLargeError(ValueError):
@@ -421,14 +428,21 @@ def _enumerate_range(spec: SearchSpec, lo: int, hi: int, sink) -> SearchStats:
     stats = SearchStats(dim=d, mode=spec.mode, candidates=hi - lo)
     start = time.perf_counter()
 
-    def emit(counter: int, index: int) -> None:
-        matrix = matrix_from_counter(d, counter)
-        report = counterexample_criterion(matrix)
-        if not report.verdict:
-            raise AssertionError("fast path disagreed with full criterion")
-        stats.hits += 1
-        if sink is not None:
-            sink(SearchHit(matrix=matrix, report=report, candidate_index=index))
+    def emit(found: list) -> None:
+        """Re-check the (index, counter) hits of one kernel call, in order,
+        and pass them to the sink."""
+        for at in range(0, len(found), RECHECK_STACK):
+            stack = found[at:at + RECHECK_STACK]
+            matrices = [matrix_from_counter(d, c) for _, c in stack]
+            reports = counterexample_criteria(matrices)
+            if not all(r.verdict for r in reports):
+                raise AssertionError("fast path disagreed with full criterion")
+            stats.hits += len(stack)
+            if sink is not None:
+                for matrix, report, (index, _) in zip(matrices, reports,
+                                                      stack):
+                    sink(SearchHit(matrix=matrix, report=report,
+                                   candidate_index=index))
 
     # below MIN_HIT_DIM no candidate needs the criterion
     decide = d >= MIN_HIT_DIM
@@ -447,9 +461,8 @@ def _enumerate_range(spec: SearchSpec, lo: int, hi: int, sink) -> SearchStats:
                 continue
             hits = valid & w3_square_lanes(
                 d, _block_entries(d, base, lane_bits), width)
-            for n in _bits(hits):
-                counter = _counter_from_rank(d, base + n)
-                emit(counter, counter)
+            found = [_counter_from_rank(d, base + n) for n in _bits(hits)]
+            emit(list(zip(found, found)))
     else:
         draws = _orientable_draws(d, spec.seed, lo, hi)
         while batch := list(islice(draws, 1 << LANE_BITS)):
@@ -457,9 +470,7 @@ def _enumerate_range(spec: SearchSpec, lo: int, hi: int, sink) -> SearchStats:
             if decide:
                 hits = w3_square_lanes(
                     d, _draw_entries(d, [c for _, c in batch]), len(batch))
-                for n in _bits(hits):
-                    index, counter = batch[n]
-                    emit(counter, index)
+                emit([batch[n] for n in _bits(hits)])
     stats.pruned = stats.candidates - stats.tested
     stats.wall_time_s = time.perf_counter() - start
     return stats
@@ -509,7 +520,9 @@ def run_partitioned(spec: SearchSpec, jobs: int, sink=None
     most two parts per worker out at once, a slow sink holds the pool back
     instead of finished parts piling up here.  Without a sink the hits are
     collected and returned.  Hits and counters match the single-process
-    run; wall time is the elapsed time of the whole fan-out.
+    run; wall time is the elapsed time of the whole fan-out.  The cyclic
+    garbage collector is off while the pool runs, and is left as it was
+    found.
     """
     hits: list[SearchHit] = []
     if sink is None:
@@ -523,17 +536,33 @@ def run_partitioned(spec: SearchSpec, jobs: int, sink=None
 
     merged = SearchStats(dim=spec.dim, mode=spec.mode, candidates=hi - lo)
     parts = ((spec, a, b) for a, b in zip(bounds, bounds[1:]))
-    with multiprocessing.Pool(jobs) as pool:
-        ahead = deque(pool.apply_async(_range_worker, part)
-                      for part in islice(parts, 2 * jobs))
-        while ahead:
-            part_stats, part_hits = ahead.popleft().get()
-            ahead.extend(pool.apply_async(_range_worker, part)
-                         for part in islice(parts, 1))
-            merged.tested += part_stats.tested
-            merged.hits += part_stats.hits
-            for hit in part_hits:
-                sink(hit)
+    # unpickling the parts' hits makes many objects and no reference
+    # cycles, and each collection it triggers walks all the hits held here
+    collecting = gc.isenabled()
+    gc.disable()
+    try:
+        with multiprocessing.Pool(jobs) as pool:
+            ahead = deque(pool.apply_async(_range_worker, part)
+                          for part in islice(parts, 2 * jobs))
+            try:
+                while ahead:
+                    part_stats, part_hits = ahead.popleft().get()
+                    ahead.extend(pool.apply_async(_range_worker, part)
+                                 for part in islice(parts, 1))
+                    merged.tested += part_stats.tested
+                    merged.hits += part_stats.hits
+                    for hit in part_hits:
+                        sink(hit)
+            except Exception:
+                # leaving the pool terminates it; a worker killed while it
+                # sends a part's result can leave the pool waiting on half
+                # a message for ever, so the parts in flight finish first
+                for part in ahead:
+                    part.wait()
+                raise
+    finally:
+        if collecting:
+            gc.enable()
     merged.pruned = merged.candidates - merged.tested
     merged.wall_time_s = time.perf_counter() - start
     return merged, hits
@@ -553,7 +582,19 @@ def hit_record(hit: SearchHit) -> dict:
 
 
 def hit_json(hit: SearchHit) -> str:
-    return json.dumps(hit_record(hit), separators=(", ", ": "))
+    """:func:`hit_record` as one JSON line, as ``json.dumps`` writes it
+    with separators ", " and ": "; row strings and monomials need no
+    escapes."""
+    report = hit.report
+    witness = report.witness
+    return ('{"dim": %d, "matrix": ["%s"], "orientable": %s, '
+            '"w3sq_nonzero": %s, "witness": %s, "candidate_index": %d}' % (
+                hit.matrix.dim, '", "'.join(hit.matrix.to_row_strings()),
+                "true" if report.orientable else "false",
+                "true" if report.w3sq else "false",
+                "null" if witness is None
+                else '"%s"' % format_monomial(witness),
+                hit.candidate_index))
 
 
 # Reference matrices with known verdicts: the 9 x 9 witness and the two

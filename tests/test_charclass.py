@@ -6,6 +6,7 @@ from itertools import combinations
 import pytest
 
 from bottforge.charclass import (
+    counterexample_criteria,
     counterexample_criterion,
     orientable_by_rowsums,
     stiefel_whitney,
@@ -14,6 +15,7 @@ from bottforge.charclass import (
     w3_square_lanes,
 )
 from bottforge.gf2ring import (
+    DENSE_DIM_LIMIT,
     BottMatrix,
     Gf2Poly,
     format_monomial,
@@ -22,6 +24,8 @@ from bottforge.gf2ring import (
     parse_monomial,
     square,
 )
+
+from bottforge.search import REFERENCE_MATRICES
 
 from helpers import random_bott_matrix
 
@@ -73,10 +77,12 @@ def test_d9_w1_vanishes():
 
 
 def test_total_class_agrees_with_product_expansion():
-    """Direct product of (1 + y_i), fully expanded, graded by degree."""
+    """Direct product of (1 + y_i), fully expanded, graded by degree, up to
+    the last dense and the first sparse sizes."""
     rng = random.Random(21)
-    for _ in range(30):
-        d = rng.randint(1, 7)
+    dims = [rng.randint(1, 7) for _ in range(30)] + [
+        DENSE_DIM_LIMIT, DENSE_DIM_LIMIT + 1, DENSE_DIM_LIMIT + 2]
+    for d in dims:
         ctx = make_context(random_bott_matrix(rng, d))
         prod = Gf2Poly.one()
         for y in ctx.yclass:
@@ -281,6 +287,76 @@ def test_witness_is_smallest_term_and_coefficient_one():
         # re-extract the coefficient through an independent product
         w3 = stiefel_whitney(make_context(m), 3)
         assert report.witness in multiply(make_context(m), w3, w3).terms
+
+
+# ------------------------------------------------------- stacked criterion
+
+def _criterion_by_square(m):
+    """The criterion on a fresh context of m alone, w3^2 squared term by
+    term (the route before the stacked Frobenius form)."""
+    ctx = make_context(m)
+    w1, w3 = stiefel_whitney(ctx, 1), stiefel_whitney(ctx, 3)
+    w3sq = square(ctx, w3)
+    witness = min(w3sq.terms, key=lambda t: (t.bit_count(), t), default=None)
+    return (not w1, w1, w3, w3sq, not w1 and bool(w3sq), witness)
+
+
+def _report_tuple(r):
+    return (r.orientable, r.w1, r.w3, r.w3sq, r.verdict, r.witness)
+
+
+def _mixed_stack(rng, d, count):
+    """Matrices of random density, every other one made orientable, with
+    some zero columns and the zero matrix."""
+    stack = [BottMatrix.zero(d)]
+    for n in range(1, count):
+        m = random_bott_matrix(rng, d, rng.random())
+        if n % 2:
+            m = _even_rows(m)
+        if n % 3 == 0:
+            j = rng.randrange(d)
+            m = BottMatrix(d, tuple(r & ~(1 << j) for r in m.rows))
+        stack.append(m)
+    return stack
+
+
+@pytest.mark.parametrize("d", range(6, DENSE_DIM_LIMIT + 3))
+def test_stacked_criteria_match_square_route(d):
+    """Each slot of a stack against the term-by-term square on its own
+    context, in input order: the whole stack, a permutation of it, a stack
+    of one; from d=13 on, one sparse context per matrix."""
+    rng = random.Random(700 + d)
+    stack = _mixed_stack(rng, d, 40 if d <= DENSE_DIM_LIMIT else 6)
+    expected = [_criterion_by_square(m) for m in stack]
+    assert [_report_tuple(r) for r in counterexample_criteria(stack)] == \
+        expected
+    order = list(range(len(stack)))
+    rng.shuffle(order)
+    assert [_report_tuple(r) for r in counterexample_criteria(
+        [stack[n] for n in order])] == [expected[n] for n in order]
+    for n in (0, len(stack) - 1):
+        assert _report_tuple(counterexample_criteria([stack[n]])[0]) == \
+            _report_tuple(counterexample_criterion(stack[n])) == expected[n]
+    if d >= 8:
+        assert any(e[4] for e in expected) and not all(e[0] for e in expected)
+
+
+def test_stacked_criteria_reference_matrices():
+    """The reference matrices, alone and stacked with copies of themselves
+    and the zero matrix, against the term-by-term square."""
+    for m in REFERENCE_MATRICES:
+        expected = _criterion_by_square(m)
+        assert expected[4]
+        stack = [m, BottMatrix.zero(m.dim), m]
+        got = [_report_tuple(r) for r in counterexample_criteria(stack)]
+        assert got[0] == got[2] == expected
+        assert got[1] == _criterion_by_square(BottMatrix.zero(m.dim))
+
+
+def test_stacked_criteria_reject_mixed_dimensions():
+    with pytest.raises(ValueError):
+        counterexample_criteria([BottMatrix.zero(8), BottMatrix.zero(9)])
+    assert counterexample_criteria([]) == []
 
 
 # ------------------------------------------------------------ lane kernel

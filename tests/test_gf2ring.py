@@ -301,7 +301,7 @@ def test_mul_y_matches_multiply(d):
             rep = ctx._kzero()
             for t in p.terms:
                 rep ^= ctx._unit(t)
-            assert ctx._wrap(ctx._mul_form(rep, ctx.y_support[k])) == \
+            assert ctx._wrap(ctx._mul_form(rep, ctx.y_form[k])) == \
                 multiply(make_context(m), p, ctx.yclass[k])
 
 
@@ -335,9 +335,9 @@ def test_whole_set_rewrite_against_naive_rewriter(d):
         rep = ctx._rep(p.terms)
         for k in rng.sample(range(d), 4):
             y_k = {1 << i for i in range(d) if supports[k] >> i & 1}
-            assert ctx._wrap(ctx._mul_form(rep, ctx.y_support[k])).terms == \
+            assert ctx._wrap(ctx._mul_form(rep, ctx.y_form[k])).terms == \
                 naive_multiply(supports, p.terms, y_k)
-            assert ctx._wrap(ctx._mul_form(rep, 1 << k)).terms == \
+            assert ctx._wrap(ctx._mul_form(rep, ((k, -1),))).terms == \
                 naive_multiply(supports, p.terms, {1 << k})
         assert multiply(ctx, p, q).terms == \
             naive_multiply(supports, p.terms, q.terms)
@@ -356,9 +356,9 @@ def test_high_degree_terms_on_the_full_matrix(d):
     ctx = make_context(m)
     for n in range(1, d):
         low = (1 << n) - 1
-        assert ctx._mul_form(ctx._unit(low >> 1), ctx.y_support[n]) == \
+        assert ctx._mul_form(ctx._unit(low >> 1), ctx.y_form[n]) == \
             ctx._unit(low)
-        assert not ctx._mul_form(ctx._unit(low), ctx.y_support[n])
+        assert not ctx._mul_form(ctx._unit(low), ctx.y_form[n])
     if d > DENSE_DIM_LIMIT + 1:
         return
     rng = random.Random(600 + d)
@@ -367,8 +367,8 @@ def test_high_degree_terms_on_the_full_matrix(d):
                            (1 << rng.randrange(d)) for _ in range(4))
     rep = ctx._rep(p.terms)
     for k in range(d):
-        for form, q in [(ctx.y_support[k], ctx.yclass[k].terms),
-                        (1 << k, {1 << k})]:
+        for form, q in [(ctx.y_form[k], ctx.yclass[k].terms),
+                        (((k, -1),), {1 << k})]:
             assert ctx._wrap(ctx._mul_form(rep, form)).terms == \
                 naive_multiply(supports, p.terms, q)
 

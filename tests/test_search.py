@@ -1,5 +1,6 @@
 """Candidate enumeration: packing, pruning, partitioning, golden counts."""
 
+import gc
 import json
 import os
 import random
@@ -200,6 +201,23 @@ def test_every_emitted_hit_passes_criterion():
     for h in hits:
         assert h.report.verdict
         assert counterexample_criterion(h.matrix).verdict
+
+
+@pytest.mark.parametrize("spec", [
+    SearchSpec(dim=8, partition=(870, 2048)),
+    SearchSpec(dim=9, mode="random", limit=30000, seed=7)])
+def test_flipped_recheck_verdict_raises(monkeypatch, spec):
+    """One re-check verdict that disagrees with the kernel stops the run."""
+    real = search.counterexample_criteria
+
+    def flip_one(matrices):
+        reports = real(matrices)
+        reports[len(reports) // 2] = replace(reports[len(reports) // 2],
+                                             verdict=False)
+        return reports
+    monkeypatch.setattr(search, "counterexample_criteria", flip_one)
+    with pytest.raises(AssertionError):
+        enumerate_space(spec)
 
 
 # -------------------------------------------------------- ranks and blocks
@@ -404,6 +422,60 @@ def test_run_partitioned_streams_to_sink():
     assert [h.candidate_index for h in streamed] == \
         [h.candidate_index for h in serial_hits]
     assert [h.report for h in streamed] == [h.report for h in serial_hits]
+
+
+@pytest.mark.parametrize("enabled", [True, False])
+def test_run_partitioned_restores_gc_state(enabled):
+    """The collector is paused while the parts merge, and left as it was
+    found after a normal return and after a sink that raises."""
+    spec = SearchSpec(dim=9, mode="random", limit=20000, seed=3)
+
+    def failing_sink(hit):
+        raise RuntimeError("sink failed")
+    try:
+        gc.enable() if enabled else gc.disable()
+        seen = []
+        stats, _ = run_partitioned(spec, 2,
+                                   lambda h: seen.append(gc.isenabled()))
+        assert len(seen) == stats.hits > 0 and not any(seen)
+        assert gc.isenabled() == enabled
+        with pytest.raises(RuntimeError):
+            run_partitioned(spec, 2, failing_sink)
+        assert gc.isenabled() == enabled
+    finally:
+        gc.enable()
+
+
+def test_run_partitioned_lets_parts_finish_before_terminating(monkeypatch):
+    """After a sink raises, no part is in flight when the pool is left (and
+    so terminated): a worker killed while it sends its result can leave the
+    pool waiting on half a message for ever."""
+    import multiprocessing
+    real_pool = multiprocessing.Pool
+    submitted, in_flight = [], []
+
+    class WatchedPool:
+        def __init__(self, jobs):
+            self.pool = real_pool(jobs)
+
+        def apply_async(self, *args):
+            submitted.append(self.pool.apply_async(*args))
+            return submitted[-1]
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            in_flight.append(sum(not r.ready() for r in submitted))
+            return self.pool.__exit__(*exc)
+
+    def failing_sink(hit):
+        raise RuntimeError("sink failed")
+    monkeypatch.setattr(multiprocessing, "Pool", WatchedPool)
+    with pytest.raises(RuntimeError):
+        run_partitioned(SearchSpec(dim=8, partition=(27, 64)), 2,
+                        failing_sink)
+    assert len(submitted) > 1 and in_flight == [0]
 
 
 def test_run_partitioned_runs_one_block_without_a_pool(monkeypatch):
@@ -616,6 +688,27 @@ def test_hit_record_shape():
     assert rec["matrix"] == hits[0].matrix.to_row_strings()
     parsed = json.loads(hit_json(hits[0]))
     assert parsed == rec
+
+
+def test_hit_json_is_json_dumps_of_hit_record():
+    """Byte for byte, on the hits of a d=8 shard and of random runs at
+    d=9..12, and on a report that is no hit (false, null)."""
+    runs = [SearchSpec(dim=8, partition=(870, 2048))] + [
+        SearchSpec(dim=d, mode="random", limit=limit, seed=d)
+        for d, limit in [(9, 30000), (10, 100000), (11, 100000),
+                         (12, 200000)]]
+    hits = []
+    for spec in runs:
+        run_hits = collect_hits(spec)[1]
+        assert run_hits
+        hits += run_hits
+    zero = BottMatrix.zero(9)
+    hits.append(search.SearchHit(matrix=zero,
+                                 report=counterexample_criterion(zero),
+                                 candidate_index=0))
+    for h in hits:
+        assert hit_json(h) == json.dumps(hit_record(h),
+                                         separators=(", ", ": "))
 
 
 # --------------------------------------------------------------- reference
