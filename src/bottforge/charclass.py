@@ -22,7 +22,7 @@ matrices of one dimension in one dense ring context.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 from .gf2ring import (
     DENSE_DIM_LIMIT,
@@ -41,15 +41,38 @@ class SwReport:
     ``witness`` is the smallest monomial of w3sq in canonical order, present
     exactly when w3sq is nonzero (even if the verdict fails on
     orientability).
+
+    The report keeps w1, w3 and w3sq as the kernel values of the ring
+    context that computed them (``_w1``, ``_w3``, ``_w3sq``: an int bitset
+    over monomial masks up to ``DENSE_DIM_LIMIT``, a frozenset of masks
+    above it), so a report that nobody reads costs no polynomial objects
+    and pickles as plain ints; the ``w1``, ``w3`` and ``w3sq`` attributes
+    build the :class:`Gf2Poly` when read.
     """
 
     dim: int
     orientable: bool
-    w1: Gf2Poly
-    w3: Gf2Poly
-    w3sq: Gf2Poly
+    _w1: int | frozenset = field(repr=False)
+    _w3: int | frozenset = field(repr=False)
+    _w3sq: int | frozenset = field(repr=False)
     verdict: bool
     witness: int | None
+
+    @property
+    def w1(self) -> Gf2Poly:
+        return RingContext._wrap(self._w1)
+
+    @property
+    def w3(self) -> Gf2Poly:
+        return RingContext._wrap(self._w3)
+
+    @property
+    def w3sq(self) -> Gf2Poly:
+        return RingContext._wrap(self._w3sq)
+
+    @property
+    def w3sq_nonzero(self) -> bool:
+        return bool(self._w3sq)
 
 
 def _total_class(ctx: RingContext, top: int):
@@ -200,24 +223,23 @@ def _stack_reports(ctx: RingContext, matrices: list) -> list[SwReport]:
     for form in ctx.y_form:
         if form:
             h ^= ctx._mul_form(ctx._mul_form(ctx._cut(h, 0, 4), form), form)
+    dense = ctx._dense
     reports = []
     for matrix, w1, w3, w3sq in zip(matrices,
                                     ctx._unstack(ctx._cut(g, 1, 1)),
                                     ctx._unstack(ctx._cut(g, 3, 3)),
                                     ctx._unstack(ctx._cut(h, 6, 6))):
-        w1, w3, w3sq = ctx._wrap(w1), ctx._wrap(w3), ctx._wrap(w3sq)
         orientable = not w1
         if orientable != orientable_by_rowsums(matrix):
             raise AssertionError("w1 vanishing disagrees with row sums")
-        reports.append(SwReport(
-            dim=matrix.dim,
-            orientable=orientable,
-            w1=w1,
-            w3=w3,
-            w3sq=w3sq,
-            verdict=orientable and bool(w3sq),
-            # w3sq is homogeneous, so its first term in canonical order is
-            # its smallest mask
-            witness=min(w3sq.terms) if w3sq else None,
-        ))
+        # w3sq is homogeneous, so its first term in canonical order is its
+        # smallest mask, in a dense value the lowest set bit
+        if not w3sq:
+            witness = None
+        elif dense:
+            witness = (w3sq & -w3sq).bit_length() - 1
+        else:
+            witness = min(w3sq)
+        reports.append(SwReport(matrix.dim, orientable, w1, w3, w3sq,
+                                orientable and bool(w3sq), witness))
     return reports

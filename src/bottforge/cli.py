@@ -195,7 +195,7 @@ def build_report(report: SwReport, timings: dict,
         "orientable": report.orientable,
         "w1": _poly_strings(report.w1),
         "w3_term_count": len(report.w3),
-        "w3sq_nonzero": bool(report.w3sq),
+        "w3sq_nonzero": report.w3sq_nonzero,
         "witness": format_monomial(report.witness)
                    if report.witness is not None else None,
         "verdict": report.verdict,
@@ -292,7 +292,7 @@ def cmd_reproduce(args) -> int:
             witness = (format_monomial(r.witness)
                        if r.witness is not None else "-")
             print(f"dim={r.dim} orientable={r.orientable} "
-                  f"w3sq_nonzero={bool(r.w3sq)} verdict={r.verdict} "
+                  f"w3sq_nonzero={r.w3sq_nonzero} verdict={r.verdict} "
                   f"witness={witness}")
         target = format_monomial(search.REFERENCE_D9_WITNESS_MASK)
         print(f"coefficient of {target} in w3^2 (dim 9): "

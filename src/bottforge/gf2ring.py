@@ -105,9 +105,7 @@ class BottMatrix:
         return out
 
     def to_row_strings(self) -> list[str]:
-        # format() puts bit 0 last; reversing puts column 0 first
-        spec = f"0{self.dim}b"
-        return [format(row, spec)[::-1] for row in self.rows]
+        return [_row_string(self.dim, row) for row in self.rows]
 
 
 @dataclass(frozen=True)
@@ -183,6 +181,17 @@ class Gf2Poly:
         return " + ".join(self.monomial_strings())
 
 
+# Wire strings of rows and monomials repeat across the hits of a search,
+# so both are cached, with a bound: a large dimension has too many to keep.
+
+@lru_cache(maxsize=1 << 12)
+def _row_string(dim: int, row: int) -> str:
+    """Render a matrix row mask as 0/1 characters, column 0 first."""
+    # format() puts bit 0 last; reversing puts column 0 first
+    return format(row, f"0{dim}b")[::-1]
+
+
+@lru_cache(maxsize=1 << 12)
 def format_monomial(mask: int) -> str:
     """Render a monomial mask as ``"x1x2x4"``; the empty monomial is ``"1"``."""
     if mask == 0:
@@ -260,6 +269,8 @@ class RingContext:
         spread over their slots, they are the selector of x_m in y_l.
         """
         matrices = list(matrices)
+        if not matrices:
+            raise ValueError("stacked needs at least one matrix")
         dim = matrices[0].dim
         if any(m.dim != dim for m in matrices):
             raise ValueError("stacked matrices must share one dimension")
@@ -329,9 +340,12 @@ class RingContext:
     def _rep(self, masks):
         return sum(1 << m for m in masks) if self._dense else frozenset(masks)
 
-    def _wrap(self, rep) -> Gf2Poly:
-        """The polynomial of a one-slot kernel value."""
-        return Gf2Poly(frozenset(_bits(rep)) if self._dense else rep)
+    @staticmethod
+    def _wrap(rep) -> Gf2Poly:
+        """The polynomial of a one-slot kernel value, dense (an int) or
+        sparse (a frozenset)."""
+        return Gf2Poly(rep if isinstance(rep, frozenset)
+                       else frozenset(_bits(rep)))
 
     def _unstack(self, rep) -> list:
         """The one-slot kernel values of the slots of ``rep``, in order."""

@@ -16,14 +16,18 @@ batch sits in one int, bit n for candidate n, so one big-int operation
 acts on the whole batch.  The hits of a batch leave in candidate order.
 Each is rebuilt from its counter and re-checked by the full criterion, a
 separate route: up to RECHECK_STACK of them at a time, each in its own
-slot of one stacked ring context.
+slot of one stacked ring context.  A hit stays plain ints until something
+reads it: its report keeps the kernel values of its slot, and the NDJSON
+line takes its row and witness strings from bounded caches.
 
 Exhaustive mode numbers the all-even counters by rank.  A rank drops
 entry (i, i+1) of every row, the parity of the rest of the row, so ranks
 map one to one and in order onto the all-even counters.  A counter range
 becomes a rank range by counting the all-even counters below each end,
 row by row, without a walk from counter 0, and the entry lanes of an
-aligned block of ranks are periodic patterns.
+aligned block of ranks are periodic patterns.  The rank map is GF(2)-linear,
+so the counter of each hit of a block is one XOR: the block's counter with
+the counter of the hit's lane number, from a table built on first use.
 Random mode jumps the xorshift64* stream straight to the first draw of
 its range with powers of the GF(2) matrix of one state step (Haramoto et
 al., INFORMS J. Comput. 20, 2008), then steps LANES runs of consecutive
@@ -170,6 +174,24 @@ def _counter_from_rank(d: int, rank: int) -> int:
         v = rank >> off - i & ((1 << width - 1) - 1)
         counter |= (v << 1 | v.bit_count() & 1) << off
     return counter
+
+
+@lru_cache(maxsize=None)
+def _low_counters(d: int, lane_bits: int) -> tuple:
+    """``_counter_from_rank(d, n)`` for every n below 2^lane_bits, built on
+    first use.
+
+    The rank map is GF(2)-linear in the rank bits (a row's parity is a sum
+    of its bits), so for a multiple ``base`` of 2^lane_bits and
+    n < 2^lane_bits, the counter of rank base + n = base | n is the XOR of
+    the counters of base and of n.  The table doubles one rank bit at a
+    time.
+    """
+    table = [0]
+    for t in range(lane_bits):
+        top = _counter_from_rank(d, 1 << t)
+        table += [c ^ top for c in table]
+    return tuple(table)
 
 
 def _block_entries(d: int, base: int, lane_bits: int) -> list:
@@ -461,7 +483,9 @@ def _enumerate_range(spec: SearchSpec, lo: int, hi: int, sink) -> SearchStats:
                 continue
             hits = valid & w3_square_lanes(
                 d, _block_entries(d, base, lane_bits), width)
-            found = [_counter_from_rank(d, base + n) for n in _bits(hits)]
+            # the counters of the block's hits by the linear rank map
+            top, low = _counter_from_rank(d, base), _low_counters(d, lane_bits)
+            found = [top ^ low[n] for n in _bits(hits)]
             emit(list(zip(found, found)))
     else:
         draws = _orientable_draws(d, spec.seed, lo, hi)
@@ -571,12 +595,13 @@ def run_partitioned(spec: SearchSpec, jobs: int, sink=None
 def hit_record(hit: SearchHit) -> dict:
     """Wire form of one hit for NDJSON output."""
     report = hit.report
+    witness = report.witness
     return {
         "dim": hit.matrix.dim,
         "matrix": hit.matrix.to_row_strings(),
         "orientable": report.orientable,
-        "w3sq_nonzero": bool(report.w3sq),
-        "witness": format_monomial(report.witness) if report.witness is not None else None,
+        "w3sq_nonzero": report.w3sq_nonzero,
+        "witness": None if witness is None else format_monomial(witness),
         "candidate_index": hit.candidate_index,
     }
 
@@ -584,14 +609,15 @@ def hit_record(hit: SearchHit) -> dict:
 def hit_json(hit: SearchHit) -> str:
     """:func:`hit_record` as one JSON line, as ``json.dumps`` writes it
     with separators ", " and ": "; row strings and monomials need no
-    escapes."""
+    escapes.  Row and monomial strings come from the same cached helpers
+    as :func:`hit_record`'s."""
     report = hit.report
     witness = report.witness
     return ('{"dim": %d, "matrix": ["%s"], "orientable": %s, '
             '"w3sq_nonzero": %s, "witness": %s, "candidate_index": %d}' % (
                 hit.matrix.dim, '", "'.join(hit.matrix.to_row_strings()),
                 "true" if report.orientable else "false",
-                "true" if report.w3sq else "false",
+                "true" if report.w3sq_nonzero else "false",
                 "null" if witness is None
                 else '"%s"' % format_monomial(witness),
                 hit.candidate_index))

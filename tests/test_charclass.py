@@ -1,6 +1,7 @@
 """Characteristic classes, Steenrod squares, and the criterion."""
 
 import random
+from dataclasses import replace
 from itertools import combinations
 
 import pytest
@@ -351,6 +352,37 @@ def test_stacked_criteria_reference_matrices():
         got = [_report_tuple(r) for r in counterexample_criteria(stack)]
         assert got[0] == got[2] == expected
         assert got[1] == _criterion_by_square(BottMatrix.zero(m.dim))
+
+
+@pytest.mark.parametrize("d", [6, 9, DENSE_DIM_LIMIT, DENSE_DIM_LIMIT + 1,
+                               DENSE_DIM_LIMIT + 2])
+def test_stacked_reports_build_polynomials_when_read(d):
+    """A report keeps the kernel values of its slot, ints in the dense
+    kernel and frozensets in the sparse one, and builds w1, w3 and w3sq
+    as polynomials when they are read; they, the witness and
+    ``w3sq_nonzero`` agree with the term-by-term square."""
+    rng = random.Random(800 + d)
+    stack = _mixed_stack(rng, d, 40 if d <= DENSE_DIM_LIMIT else 6)
+    kind = int if d <= DENSE_DIM_LIMIT else frozenset
+    for m, r in zip(stack, counterexample_criteria(stack)):
+        assert {type(r._w1), type(r._w3), type(r._w3sq)} == {kind}
+        assert all(isinstance(p, Gf2Poly) for p in (r.w1, r.w3, r.w3sq))
+        expected = _criterion_by_square(m)
+        assert _report_tuple(r) == expected
+        assert r.w3sq_nonzero is bool(expected[3])
+        assert r.orientable is orientable_by_rowsums(m)
+
+
+def test_report_replace_keeps_the_classes():
+    """``dataclasses.replace`` copies the kept kernel values, so a report
+    with one field changed still reads the same classes."""
+    report = counterexample_criterion(REFERENCE_MATRICES[0])
+    flipped = replace(report, verdict=False)
+    assert report.verdict and not flipped.verdict
+    assert (flipped.w1, flipped.w3, flipped.w3sq, flipped.witness) == \
+        (report.w1, report.w3, report.w3sq, report.witness)
+    assert flipped != report
+    assert replace(flipped, verdict=True) == report
 
 
 def test_stacked_criteria_reject_mixed_dimensions():

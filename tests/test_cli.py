@@ -585,3 +585,13 @@ def test_cli_import_builds_no_jump_table():
             "from bottforge import search\n"
             "print(search._step_power.cache_info().currsize)\n")
     assert _fresh_python(code).split() == ["0"]
+
+
+def test_cli_import_builds_no_counter_table():
+    # the exhaustive block counters are tabled on first use, never at import
+    code = ("import bottforge.cli\n"
+            "from bottforge import search\n"
+            "print(search._low_counters.cache_info().currsize)\n"
+            "search.enumerate_space(search.SearchSpec(dim=6))\n"
+            "print(search._low_counters.cache_info().currsize)\n")
+    assert _fresh_python(code).split() == ["0", "1"]

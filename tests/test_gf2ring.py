@@ -484,3 +484,21 @@ def test_products_preserve_grading():
             assert prod == Gf2Poly.zero()
         else:
             assert all(t.bit_count() == deg for t in prod.terms)
+
+
+def test_stacked_rejects_an_empty_stack():
+    with pytest.raises(ValueError, match="at least one matrix"):
+        RingContext.stacked([])
+
+
+def test_row_strings_match_the_entries():
+    """Row strings, from the cached helper that the NDJSON records share,
+    against the entries read one by one; the caches are bounded."""
+    from bottforge import gf2ring
+    rng = random.Random(23)
+    for d in (1, 2, 8, 13, 40, 64):
+        m = random_bott_matrix(rng, d)
+        assert m.to_row_strings() == [
+            "".join(str(m.entry(i, j)) for j in range(d)) for i in range(d)]
+    assert gf2ring._row_string.cache_info().maxsize is not None
+    assert format_monomial.cache_info().maxsize is not None

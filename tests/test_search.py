@@ -3,6 +3,7 @@
 import gc
 import json
 import os
+import pickle
 import random
 from dataclasses import replace
 from itertools import islice, product
@@ -10,7 +11,7 @@ from itertools import islice, product
 import pytest
 
 from bottforge import search
-from bottforge.charclass import counterexample_criterion
+from bottforge.charclass import counterexample_criterion, orientable_by_rowsums
 from bottforge.gf2ring import BottMatrix
 from bottforge.search import (
     MAX_EXHAUSTIVE_SPAN,
@@ -303,6 +304,46 @@ def test_block_entries_decode_ranks(d):
             assert all(e >> width == 0 for col in entries for e in col)
 
 
+@pytest.mark.parametrize("d", range(6, 12))
+def test_block_counters_are_linear_in_the_rank(d):
+    """The counter of rank base + n is the XOR of the block's counter and
+    the table entry of n, for every lane n of seeded aligned bases, in full
+    blocks and in short blocks of fewer lane bits."""
+    rng = random.Random(60 + d)
+    rank_bits = search.rank_bit_count(d)
+    for lane_bits in (min(search.LANE_BITS, rank_bits), 5, 1):
+        low = search._low_counters(d, lane_bits)
+        assert len(low) == 1 << lane_bits
+        for _ in range(2 if lane_bits > 5 else 8):
+            base = rng.randrange(1 << rank_bits) & -(1 << lane_bits)
+            top = search._counter_from_rank(d, base)
+            assert [top ^ c for c in low] == [
+                search._counter_from_rank(d, base + n)
+                for n in range(1 << lane_bits)]
+
+
+def test_short_range_hits_match_brute_criterion():
+    """A range of 300 ranks is decided in blocks of 2^9 ranks, fewer lane
+    bits than a full block; its hits are the criterion's, wherever the
+    range starts."""
+    d = 8
+    first = search._even_rank(d, GOLDEN_D8_FIRST_HIT)
+    for r_lo in (first - 100, first + 7):
+        lo = search._counter_from_rank(d, r_lo)
+        hi = search._counter_from_rank(d, r_lo + 300)
+        hits = []
+        stats = search._enumerate_range(SearchSpec(dim=d), lo, hi,
+                                        hits.append)
+        assert stats.tested == 300
+        brute = [c for c in range(lo, hi)
+                 if orientable_by_rowsums(m := matrix_from_counter(d, c))
+                 and counterexample_criterion(m).verdict]
+        assert brute
+        assert [h.candidate_index for h in hits] == brute
+        assert all(counter_from_matrix(h.matrix) == h.candidate_index
+                   for h in hits)
+
+
 # blocks of 8 ranks: each range spans many and ends inside a block; the
 # first holds the first d = 8 hit, the second starts at a hit two ranks into
 # its block, after a hit outside the range
@@ -422,6 +463,18 @@ def test_run_partitioned_streams_to_sink():
     assert [h.candidate_index for h in streamed] == \
         [h.candidate_index for h in serial_hits]
     assert [h.report for h in streamed] == [h.report for h in serial_hits]
+
+
+def test_pooled_hit_pickles_as_plain_values():
+    """A hit that came through the pool pickles back to an equal hit, and
+    its report carries the kernel values, not polynomial objects."""
+    spec = SearchSpec(dim=9, mode="random", limit=6000, seed=42)
+    _, hits = run_partitioned(spec, 2)
+    assert hits == collect_hits(spec)[1]
+    for hit in hits[:20]:
+        assert pickle.loads(pickle.dumps(hit)) == hit
+        assert {type(hit.report._w1), type(hit.report._w3sq)} == {int}
+    assert "Gf2Poly" not in repr(pickle.dumps(hits))
 
 
 @pytest.mark.parametrize("enabled", [True, False])
