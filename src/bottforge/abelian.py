@@ -350,15 +350,12 @@ class FgAbGroup:
                 return False
         return True
 
-    def torsion_positions(self) -> tuple[int, ...]:
-        return tuple(i for i, d in enumerate(self._diag) if d > 1)
-
     def torsion_elements(self, budget: int = 10_000):
         """Yield canonical coordinate tuples of all torsion elements."""
         order = self.torsion_order()
         if order > budget:
             raise BudgetExceeded(f"torsion order {order} exceeds budget {budget}")
-        positions = self.torsion_positions()
+        positions = [i for i, d in enumerate(self._diag) if d > 1]
         n = self.generators
         for combo in _iterproduct(*(range(self._diag[p]) for p in positions)):
             full = [0] * n

@@ -18,6 +18,12 @@ w_3^2 lives in degree 6.  Squaring is a ring map in characteristic 2, so
 w_3^2 = e_3(y_1^2, ..., y_d^2), the degree-6 part of prod (1 + y_i)^2,
 two products by y_i per column.  The criterion evaluates a stack of
 matrices of one dimension in one dense ring context.
+
+The search decides many candidates at once with a bit-sliced kernel of
+its own, :func:`w3_square_lanes`, which shares no code with the ring
+context: it squares w3 term by term, and its products by y_l keep no
+memo, settling owed terms from the top index down, one whole set per
+index.
 """
 
 from __future__ import annotations
@@ -86,23 +92,31 @@ def _total_class(ctx: RingContext, top: int):
     return g
 
 
-def _lane_times_y(entries, memo: dict, s: int, l: int) -> dict:
-    """x_s * y_l as a lane polynomial with coefficient 1 on every lane."""
-    out = memo.get((s, l))
-    if out is None:
-        out = {}
-        for k, e in enumerate(entries[l]):
+def _add_times_y(entries, p: dict, l: int, acc: dict) -> dict:
+    """Add p * y_l to ``acc`` and return it, lane polynomials both.
+
+    A term x_S without x_m moves to x_{S+m} on the lanes of entry (m, l).
+    A term holding x_m owes x_S * y_m on those lanes instead, since
+    x_m^2 = x_m * y_m, and y_m only involves x_i, i < m.  The owed terms
+    are settled from the top index down, each index's whole set at once,
+    ANDed with the entry lanes of its column: an index only owes to lower
+    ones, so its set is complete when the pass reaches it.
+    """
+    owed = {l: p}
+    for top in range(l, -1, -1):
+        if not (held := owed.get(top)):
+            continue
+        for m, e in enumerate(entries[top]):
             if not e:
                 continue
-            if s >> k & 1:
-                # x_s * x_k = x_s * y_k, and y_k only involves x_i, i < k
-                for t, v in _lane_times_y(entries, memo, s, k).items():
-                    out[t] = out.get(t, 0) ^ v & e
-            else:
-                t = s | 1 << k
-                out[t] = out.get(t, 0) ^ e
-        memo[s, l] = out
-    return out
+            bit = 1 << m
+            for s, c in held.items():
+                if s & bit:
+                    into = owed.setdefault(m, {})
+                    into[s] = into.get(s, 0) ^ c & e
+                else:
+                    acc[s | bit] = acc.get(s | bit, 0) ^ c & e
+    return acc
 
 
 def w3_square_lanes(dim: int, entries, lanes: int) -> int:
@@ -112,33 +126,23 @@ def w3_square_lanes(dim: int, entries, lanes: int) -> int:
     whose bit n is entry (i, j) of the matrix in lane n, for ``lanes``
     lanes.  A polynomial is a dict from a monomial mask to the lane int of
     its coefficient, so every int operation below acts on all lanes.  The
-    rewrite x_S * y_l is that of the ring context, each coefficient ANDed
-    with the entry lanes of column l, and is memoised per (S, l) for the
-    call.  w3 = e_3(y) is formed truncated at degree 3, then squared term
-    by term, x_S^2 = x_S * prod_{k in S} y_k.  This is a separate route
-    from the ring context, which re-checks every hit.
+    rewrite x_S * y_l is :func:`_add_times_y`, with no memo: owed terms
+    are settled from the top index down, one whole set per index.  w3 =
+    e_3(y) is formed truncated at degree 3, then squared term by term,
+    x_S^2 = x_S * prod_{k in S} y_k.  This is a separate route from the
+    ring context, which re-checks every hit.
     """
-    memo: dict = {}
-
-    def mul_y(p: dict, l: int, acc: dict) -> dict:
-        for s, c in p.items():
-            for t, v in _lane_times_y(entries, memo, s, l).items():
-                acc[t] = acc.get(t, 0) ^ c & v
-        return acc
-
     g = [{0: (1 << lanes) - 1}, {}, {}, {}]
     for i in range(dim):
         if any(entries[i]):
             for k in (3, 2, 1):
-                mul_y(g[k - 1], i, g[k])
+                _add_times_y(entries, g[k - 1], i, g[k])
     w3sq: dict = {}
     for s, c in g[3].items():
         if c:
-            p = {s: c}
-            for k in _bits(s):
-                p = mul_y(p, k, {})
-            for t, v in p.items():
-                w3sq[t] = w3sq.get(t, 0) ^ v
+            a, b, top = _bits(s)
+            p = _add_times_y(entries, {s: c}, a, {})
+            _add_times_y(entries, _add_times_y(entries, p, b, {}), top, w3sq)
     out = 0
     for v in w3sq.values():
         out |= v

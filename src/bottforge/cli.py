@@ -182,10 +182,6 @@ def read_system_file(path: str) -> tuple[StationarySystem, dict]:
                             alpha=alpha), data
 
 
-def _poly_strings(poly) -> list[str]:
-    return poly.monomial_strings()
-
-
 def build_report(report: SwReport, timings: dict,
                  full_sw=None, sq=None) -> dict:
     """Assemble the check report dict in stable key order."""
@@ -193,7 +189,7 @@ def build_report(report: SwReport, timings: dict,
         "version": SCHEMA_VERSION,
         "dim": report.dim,
         "orientable": report.orientable,
-        "w1": _poly_strings(report.w1),
+        "w1": report.w1.monomial_strings(),
         "w3_term_count": len(report.w3),
         "w3sq_nonzero": report.w3sq_nonzero,
         "witness": format_monomial(report.witness)
@@ -202,10 +198,10 @@ def build_report(report: SwReport, timings: dict,
         "timings": timings,
     }
     if full_sw is not None:
-        out["full_sw"] = [_poly_strings(p) for p in full_sw]
+        out["full_sw"] = [p.monomial_strings() for p in full_sw]
     if sq is not None:
         degree, value = sq
-        out["sq"] = {"degree": degree, "value": _poly_strings(value)}
+        out["sq"] = {"degree": degree, "value": value.monomial_strings()}
     return out
 
 

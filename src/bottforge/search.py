@@ -30,10 +30,11 @@ so the counter of each hit of a block is one XOR: the block's counter with
 the counter of the hit's lane number, from a table built on first use.
 Random mode jumps the xorshift64* stream straight to the first draw of
 its range with powers of the GF(2) matrix of one state step (Haramoto et
-al., INFORMS J. Comput. 20, 2008), then steps LANES runs of consecutive
-draws at once, packed in 128-bit lanes of one int, and prunes them all
-with a few big-int operations per step; each batch of orientable draws,
-in index order, is transposed into entry lanes.
+al., INFORMS J. Comput. 20, 2008), each power kept as byte tables only.
+It then steps LANES runs of consecutive draws at once, packed in 128-bit
+lanes of one int, each lane started by a jump past the run before it,
+and prunes them all with a few big-int operations per step; each batch
+of orientable draws, in index order, is transposed into entry lanes.
 """
 
 from __future__ import annotations
@@ -177,18 +178,18 @@ def _counter_from_rank(d: int, rank: int) -> int:
 
 
 @lru_cache(maxsize=None)
-def _low_counters(d: int, lane_bits: int) -> tuple:
-    """``_counter_from_rank(d, n)`` for every n below 2^lane_bits, built on
-    first use.
+def _low_counters(d: int) -> tuple:
+    """``_counter_from_rank(d, n)`` for every n of a full block, below
+    2^min(LANE_BITS, rank_bit_count(d)), built on first use.
 
     The rank map is GF(2)-linear in the rank bits (a row's parity is a sum
     of its bits), so for a multiple ``base`` of 2^lane_bits and
     n < 2^lane_bits, the counter of rank base + n = base | n is the XOR of
     the counters of base and of n.  The table doubles one rank bit at a
-    time.
+    time, so the table of a shorter block is a prefix of this one.
     """
     table = [0]
-    for t in range(lane_bits):
+    for t in range(min(LANE_BITS, rank_bit_count(d))):
         top = _counter_from_rank(d, 1 << t)
         table += [c ^ top for c in table]
     return tuple(table)
@@ -246,26 +247,17 @@ def _xs_step(state: int) -> int:
     return state ^ state >> 27
 
 
-def _gf2_apply(columns, v: int) -> int:
-    """Image of ``v`` under the GF(2) matrix with these 64 columns."""
-    out = 0
-    while v:
-        low = v & -v
-        out ^= columns[low.bit_length() - 1]
-        v ^= low
-    return out
-
-
-def _gf2_byte_tables(columns) -> list:
+def _gf2_byte_tables(columns) -> tuple:
     """The GF(2) matrix with these 64 columns as 8 tables: table k maps
-    each byte b to the image of b << 8k."""
+    each byte b to the image of b << 8k, so column j is
+    ``tables[j >> 3][1 << (j & 7)]``."""
     tables = []
     for at in range(0, 64, 8):
         table = [0]
         for column in columns[at:at + 8]:
             table += [x ^ column for x in table]
-        tables.append(table)
-    return tables
+        tables.append(tuple(table))
+    return tuple(tables)
 
 
 def _gf2_apply_bytes(tables, v: int) -> int:
@@ -279,11 +271,14 @@ def _gf2_apply_bytes(tables, v: int) -> int:
 
 @lru_cache(maxsize=None)
 def _step_power(i: int) -> tuple:
-    """Columns of the GF(2) matrix of 2^i state steps, squared up lazily."""
+    """Byte tables of the GF(2) matrix of 2^i state steps, squared up
+    lazily."""
     if i == 0:
-        return tuple(_xs_step(1 << j) for j in range(64))
+        return _gf2_byte_tables([_xs_step(1 << j) for j in range(64)])
     half = _step_power(i - 1)
-    return tuple(_gf2_apply(half, c) for c in half)
+    return _gf2_byte_tables([
+        _gf2_apply_bytes(half, half[j >> 3][1 << (j & 7)])
+        for j in range(64)])
 
 
 def _xs_jump(state: int, n: int) -> int:
@@ -291,7 +286,7 @@ def _xs_jump(state: int, n: int) -> int:
     i = 0
     while n:
         if n & 1:
-            state = _gf2_apply(_step_power(i), state)
+            state = _gf2_apply_bytes(_step_power(i), state)
         n >>= 1
         i += 1
     return state
@@ -341,16 +336,12 @@ def _orientable_draws(d: int, seed: int, lo: int, hi: int):
     steps = 1 << min(WINDOW_STEP_BITS, d + 3,
                      (-(-(hi - lo) // LANES) - 1).bit_length())
     state = _xs_jump(_xs_seed_state(seed), lo * w)
-    # the jump by one lane's run, as byte tables: it is applied once per
-    # lane of every window
-    lane_jump = _gf2_byte_tables(
-        [_xs_jump(1 << j, steps * w) for j in range(64)])
     base = lo
     while base < hi:
         lanes = min(LANES, -(-(hi - base) // steps))
         starts = [state]
         for _ in range(lanes - 1):
-            starts.append(_gf2_apply_bytes(lane_jump, starts[-1]))
+            starts.append(_xs_jump(starts[-1], steps * w))
         s = int.from_bytes(b"".join(x.to_bytes(16, "little") for x in starts),
                            "little")
         ones = int.from_bytes((b"\x01" + bytes(15)) * lanes, "little")
@@ -484,7 +475,7 @@ def _enumerate_range(spec: SearchSpec, lo: int, hi: int, sink) -> SearchStats:
             hits = valid & w3_square_lanes(
                 d, _block_entries(d, base, lane_bits), width)
             # the counters of the block's hits by the linear rank map
-            top, low = _counter_from_rank(d, base), _low_counters(d, lane_bits)
+            top, low = _counter_from_rank(d, base), _low_counters(d)
             found = [top ^ low[n] for n in _bits(hits)]
             emit(list(zip(found, found)))
     else:

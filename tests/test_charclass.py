@@ -417,7 +417,9 @@ def _w3sq_mask(matrices):
 @pytest.mark.parametrize("d", list(range(6, 17)) + [20])
 def test_w3_square_lanes_matches_criterion(d):
     """Every lane, hit or not, against the ring context's w3^2, on a mix
-    of orientable and non-orientable matrices of random density."""
+    of orientable and non-orientable matrices of random density.  The
+    full strictly upper triangular matrix and its even-row version owe
+    the longest chains of terms, every index down to x_0."""
     rng = random.Random(600 + d)
     count = 48 if d <= 16 else 10
     # lane 0 holds the zero matrix, which is never a hit
@@ -425,8 +427,10 @@ def test_w3_square_lanes_matches_criterion(d):
     for n in range(1, count):
         m = random_bott_matrix(rng, d, rng.random())
         matrices.append(_even_rows(m) if n % 2 else m)
+    full = BottMatrix(d, tuple((1 << d) - (2 << i) for i in range(d)))
+    matrices += [full, _even_rows(full)]
     expected = _w3sq_mask(matrices)
-    assert w3_square_lanes(d, _entry_lanes(matrices), count) == expected
+    assert w3_square_lanes(d, _entry_lanes(matrices), count + 2) == expected
     if d >= 8:
         assert expected
 
