@@ -247,8 +247,6 @@ def _snf_full(m: IntMatrix):
             if offender is None:
                 break
             row_addmul(t, offender, 1)
-        if t < steps and d[t][t] < 0:
-            row_negate(t)
 
     def freeze(rows):
         # direct construction: a zero-column factor is a legal 0 x 0 matrix
@@ -496,7 +494,8 @@ def limit_torsion_bound(group: FgAbGroup, betas, depth: int) -> tuple[int, list[
     bound = group.torsion_order()
     m = group.relations
     orders = []
-    for k in range(depth + 1):
+    # stage k + len(betas) composes the same maps as stage k
+    for k in range(min(depth + 1, len(betas))):
         comp = _stage_composite(betas, k, depth, n)
         # kernel of [comp | -relations], x block: { x : comp x in relations }
         stacked = comp.hstack(m.scale(-1))
@@ -508,7 +507,7 @@ def limit_torsion_bound(group: FgAbGroup, betas, depth: int) -> tuple[int, list[
             raise AssertionError(
                 f"stage {k} torsion order {order} exceeds bound {bound}")
         orders.append(order)
-    return bound, orders
+    return bound, [orders[k % len(orders)] for k in range(depth + 1)]
 
 
 def exponent_plus_one_identity(factors, e: int) -> bool:

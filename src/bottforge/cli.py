@@ -269,11 +269,7 @@ def cmd_search(args) -> int:
 
 
 def cmd_reproduce(args) -> int:
-    matrices = list(search.REFERENCE_MATRICES)
-    if getattr(args, "corrupt_builtin", False):
-        # negative-control hook for tests: break the first reference
-        matrices[0] = BottMatrix.zero(matrices[0].dim)
-    reports = [charclass.counterexample_criterion(m) for m in matrices]
+    reports = search.reproduce_reference()
     ok = all(r.verdict for r in reports)
     coeff_ok = search.REFERENCE_D9_WITNESS_MASK in reports[0].w3sq.terms
     if args.json:
@@ -400,8 +396,6 @@ def build_parser() -> _Parser:
     p = sub.add_parser("reproduce",
                        help="re-verify the bundled reference matrices")
     p.add_argument("--json", action="store_true", help="machine readable output")
-    p.add_argument("--corrupt-builtin", action="store_true",
-                   help=argparse.SUPPRESS)
     p.set_defaults(func=cmd_reproduce)
 
     p = sub.add_parser("limit-torsion",

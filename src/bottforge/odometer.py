@@ -2,15 +2,17 @@
 
 An expanding integer matrix M (all eigenvalues outside the unit circle,
 which forces |det M| >= 2) defines a tower of finite coset spaces
-Omega_i = Z^d / M^i Z^d of order |det M|^i.  Z^d acts on each level by
-translation, levels are connected by the canonical projections, and a
-nonzero vector leaves M^i Z^d at some finite level (the escape level).
+Omega_i = Z^d / M^i Z^d.  Z^d acts on each level by translation, levels
+are connected by the canonical projections, and a nonzero vector leaves
+M^i Z^d at some finite level (the escape level).
 
-Each level stores a Smith decomposition of M^i, so cosets get canonical
-residue coordinates.  One Faddeev-LeVerrier pass gives the characteristic
-polynomial and the adjugate of M in exact integers: the polynomial decides
-expansion by a Schur-Cohn reduction, and the adjugate finds escape levels
-without a Smith form per level.  Every level is one orbit by theorem.
+Each level is the abelian group Z^d / M^i Z^d, an :class:`FgAbGroup` with
+relation matrix M^i, whose coordinates give cosets canonical residues; its
+order is |det M|^i by theorem.  One Faddeev-LeVerrier pass gives the
+characteristic polynomial and the adjugate of M in exact integers: the
+polynomial decides expansion by a Schur-Cohn reduction, and the adjugate
+finds escape levels without a Smith form per level.  Every level is one
+orbit by theorem.
 """
 
 from __future__ import annotations
@@ -18,7 +20,10 @@ from __future__ import annotations
 import threading
 from dataclasses import dataclass
 
-from .abelian import BudgetExceeded, IntMatrix, _snf_full
+from .abelian import BudgetExceeded, FgAbGroup, IntMatrix
+# importable from here for the benchmark's trace hooks, which patch it by
+# name; the tower itself no longer calls it
+from .abelian import _snf_full  # noqa: F401
 
 
 class SingularMatrixError(ValueError):
@@ -53,15 +58,6 @@ class LevelPoint:
     coords: tuple[int, ...]
 
 
-@dataclass(frozen=True)
-class _Level:
-    power: IntMatrix          # M^level
-    diag: tuple[int, ...]     # invariant factors of M^level, all positive
-    u: IntMatrix
-    uinv: IntMatrix
-    order: int
-
-
 class OdometerTower:
     """Lazy tower of quotients Z^d / M^i Z^d for one matrix M.
 
@@ -83,7 +79,7 @@ class OdometerTower:
         self.matrix = matrix
         self.det = det
         self.adjugate = adjugate  # det * M^-1
-        self._levels: dict[int, _Level] = {}
+        self._levels: dict[int, FgAbGroup] = {}
         self._powers: dict[int, IntMatrix] = {0: IntMatrix.identity(self.dim)}
         self._lock = threading.Lock()
 
@@ -94,66 +90,47 @@ class OdometerTower:
             top += 1
         return self._powers[i]
 
-    def level(self, i: int) -> _Level:
+    def level(self, i: int) -> FgAbGroup:
+        """The level group Z^d / M^i Z^d, relation matrix M^i."""
         if i < 0:
             raise ValueError("level must be non-negative")
         with self._lock:
-            cached = self._levels.get(i)
-            if cached is not None:
-                return cached
-            power = self._power(i)
-            u, d, _, uinv = _snf_full(power)
-            diag = tuple(d.entry(t, t) for t in range(self.dim))
-            if any(x <= 0 for x in diag):
-                raise SingularMatrixError(f"M^{i} lost rank")
-            order = 1
-            for x in diag:
-                order *= x
-            lvl = _Level(power=power, diag=diag, u=u, uinv=uinv, order=order)
-            self._levels[i] = lvl
-            return lvl
+            group = self._levels.get(i)
+            if group is None:
+                group = self._levels[i] = FgAbGroup(self._power(i))
+            return group
 
     def reduce(self, i: int, vec) -> LevelPoint:
         """Canonical coordinates of the coset of ``vec`` at level i."""
-        lvl = self.level(i)
-        w = lvl.u.mul_vec(vec)
-        return LevelPoint(i, tuple(x % dd for x, dd in zip(w, lvl.diag)))
+        return LevelPoint(i, self.level(i).coords(vec))
 
     def zero_point(self, i: int) -> LevelPoint:
         return LevelPoint(i, (0,) * self.dim)
 
     def contains(self, i: int, vec) -> bool:
         """Whether ``vec`` lies in M^i Z^d."""
-        lvl = self.level(i)
-        w = lvl.u.mul_vec(vec)
-        return all(x % dd == 0 for x, dd in zip(w, lvl.diag))
+        return self.level(i).contains_in_relations(vec)
 
 
 def level_order(tower: OdometerTower, i: int) -> int:
-    """|det M|^i, verified against the residue count from the level data."""
-    lvl = tower.level(i)
-    expected = abs(tower.det) ** i
-    if lvl.order != expected:
-        raise AssertionError(
-            f"level {i} order {lvl.order} != |det|^i = {expected}")
-    return lvl.order
+    """|Z^d / M^i Z^d| = |det M^i| = |det M|^i."""
+    if i < 0:
+        raise ValueError("level must be non-negative")
+    return abs(tower.det) ** i
 
 
 def act(tower: OdometerTower, gamma, point: LevelPoint) -> LevelPoint:
     """Translate a level point by the ambient vector ``gamma``."""
-    lvl = tower.level(point.level)
-    shift = lvl.u.mul_vec(gamma)
-    coords = tuple((c + s) % dd
-                   for c, s, dd in zip(point.coords, shift, lvl.diag))
-    return LevelPoint(point.level, coords)
+    vec = tower.level(point.level).element_from_coords(point.coords)
+    return tower.reduce(point.level,
+                        [x + g for x, g in zip(vec, gamma, strict=True)])
 
 
 def project(tower: OdometerTower, point: LevelPoint) -> LevelPoint:
     """The canonical map from level i + 1 to level i (i >= 0)."""
     if point.level < 1:
         raise ValueError("already at the bottom level")
-    lvl = tower.level(point.level)
-    vec = lvl.uinv.mul_vec(point.coords)
+    vec = tower.level(point.level).element_from_coords(point.coords)
     return tower.reduce(point.level - 1, vec)
 
 
@@ -161,9 +138,8 @@ def is_transitive(tower: OdometerTower, i: int, budget: int = 1_000_000) -> bool
     """Whether the translation action reaches every coset at level i.
 
     Always true: Z^d acts on its own quotient Z^d / M^i Z^d by translation,
-    so the orbit of 0 is the whole level.  The level order is still checked
-    against |det M|^i, and :class:`BudgetExceeded` is raised if the level
-    has more cosets than ``budget``.
+    so the orbit of 0 is the whole level.  :class:`BudgetExceeded` is
+    raised if the level has more than ``budget`` cosets.
     """
     order = level_order(tower, i)
     if order > budget:

@@ -41,6 +41,7 @@ from __future__ import annotations
 
 import gc
 import time
+from array import array
 from collections import deque
 from dataclasses import dataclass
 from functools import lru_cache
@@ -250,13 +251,14 @@ def _xs_step(state: int) -> int:
 def _gf2_byte_tables(columns) -> tuple:
     """The GF(2) matrix with these 64 columns as 8 tables: table k maps
     each byte b to the image of b << 8k, so column j is
-    ``tables[j >> 3][1 << (j & 7)]``."""
+    ``tables[j >> 3][1 << (j & 7)]``.  The tables are unboxed 64-bit
+    arrays, 2 KB each, as every squared power stays cached."""
     tables = []
     for at in range(0, 64, 8):
         table = [0]
         for column in columns[at:at + 8]:
             table += [x ^ column for x in table]
-        tables.append(tuple(table))
+        tables.append(array("Q", table))
     return tuple(tables)
 
 

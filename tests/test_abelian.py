@@ -356,6 +356,31 @@ def test_stage_bound_cyclic_beta_indexing():
     assert orders == [2] * 5
 
 
+def test_stage_bound_stage_k_is_stage_0_of_rotated_betas():
+    # stage k composes betas[k], betas[k + 1], ... cyclically, which is
+    # stage 0 of the list rotated by k, computed here from scratch
+    rng = random.Random(50)
+    g = FgAbGroup(IntMatrix.from_rows([[8, 0], [0, 4], [0, 0]]))
+    cases = [(4, 1), (5, 2), (3, 4), (1, 3), (2, 5)]
+    cases += [(rng.randint(1, 5), rng.randint(1, 5)) for _ in range(10)]
+    for count, depth in cases:
+        betas = []
+        for _ in range(count):
+            b = [[rng.randint(-3, 3) for _ in range(3)] for _ in range(3)]
+            # keep 8Z + 4Z + 0 invariant: no torsion into the free part,
+            # and an even entry from Z/4 into Z/8
+            b[2][0] = b[2][1] = 0
+            b[0][1] *= 2
+            betas.append(IntMatrix.from_rows(b))
+        assert all(g.is_endomorphism(b) for b in betas)
+        _, orders = limit_torsion_bound(g, betas, depth)
+        assert len(orders) == depth + 1
+        for k in range(depth + 1):
+            j = k % count
+            rotated = betas[j:] + betas[:j]
+            assert orders[k] == limit_torsion_bound(g, rotated, depth)[1][0]
+
+
 # -------------------------------------------------------- exponent identity
 
 def test_exponent_identity_examples():

@@ -9,7 +9,8 @@ from pathlib import Path
 import jsonschema
 import pytest
 
-from bottforge import cli, search
+from bottforge import abelian, cli, odometer, search
+from bottforge.gf2ring import BottMatrix
 
 
 def run_cli(capsys, argv):
@@ -283,17 +284,19 @@ def test_reproduce_json(capsys):
     assert [r["dim"] for r in payload["reports"]] == [9, 10, 10]
 
 
-def test_reproduce_corrupt_builtin_fails(capsys):
-    rc, _, err = run_cli(capsys, ["reproduce", "--corrupt-builtin"])
+def test_reproduce_corrupt_builtin_fails(capsys, monkeypatch):
+    # a zero matrix in place of the d=9 reference: not a counterexample
+    broken = (BottMatrix.zero(9),) + search.REFERENCE_MATRICES[1:]
+    monkeypatch.setattr(search, "REFERENCE_MATRICES", broken)
+    rc, _, err = run_cli(capsys, ["reproduce"])
     assert rc == 3
     assert "reference verification FAILED" in err
 
 
-def test_reproduce_corrupt_flag_hidden(capsys):
-    with pytest.raises(SystemExit):
-        cli.main(["reproduce", "--help"])
-    out = capsys.readouterr().out
-    assert "corrupt" not in out
+def test_reproduce_corrupt_flag_rejected(capsys):
+    rc, _, err = run_cli(capsys, ["reproduce", "--corrupt-builtin"])
+    assert rc == 1
+    assert "--corrupt-builtin" in err
 
 
 # ----------------------------------------------------------- limit-torsion
@@ -427,6 +430,44 @@ def test_limit_torsion_rejects_malformed_fields(capsys, tmp_path, field,
 
 
 # ---------------------------------------------------------------- odometer
+
+def test_smith_forms_per_command(capsys, tmp_path, monkeypatch):
+    # the odometer table needs no Smith form: level orders are |det M|^i
+    # by theorem; the README limit-torsion system is constant, so its one
+    # distinct stage takes a kernel and a quotient after the system group
+    snf = abelian._snf_full
+    calls = []
+
+    def spy(m):
+        calls.append(m)
+        return snf(m)
+    monkeypatch.setattr(abelian, "_snf_full", spy)
+    monkeypatch.setattr(odometer, "_snf_full", spy)
+    path = tmp_path / "m.txt"
+    path.write_text("2\n2 1\n0 2\n")
+    rc, _, _ = run_cli(capsys, ["odometer", "--dim", "2", "--matrix",
+                                str(path), "--levels", "12"])
+    assert rc == 0
+    assert len(calls) == 0
+    system = write_system(tmp_path, {
+        "generators": 2, "relations": [[0, 4]], "beta": [[5, 0], [0, 5]],
+        "n": 5, "alpha": [[1, 0], [0, 1]]})
+    rc, _, _ = run_cli(capsys, ["limit-torsion", "--system", system])
+    assert rc == 0
+    assert len(calls) == 3
+
+
+def test_cli_trace_hooks_resolve():
+    # the traced cli-oneshot benchmark run (perfbench/workloads.py) patches
+    # these names in the odometer and abelian modules; they must keep
+    # resolving there
+    assert odometer._snf_full is abelian._snf_full
+    for name in ("expanding_check", "is_transitive", "escape_level"):
+        assert callable(getattr(odometer, name))
+    for name in ("torsion_subgroup", "check_beta_torsion_iso",
+                 "direct_limit_torsion", "limit_torsion_bound"):
+        assert callable(getattr(abelian, name))
+
 
 def test_odometer_report(capsys, tmp_path):
     path = tmp_path / "m.txt"

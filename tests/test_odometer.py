@@ -48,6 +48,8 @@ def test_level_validation():
     t = tower1(2)
     with pytest.raises(ValueError):
         t.level(-1)
+    with pytest.raises(ValueError):
+        level_order(t, -1)
 
 
 # ------------------------------------------------------------ level orders
@@ -70,6 +72,26 @@ def test_orders_generic_matrix():
     t = OdometerTower(IntMatrix.from_rows([[2, 1], [0, 3]]))
     for i in range(6):
         assert level_order(t, i) == 6 ** i
+
+
+def test_level_order_matches_smith_residue_count():
+    # level_order takes |det M|^i by theorem; the Smith form of M^i counts
+    # the residues of Z^d / M^i Z^d independently and is the reference
+    rng = random.Random(16)
+    trials = 0
+    while trials < 40:
+        d = rng.randint(1, 3)
+        m = IntMatrix.from_rows(
+            [[rng.randint(-4, 4) for _ in range(d)] for _ in range(d)])
+        if m.det() == 0 or not expanding_check(m):
+            continue
+        trials += 1
+        t = OdometerTower(m)
+        power = IntMatrix.identity(d)
+        for i in range(5):
+            assert t.level(i).relations == power
+            assert level_order(t, i) == t.level(i).torsion_order()
+            power = m.mul(power)
 
 
 # ------------------------------------------------------------------ action
@@ -144,7 +166,7 @@ def test_projection_fibers_have_det_size():
     for rows in ([[2]], [[2, 0], [0, 2]], [[2, 1], [0, 3]]):
         t = OdometerTower(IntMatrix.from_rows(rows))
         for i in (1, 2, 3):
-            diag = t.level(i).diag
+            diag = t.level(i)._diag
             fibers = {}
             for coords in itertools.product(*(range(dd) for dd in diag)):
                 down = project(t, LevelPoint(i, coords))
@@ -236,7 +258,7 @@ def test_escape_cross_checked_by_rational_solve():
         # the adjugate walk must agree with the Smith-form membership test,
         # and both with solving M^i x = gamma over the rationals
         for i in range(1, e + 1):
-            power = t.level(i).power
+            power = t.level(i).relations
             assert t.contains(i, gamma) == solve_integer(power.rows, gamma)
         assert not t.contains(e, gamma)
         if e > 1:
@@ -315,9 +337,9 @@ def test_concurrent_level_construction():
         try:
             for _ in range(30):
                 i = rng.randint(0, 8)
-                lvl = t.level(i)
-                if lvl.order != 4 ** i:
-                    errors.append((i, lvl.order))
+                order = t.level(i).torsion_order()
+                if order != 4 ** i:
+                    errors.append((i, order))
         except Exception as exc:  # pragma: no cover - failure reporting
             errors.append(exc)
 
