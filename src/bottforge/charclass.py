@@ -17,7 +17,8 @@ orientable and w_3^2 is nonzero; dimensions below 6 never pass because
 w_3^2 lives in degree 6.  Squaring is a ring map in characteristic 2, so
 w_3^2 = e_3(y_1^2, ..., y_d^2), the degree-6 part of prod (1 + y_i)^2,
 two products by y_i per column.  The criterion evaluates a stack of
-matrices of one dimension in one dense ring context.
+matrices of one dimension, from their counters, in one dense ring context
+and cross-checks its w1 against the row sums for the whole stack at once.
 
 The search decides many candidates at once with a bit-sliced kernel of
 its own, :func:`w3_square_lanes`, which shares no code with the ring
@@ -32,11 +33,15 @@ from dataclasses import dataclass, field
 
 from .gf2ring import (
     DENSE_DIM_LIMIT,
+    RECHECK_STACK,
     BottMatrix,
     Gf2Poly,
     RingContext,
     _bits,
+    _row_chunks,
+    counter_from_matrix,
     make_context,
+    matrix_from_counter,
 )
 
 
@@ -197,13 +202,7 @@ def counterexample_criterion(matrix: BottMatrix) -> SwReport:
 
 def counterexample_criteria(matrices) -> list[SwReport]:
     """:func:`counterexample_criterion` of each of ``matrices``, which must
-    share one dimension, in input order.
-
-    Up to ``DENSE_DIM_LIMIT`` they are evaluated together, one slot each of
-    a stacked dense ring context, so a value holds len(matrices) * 2^dim
-    bits; callers bound the stack.  Above it each matrix has its own
-    sparse context.
-    """
+    share one dimension, in input order."""
     matrices = list(matrices)
     if any(not isinstance(m, BottMatrix) for m in matrices):
         raise TypeError("counterexample_criteria expects BottMatrix values")
@@ -212,13 +211,49 @@ def counterexample_criteria(matrices) -> list[SwReport]:
                          "dimension")
     if not matrices:
         return []
-    if matrices[0].dim > DENSE_DIM_LIMIT:
-        return [report for m in matrices
-                for report in _stack_reports(make_context(m), [m])]
-    return _stack_reports(RingContext.stacked(matrices), matrices)
+    return criteria_of_counters(matrices[0].dim,
+                                [counter_from_matrix(m) for m in matrices])
 
 
-def _stack_reports(ctx: RingContext, matrices: list) -> list[SwReport]:
+def criteria_of_counters(dim: int, counters: list) -> list[SwReport]:
+    """:func:`counterexample_criterion` of the matrix of each of
+    ``counters``, in input order: up to ``DENSE_DIM_LIMIT`` RECHECK_STACK
+    at a time, one slot each of a stacked dense ring context, above it
+    each in a sparse context of its own."""
+    if dim > DENSE_DIM_LIMIT:
+        return [report for c in counters for report in
+                _stack_reports(make_context(matrix_from_counter(dim, c)))]
+    return [report for at in range(0, len(counters), RECHECK_STACK)
+            for report in _stack_reports(RingContext.stacked(
+                dim, counters[at:at + RECHECK_STACK]))]
+
+
+def _fold(value: int, span: int) -> int:
+    """``value`` with bits 0..span-1 of each slot ORed into bit 0 of the
+    slot; ``span`` is a power of 2, at most the slot width."""
+    while span > 1:
+        span >>= 1
+        value |= value >> span
+    return value
+
+
+def _check_rowsums(ctx: RingContext, w1) -> None:
+    """Raise unless, in every slot, w1 vanishes exactly when every row has
+    even sum, both folded to bit 0 of each slot and compared as one int:
+    the x_m term of w1 = y_1 + ... + y_d is the sum of row m, at bit 2^m
+    (the last row is empty), and the prefix XOR of the packed counters at
+    the last entry of a row is the sum of the rows up to it."""
+    d, ones, prefix, span = ctx.dim, ctx._repeat(1), ctx.entries, 1
+    while span < d * (d - 1) // 2:
+        prefix ^= prefix << span
+        span <<= 1
+    ends = ctx._repeat(sum(1 << off + w - 1 for off, w in _row_chunks(d)))
+    odd = _fold(prefix & ends, span) & ones
+    if odd != (_fold(w1, 1 << d - 1) & ones if ctx._dense else int(bool(w1))):
+        raise AssertionError("w1 vanishing disagrees with row sums")
+
+
+def _stack_reports(ctx: RingContext) -> list[SwReport]:
     """The reports of the matrices in the slots of ``ctx``, in slot
     order."""
     g = _total_class(ctx, 3)
@@ -227,15 +262,14 @@ def _stack_reports(ctx: RingContext, matrices: list) -> list[SwReport]:
     for form in ctx.y_form:
         if form:
             h ^= ctx._mul_form(ctx._mul_form(ctx._cut(h, 0, 4), form), form)
+    w1 = ctx._cut(g, 1, 1)
+    _check_rowsums(ctx, w1)
     dense = ctx._dense
     reports = []
-    for matrix, w1, w3, w3sq in zip(matrices,
-                                    ctx._unstack(ctx._cut(g, 1, 1)),
-                                    ctx._unstack(ctx._cut(g, 3, 3)),
-                                    ctx._unstack(ctx._cut(h, 6, 6))):
+    for w1, w3, w3sq in zip(ctx._unstack(w1),
+                            ctx._unstack(ctx._cut(g, 3, 3)),
+                            ctx._unstack(ctx._cut(h, 6, 6))):
         orientable = not w1
-        if orientable != orientable_by_rowsums(matrix):
-            raise AssertionError("w1 vanishing disagrees with row sums")
         # w3sq is homogeneous, so its first term in canonical order is its
         # smallest mask, in a dense value the lowest set bit
         if not w3sq:
@@ -244,6 +278,6 @@ def _stack_reports(ctx: RingContext, matrices: list) -> list[SwReport]:
             witness = (w3sq & -w3sq).bit_length() - 1
         else:
             witness = min(w3sq)
-        reports.append(SwReport(matrix.dim, orientable, w1, w3, w3sq,
+        reports.append(SwReport(ctx.dim, orientable, w1, w3, w3sq,
                                 orientable and bool(w3sq), witness))
     return reports

@@ -17,9 +17,9 @@ forms: for dim <= 12 a single int whose bit at position ``mask`` marks the
 monomial (dense), and for larger dim a frozenset of masks; products
 rewrite whole sets of terms at once, with no tables.  Both serialize
 through the same canonical (degree, mask) order.  A dense context can also
-stack many matrices of one dimension, each in its own slot of bits of one
-int, so that one big-int operation acts on all of them; the search
-re-checks the hits of a kernel call that way.
+stack the matrices of up to RECHECK_STACK counters of one dimension, each
+counter packed into its own slot of bits of one int, so that one big-int
+operation acts on all of them; the search re-checks its hits that way.
 """
 
 from __future__ import annotations
@@ -28,10 +28,14 @@ import re
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import combinations
-from struct import Struct
 
 MAX_DIM = 64
 DENSE_DIM_LIMIT = 12
+# Matrices in one stacked context at most.  Searches at d = 8..10 measure
+# within 5% of each other from 2^6 to 2^9 hits a stack, 2^8 the best;
+# smaller stacks pay more per stack, larger ones hold more indices owed by
+# some slot.  A d=12 value of 2^8 slots is 128 KB.
+RECHECK_STACK = 1 << 8
 
 
 class InvalidMatrixError(ValueError):
@@ -106,6 +110,33 @@ class BottMatrix:
 
     def to_row_strings(self) -> list[str]:
         return [_row_string(self.dim, row) for row in self.rows]
+
+
+# A counter packs the d(d-1)/2 free entries of a d x d matrix row-major:
+# row i's entries (i, i+1) .. (i, d-1) are its chunk, from bit off_i on.
+
+@lru_cache(maxsize=None)
+def _row_chunks(d: int) -> tuple:
+    """(offset, width) of each row's chunk of the counter, top row first."""
+    return tuple((i * (2 * d - i - 1) // 2, d - 1 - i) for i in range(d - 1))
+
+
+def _counter_rows(d: int, counter: int) -> list:
+    """Row masks of the matrix of ``counter``: chunk i shifted by i + 1,
+    then the empty last row."""
+    return [(counter >> off & ((1 << width) - 1)) << d - width
+            for off, width in _row_chunks(d)] + [0]
+
+
+def matrix_from_counter(d: int, counter: int) -> BottMatrix:
+    return BottMatrix(d, tuple(_counter_rows(d, counter)))
+
+
+def counter_from_matrix(matrix: BottMatrix) -> int:
+    counter = 0
+    for i, (off, width) in enumerate(_row_chunks(matrix.dim)):
+        counter |= (matrix.rows[i] >> i + 1 & ((1 << width) - 1)) << off
+    return counter
 
 
 @dataclass(frozen=True)
@@ -231,15 +262,17 @@ class RingContext:
 
     A context built by :meth:`stacked` holds ``slots`` matrices in one
     dense kernel: matrix k owns the k-th run of ``_width`` bits of every
-    value, its slot.  It has no single ``matrix``, ``y_support`` or
-    ``yclass`` (all None).  A linear form is a tuple of pairs (m, sel): in
-    the slots that the mask ``sel`` covers, it holds x_m.  ``y_form[l]`` is
-    y_l of every slot's matrix.  A one-matrix context is the case of one
-    slot, whose selectors are all -1.
+    value, its slot, and of ``entries``, the packed counters (see
+    :func:`matrix_from_counter`).  It has no single ``matrix``,
+    ``y_support`` or ``yclass`` (all None).  A linear form is a tuple of
+    pairs (m, sel): in the slots that the mask ``sel`` covers, it holds
+    x_m.  ``y_form[l]`` is y_l of every slot's matrix.  A context of one
+    BottMatrix has one slot, selectors all -1, and its counter as
+    ``entries``.
     """
 
-    __slots__ = ("dim", "matrix", "y_support", "y_form", "slots", "_yclass",
-                 "_dense", "_free", "_width", "_cuts")
+    __slots__ = ("dim", "matrix", "y_support", "y_form", "slots", "entries",
+                 "_yclass", "_dense", "_free", "_width", "_cuts")
 
     def __init__(self, matrix: BottMatrix):
         dim = matrix.dim
@@ -253,52 +286,44 @@ class RingContext:
         self.y_form = tuple(tuple((m, -1) for m in _bits(sup))
                             for sup in supports)
         self.slots = 1
+        self.entries = counter_from_matrix(matrix)
         self._yclass = None
         self._dense = dim <= DENSE_DIM_LIMIT
         self._free = _free_slots(dim) if self._dense else None
-        self._width = _slot_width(dim)
         self._cuts = {}
 
     @classmethod
-    def stacked(cls, matrices) -> "RingContext":
-        """One dense context for matrices of one dimension, matrix k in
-        slot k.
-
-        The rows of every matrix are packed into its own slot of one int,
-        so the slots that have entry (m, l) are one shift and AND away;
-        spread over their slots, they are the selector of x_m in y_l.
-        """
-        matrices = list(matrices)
-        if not matrices:
-            raise ValueError("stacked needs at least one matrix")
-        dim = matrices[0].dim
-        if any(m.dim != dim for m in matrices):
-            raise ValueError("stacked matrices must share one dimension")
-        if dim > DENSE_DIM_LIMIT:
-            raise ValueError(f"dimension {dim} above the dense limit")
-        if len(matrices) == 1:
-            return cls(matrices[0])
+    def stacked(cls, dim: int, counters) -> "RingContext":
+        """One dense context for the matrices of 1..RECHECK_STACK
+        ``counters``, counter k packed into slot k of one int: the slots
+        whose matrix has entry (m, l) are one shift and AND away, at the
+        counter's bit for that entry, and spread over their slots they are
+        the selector of x_m in y_l."""
+        if not 1 <= len(counters) <= RECHECK_STACK:
+            raise ValueError("stacked needs at least one matrix counter, "
+                             f"and at most {RECHECK_STACK}")
+        if not 1 <= dim <= DENSE_DIM_LIMIT:
+            raise ValueError(f"dimension {dim} outside 1..{DENSE_DIM_LIMIT}")
         self = cls.__new__(cls)
         self.dim = dim
         self.matrix = self.y_support = self._yclass = None
-        self.slots = len(matrices)
+        self.slots = len(counters)
         self._dense = True
-        width = self._width = _slot_width(dim)
+        # whole bytes with room for the monomials, so for the counter too
+        width = self._width = max(1 << dim, 8)
         self._cuts = {}
         self._free = tuple(self._repeat(f) for f in _free_slots(dim))
-        pack = Struct(f"<{dim}H{width // 8 - 2 * dim}x").pack
-        entries = int.from_bytes(b"".join(pack(*m.rows) for m in matrices),
-                                 "little")
+        n = width // 8
+        entries = self.entries = int.from_bytes(
+            b"".join(c.to_bytes(n, "little") for c in counters), "little")
         ones = self._repeat(1)
-        forms = []
-        for l in range(dim):
-            form = []
-            for m in range(l):
+        forms = [[] for _ in range(dim)]
+        for m, (off, _) in enumerate(_row_chunks(dim)):
+            for l in range(m + 1, dim):
                 # bit 0 of the slots whose matrix has entry (m, l)
-                if starts := entries >> 16 * m + l & ones:
-                    form.append((m, (starts << width) - starts))
-            forms.append(tuple(form))
-        self.y_form = tuple(forms)
+                if starts := entries >> off + l - m - 1 & ones:
+                    forms[l].append((m, (starts << width) - starts))
+        self.y_form = tuple(map(tuple, forms))
         return self
 
     @classmethod
@@ -324,11 +349,18 @@ class RingContext:
     # both support ^.
 
     def _repeat(self, mask: int) -> int:
-        """A one-slot dense mask copied into every slot."""
+        """A one-slot dense mask copied into every slot: the low slots of
+        its copy into RECHECK_STACK slots, which is kept per dimension."""
         if self.slots == 1:
             return mask
-        return int.from_bytes(mask.to_bytes(self._width // 8, "little")
-                              * self.slots, "little")
+        copies = _SLOT_COPIES.setdefault(self.dim, {})
+        if mask not in copies:
+            copies[mask] = int.from_bytes(mask.to_bytes(
+                self._width // 8, "little") * RECHECK_STACK, "little")
+        full = copies[mask]
+        if self.slots == RECHECK_STACK:
+            return full
+        return full & (1 << self.slots * self._width) - 1
 
     def _kzero(self):
         return 0 if self._dense else frozenset()
@@ -426,10 +458,10 @@ def _degree_mask(dim: int, lo: int, hi: int) -> int:
     return sum(1 << s for s in range(1 << dim) if lo <= s.bit_count() <= hi)
 
 
-def _slot_width(dim: int) -> int:
-    """Bits per slot of a stacked context: room for the monomials, and for
-    the matrix rows packed there at 16 bits each."""
-    return max(1 << dim, 16 * dim)
+# Per dimension, the copies into RECHECK_STACK slots of the one-slot masks
+# that stacked contexts spread (free generators, unit, degree cuts, row
+# ends), by mask
+_SLOT_COPIES: dict = {}
 
 
 def make_context(matrix: BottMatrix) -> RingContext:

@@ -14,11 +14,12 @@ are decided 2^LANE_BITS at a time by the bit-sliced kernel
 :func:`charclass.w3_square_lanes`: entry (i, j) of every candidate of a
 batch sits in one int, bit n for candidate n, so one big-int operation
 acts on the whole batch.  The hits of a batch leave in candidate order.
-Each is rebuilt from its counter and re-checked by the full criterion, a
-separate route: up to RECHECK_STACK of them at a time, each in its own
-slot of one stacked ring context.  A hit stays plain ints until something
-reads it: its report keeps the kernel values of its slot, and the NDJSON
-line takes its row and witness strings from bounded caches.
+Each is re-checked by the full criterion straight from its counter, a
+separate route: up to RECHECK_STACK of them at a time, each counter in
+its own slot of one stacked ring context.  A hit stays plain ints until
+something reads it: it builds its matrix when read, its report keeps the
+kernel values of its slot, and the NDJSON line cuts its row strings from
+the counter and takes them and the witness from bounded caches.
 
 Exhaustive mode numbers the all-even counters by rank.  A rank drops
 entry (i, i+1) of every row, the parity of the rest of the row, so ranks
@@ -47,9 +48,13 @@ from dataclasses import dataclass
 from functools import lru_cache
 from itertools import islice
 
-from .charclass import (SwReport, counterexample_criteria,
-                        counterexample_criterion, w3_square_lanes)
-from .gf2ring import BottMatrix, _bits, _free_slots, format_monomial
+from .charclass import (SwReport, counterexample_criterion,
+                        criteria_of_counters, w3_square_lanes)
+from .gf2ring import (BottMatrix, _bits, _counter_rows, _free_slots,
+                      _row_chunks, _row_string, format_monomial,
+                      matrix_from_counter)
+# the counter codec lives in gf2ring; its inverse stays importable here
+from .gf2ring import counter_from_matrix  # noqa: F401
 # importable from here for the benchmark's trace hooks, which patch them by
 # name; the search itself no longer calls them
 from .charclass import stiefel_whitney  # noqa: F401
@@ -62,11 +67,6 @@ MIN_HIT_DIM = 6
 # kernel, one per bit of its lane ints; 2^12 and 2^13 measure alike, 2^11
 # and 2^14 slower.
 LANE_BITS = 13
-# Hits re-checked together in one stacked ring context.  Searches at
-# d = 8..10 measure within 5% of each other from 2^6 to 2^9 hits, 2^8 the
-# best; smaller stacks pay more per stack, larger ones hold more indices
-# owed by some slot.  A d=12 value of 2^8 slots is 128 KB.
-RECHECK_STACK = 1 << 8
 
 
 class SpecTooLargeError(ValueError):
@@ -91,9 +91,16 @@ class SearchSpec:
 
 @dataclass(frozen=True)
 class SearchHit:
-    matrix: BottMatrix
+    """A hit: the matrix of ``counter``, built when ``matrix`` is read."""
+
+    dim: int
+    counter: int
     report: SwReport
     candidate_index: int
+
+    @property
+    def matrix(self) -> BottMatrix:
+        return matrix_from_counter(self.dim, self.counter)
 
 
 @dataclass
@@ -114,26 +121,6 @@ def free_bit_count(d: int) -> int:
 def free_positions(d: int) -> list[tuple[int, int]]:
     """(row, col) pairs, 0-based, in counter bit order."""
     return [(i, j) for i in range(d - 1) for j in range(i + 1, d)]
-
-
-def matrix_from_counter(d: int, counter: int) -> BottMatrix:
-    # row i holds entries (i, i+1) .. (i, d-1): its chunk shifted by i + 1
-    rows = [(counter >> off & ((1 << width) - 1)) << d - width
-            for off, width in _row_chunks(d)]
-    return BottMatrix(d, tuple(rows) + (0,))
-
-
-def counter_from_matrix(matrix: BottMatrix) -> int:
-    counter = 0
-    for i, (off, width) in enumerate(_row_chunks(matrix.dim)):
-        counter |= (matrix.rows[i] >> i + 1 & ((1 << width) - 1)) << off
-    return counter
-
-
-@lru_cache(maxsize=None)
-def _row_chunks(d: int) -> tuple:
-    """(offset, width) of each row's slice of the counter, top row first."""
-    return tuple((i * (2 * d - i - 1) // 2, d - 1 - i) for i in range(d - 1))
 
 
 # Ranks number the all-even-row counters in increasing order.  A rank drops
@@ -443,21 +430,16 @@ def _enumerate_range(spec: SearchSpec, lo: int, hi: int, sink) -> SearchStats:
     stats = SearchStats(dim=d, mode=spec.mode, candidates=hi - lo)
     start = time.perf_counter()
 
-    def emit(found: list) -> None:
-        """Re-check the (index, counter) hits of one kernel call, in order,
-        and pass them to the sink."""
-        for at in range(0, len(found), RECHECK_STACK):
-            stack = found[at:at + RECHECK_STACK]
-            matrices = [matrix_from_counter(d, c) for _, c in stack]
-            reports = counterexample_criteria(matrices)
-            if not all(r.verdict for r in reports):
-                raise AssertionError("fast path disagreed with full criterion")
-            stats.hits += len(stack)
-            if sink is not None:
-                for matrix, report, (index, _) in zip(matrices, reports,
-                                                      stack):
-                    sink(SearchHit(matrix=matrix, report=report,
-                                   candidate_index=index))
+    def emit(indices: list, counters: list) -> None:
+        """Re-check the hits of one kernel call, in order, and pass them
+        to the sink."""
+        reports = criteria_of_counters(d, counters)
+        if not all(r.verdict for r in reports):
+            raise AssertionError("fast path disagreed with full criterion")
+        stats.hits += len(counters)
+        if sink is not None:
+            for index, counter, report in zip(indices, counters, reports):
+                sink(SearchHit(d, counter, report, index))
 
     # below MIN_HIT_DIM no candidate needs the criterion
     decide = d >= MIN_HIT_DIM
@@ -479,7 +461,7 @@ def _enumerate_range(spec: SearchSpec, lo: int, hi: int, sink) -> SearchStats:
             # the counters of the block's hits by the linear rank map
             top, low = _counter_from_rank(d, base), _low_counters(d)
             found = [top ^ low[n] for n in _bits(hits)]
-            emit(list(zip(found, found)))
+            emit(found, found)
     else:
         draws = _orientable_draws(d, spec.seed, lo, hi)
         while batch := list(islice(draws, 1 << LANE_BITS)):
@@ -487,7 +469,8 @@ def _enumerate_range(spec: SearchSpec, lo: int, hi: int, sink) -> SearchStats:
             if decide:
                 hits = w3_square_lanes(
                     d, _draw_entries(d, [c for _, c in batch]), len(batch))
-                emit([batch[n] for n in _bits(hits)])
+                found = [batch[n] for n in _bits(hits)]
+                emit([i for i, _ in found], [c for _, c in found])
     stats.pruned = stats.candidates - stats.tested
     stats.wall_time_s = time.perf_counter() - start
     return stats
@@ -585,13 +568,19 @@ def run_partitioned(spec: SearchSpec, jobs: int, sink=None
     return merged, hits
 
 
+def _hit_rows(hit: SearchHit) -> list[str]:
+    """The row strings of a hit's matrix, cut from its counter."""
+    return [_row_string(hit.dim, row)
+            for row in _counter_rows(hit.dim, hit.counter)]
+
+
 def hit_record(hit: SearchHit) -> dict:
     """Wire form of one hit for NDJSON output."""
     report = hit.report
     witness = report.witness
     return {
-        "dim": hit.matrix.dim,
-        "matrix": hit.matrix.to_row_strings(),
+        "dim": hit.dim,
+        "matrix": _hit_rows(hit),
         "orientable": report.orientable,
         "w3sq_nonzero": report.w3sq_nonzero,
         "witness": None if witness is None else format_monomial(witness),
@@ -608,7 +597,7 @@ def hit_json(hit: SearchHit) -> str:
     witness = report.witness
     return ('{"dim": %d, "matrix": ["%s"], "orientable": %s, '
             '"w3sq_nonzero": %s, "witness": %s, "candidate_index": %d}' % (
-                hit.matrix.dim, '", "'.join(hit.matrix.to_row_strings()),
+                hit.dim, '", "'.join(_hit_rows(hit)),
                 "true" if report.orientable else "false",
                 "true" if report.w3sq_nonzero else "false",
                 "null" if witness is None

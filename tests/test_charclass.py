@@ -6,7 +6,9 @@ from itertools import combinations
 
 import pytest
 
+from bottforge import charclass
 from bottforge.charclass import (
+    _stack_reports,
     counterexample_criteria,
     counterexample_criterion,
     orientable_by_rowsums,
@@ -17,10 +19,16 @@ from bottforge.charclass import (
 )
 from bottforge.gf2ring import (
     DENSE_DIM_LIMIT,
+    RECHECK_STACK,
     BottMatrix,
     Gf2Poly,
+    RingContext,
+    _degree_mask,
+    _free_slots,
+    counter_from_matrix,
     format_monomial,
     make_context,
+    matrix_from_counter,
     multiply,
     parse_monomial,
     square,
@@ -389,6 +397,92 @@ def test_stacked_criteria_reject_mixed_dimensions():
     with pytest.raises(ValueError):
         counterexample_criteria([BottMatrix.zero(8), BottMatrix.zero(9)])
     assert counterexample_criteria([]) == []
+
+
+# ------------------------------------------------- stacks built from counters
+
+def _kernel_fields(r):
+    return (r.dim, r.orientable, r._w1, r._w3, r._w3sq, r.verdict, r.witness)
+
+
+def _slot_windows(ctx, value):
+    """The bytes of each slot of a dense value of ``ctx``, in slot order."""
+    n = ctx._width // 8
+    raw = value.to_bytes(n * ctx.slots, "little")
+    return [raw[at:at + n] for at in range(0, len(raw), n)]
+
+
+@pytest.mark.parametrize("d", range(6, DENSE_DIM_LIMIT + 1))
+def test_counter_stacks_match_one_matrix_contexts(d):
+    """Stacks of 1, 2, 37, RECHECK_STACK - 1 and RECHECK_STACK seeded
+    counters, every other one with all rows even: each selector covers
+    whole slots, the slots' supports are the y supports of the matrices
+    of the counters, the reports are those of one-matrix contexts, and
+    the slot-repeated masks, sliced from the copies kept per dimension,
+    are those repeated afresh."""
+    rng = random.Random(900 + d)
+    matrices = [random_bott_matrix(rng, d, rng.random())
+                for _ in range(RECHECK_STACK)]
+    matrices[1::2] = [_even_rows(m) for m in matrices[1::2]]
+    counters = [counter_from_matrix(m) for m in matrices]
+    assert [matrix_from_counter(d, c) for c in counters] == matrices
+    alone = [_kernel_fields(r) for m in matrices
+             for r in _stack_reports(RingContext(m))]
+    assert any(f[1] for f in alone) and not all(f[1] for f in alone)
+    assert any(f[5] for f in alone) is (d >= 8)
+    for size in (1, 2, 37, RECHECK_STACK - 1, RECHECK_STACK):
+        ctx = RingContext.stacked(d, counters[:size])
+        assert ctx.slots == size
+        full, empty = b"\xff" * (ctx._width // 8), bytes(ctx._width // 8)
+        supports = [[0] * d for _ in range(size)]
+        for l, form in enumerate(ctx.y_form):
+            for m, sel in form:
+                for k, window in enumerate(_slot_windows(ctx, sel)):
+                    assert window in (full, empty)
+                    supports[k][l] |= (window == full) << m
+        assert [tuple(s) for s in supports] == \
+            [RingContext(m).y_support for m in matrices[:size]]
+        assert [_kernel_fields(r) for r in _stack_reports(ctx)] == \
+            alone[:size]
+
+        def fresh(mask):
+            return int.from_bytes(
+                mask.to_bytes(ctx._width // 8, "little") * size, "little")
+        assert ctx._free == tuple(fresh(f) for f in _free_slots(d))
+        assert ctx._repeat(1) == fresh(1)
+        for lo, hi in ((0, 2), (0, 4), (1, 1), (3, 3), (6, 6)):
+            assert ctx._cut(-1, lo, hi) == fresh(_degree_mask(d, lo, hi))
+
+
+@pytest.mark.parametrize("d", [2, 3, 6, 9, DENSE_DIM_LIMIT,
+                               DENSE_DIM_LIMIT + 1])
+def test_rowsum_cross_check_sees_every_row(d):
+    """A matrix whose only odd row is row m, for every m, between two zero
+    matrices: its w1 is x_m, and the stack-wide cross-check agrees that
+    it alone is not orientable."""
+    zero = BottMatrix.zero(d)
+    for m in range(d - 1):
+        for l in {m + 1, d - 1}:
+            odd = BottMatrix(d, tuple((i == m) << l for i in range(d)))
+            reports = counterexample_criteria([zero, odd, zero])
+            assert [r.orientable for r in reports] == [True, False, True]
+            assert reports[1].w1 == Gf2Poly.variable(m)
+
+
+@pytest.mark.parametrize("d", [8, DENSE_DIM_LIMIT + 1])
+def test_disagreeing_w1_fails_the_rowsum_cross_check(monkeypatch, d):
+    """A w1 that gains an x_1 term in one slot disagrees with that slot's
+    even rows, and the stack-wide cross-check raises."""
+    real = charclass._total_class
+
+    def corrupt(ctx, top):
+        g = real(ctx, top)
+        if not ctx._dense:
+            return g ^ frozenset((1,))
+        return g ^ 2 << (ctx.slots // 2) * ctx._width
+    monkeypatch.setattr(charclass, "_total_class", corrupt)
+    with pytest.raises(AssertionError, match="row sums"):
+        counterexample_criteria([BottMatrix.zero(d)] * 5)
 
 
 # ------------------------------------------------------------ lane kernel

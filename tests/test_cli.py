@@ -628,6 +628,35 @@ def test_cli_import_builds_no_jump_table():
     assert _fresh_python(code).split() == ["0"]
 
 
+def test_cli_import_builds_no_slot_masks():
+    # the slot-repeated masks of stacked contexts are copied on first use,
+    # once per dimension, whatever the sizes of the stacks
+    code = ("import bottforge.cli\n"
+            "from bottforge import gf2ring, search\n"
+            "print(len(gf2ring._SLOT_COPIES))\n"
+            "sizes = set()\n"
+            "stacked = gf2ring.RingContext.stacked\n"
+            "def spy(dim, counters):\n"
+            "    sizes.add(len(counters))\n"
+            "    return stacked(dim, counters)\n"
+            "gf2ring.RingContext.stacked = spy\n"
+            "for d, limit in ((9, 30000), (10, 60000), (11, 120000),\n"
+            "                 (12, 240000)):\n"
+            "    for seed in range(3):\n"
+            "        search.enumerate_space(search.SearchSpec(\n"
+            "            dim=d, mode='random', limit=limit, seed=seed))\n"
+            "print(len(sizes))\n"
+            "print(*sorted(gf2ring._SLOT_COPIES))\n"
+            "print(max(len(c) - d for d, c in gf2ring._SLOT_COPIES.items()))\n")
+    empty, sizes, dims, extra = _fresh_python(code).splitlines()
+    assert empty == "0"
+    assert int(sizes) >= 8
+    assert dims == "9 10 11 12"
+    # beyond the d free-generator masks: the unit, the row ends and the
+    # degree cuts of the criterion
+    assert int(extra) <= 7
+
+
 def test_cli_import_builds_no_counter_table():
     # the exhaustive block counters are tabled on first use, never at import
     code = ("import bottforge.cli\n"

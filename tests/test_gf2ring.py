@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 from bottforge.charclass import stiefel_whitney, total_stiefel_whitney
 from bottforge.gf2ring import (
     DENSE_DIM_LIMIT,
+    RECHECK_STACK,
     BottMatrix,
     Gf2Poly,
     InvalidMatrixError,
@@ -488,7 +489,14 @@ def test_products_preserve_grading():
 
 def test_stacked_rejects_an_empty_stack():
     with pytest.raises(ValueError, match="at least one matrix"):
-        RingContext.stacked([])
+        RingContext.stacked(8, [])
+
+
+def test_stacked_takes_at_most_a_full_dense_stack():
+    with pytest.raises(ValueError, match="at most"):
+        RingContext.stacked(8, [0] * (RECHECK_STACK + 1))
+    with pytest.raises(ValueError, match="outside"):
+        RingContext.stacked(DENSE_DIM_LIMIT + 1, [0])
 
 
 def test_row_strings_match_the_entries():

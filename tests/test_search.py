@@ -209,14 +209,14 @@ def test_every_emitted_hit_passes_criterion():
     SearchSpec(dim=9, mode="random", limit=30000, seed=7)])
 def test_flipped_recheck_verdict_raises(monkeypatch, spec):
     """One re-check verdict that disagrees with the kernel stops the run."""
-    real = search.counterexample_criteria
+    real = search.criteria_of_counters
 
-    def flip_one(matrices):
-        reports = real(matrices)
+    def flip_one(dim, counters):
+        reports = real(dim, counters)
         reports[len(reports) // 2] = replace(reports[len(reports) // 2],
                                              verdict=False)
         return reports
-    monkeypatch.setattr(search, "counterexample_criteria", flip_one)
+    monkeypatch.setattr(search, "criteria_of_counters", flip_one)
     with pytest.raises(AssertionError):
         enumerate_space(spec)
 
@@ -756,12 +756,35 @@ def test_hit_json_is_json_dumps_of_hit_record():
         assert run_hits
         hits += run_hits
     zero = BottMatrix.zero(9)
-    hits.append(search.SearchHit(matrix=zero,
+    hits.append(search.SearchHit(dim=9, counter=0,
                                  report=counterexample_criterion(zero),
                                  candidate_index=0))
     for h in hits:
         assert hit_json(h) == json.dumps(hit_record(h),
                                          separators=(", ", ": "))
+
+
+def test_hits_build_their_matrix_when_read():
+    """A hit keeps its dimension and counter: two equal hits stay equal,
+    and pickle to the same payload of plain ints, when one of them has had
+    its matrix read; the matrix maps back to the counter."""
+    spec = SearchSpec(dim=9, mode="random", limit=30000, seed=7)
+    first, second = collect_hits(spec)[1], collect_hits(spec)[1]
+    assert first and first == second
+    for h in first:
+        assert counter_from_matrix(h.matrix) == h.counter
+        assert h.matrix.dim == h.dim == 9
+    assert first == second
+    assert [pickle.dumps(h) for h in first] == \
+        [pickle.dumps(h) for h in second]
+    payload = pickle.dumps(first[0])
+    assert b"BottMatrix" not in payload and b"Gf2Poly" not in payload
+    assert pickle.loads(payload) == first[0]
+    assert set(vars(first[0])) == {"dim", "counter", "report",
+                                   "candidate_index"}
+    _, hits = collect_hits(SearchSpec(dim=8, partition=(870, 2048)))
+    assert all(counter_from_matrix(h.matrix) == h.counter == h.candidate_index
+               for h in hits[::97])
 
 
 # --------------------------------------------------------------- reference
@@ -799,3 +822,18 @@ def test_survey_counts():
         assert r.min_example is None
     with pytest.raises(ValueError):
         minimal_dimension_survey(9)
+
+
+def test_survey_min_example_is_the_first_hit(monkeypatch):
+    """The d=8 survey row's min_example is the first hit's matrix, read
+    from its hit; every run stops just past that hit."""
+    real = search.enumerate_space
+
+    def up_to_first_hit(spec, sink=None):
+        return real(replace(spec, limit=GOLDEN_D8_FIRST_HIT + 1), sink)
+    monkeypatch.setattr(search, "enumerate_space", up_to_first_hit)
+    rows = minimal_dimension_survey(8)
+    assert [r.min_example for r in rows[:7]] == [None] * 7
+    assert (rows[7].hits, rows[7].min_example) == \
+        (1, matrix_from_counter(8, GOLDEN_D8_FIRST_HIT))
+    assert rows[7].min_example.to_row_strings() == GOLDEN_D8_FIRST_ROWS
