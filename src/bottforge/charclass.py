@@ -45,9 +45,11 @@ from .gf2ring import (
 )
 
 
-@dataclass(frozen=True)
+@dataclass(unsafe_hash=True)
 class SwReport:
-    """Outcome of the criterion evaluation for one matrix.
+    """Outcome of the criterion evaluation for one matrix, read-only by
+    convention: it is hashed by value and not frozen, because a frozen
+    dataclass takes about four times as long to build.
 
     ``witness`` is the smallest monomial of w3sq in canonical order, present
     exactly when w3sq is nonzero (even if the verdict fails on

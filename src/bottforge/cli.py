@@ -253,6 +253,7 @@ def cmd_search(args) -> int:
                              seed=args.seed, partition=partition)
 
     def sink(hit):
+        # one flush per line: a killed run leaves only whole lines behind
         print(search.hit_json(hit), flush=True)
     stats, _ = search.run_partitioned(spec, _env_jobs(), sink)
     print(json.dumps({

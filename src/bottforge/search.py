@@ -18,8 +18,8 @@ Each is re-checked by the full criterion straight from its counter, a
 separate route: up to RECHECK_STACK of them at a time, each counter in
 its own slot of one stacked ring context.  A hit stays plain ints until
 something reads it: it builds its matrix when read, its report keeps the
-kernel values of its slot, and the NDJSON line cuts its row strings from
-the counter and takes them and the witness from bounded caches.
+kernel values of its slot, and the NDJSON line takes the row strings of
+each run of whole rows of the counter, and the witness, from bounded caches.
 
 Exhaustive mode numbers the all-even counters by rank.  A rank drops
 entry (i, i+1) of every row, the parity of the rest of the row, so ranks
@@ -89,9 +89,10 @@ class SearchSpec:
     partition: tuple[int, int] | None = None
 
 
-@dataclass(frozen=True)
+@dataclass(unsafe_hash=True)
 class SearchHit:
-    """A hit: the matrix of ``counter``, built when ``matrix`` is read."""
+    """A hit: the matrix of ``counter``, built when ``matrix`` is read.
+    Read-only by convention, like its :class:`SwReport`."""
 
     dim: int
     counter: int
@@ -568,10 +569,30 @@ def run_partitioned(spec: SearchSpec, jobs: int, sink=None
     return merged, hits
 
 
-def _hit_rows(hit: SearchHit) -> list[str]:
-    """The row strings of a hit's matrix, cut from its counter."""
-    return [_row_string(hit.dim, row)
-            for row in _counter_rows(hit.dim, hit.counter)]
+# hit_json takes a hit's rows in runs of at most RUN_BITS counter bits
+RUN_BITS = 12
+
+
+@lru_cache(maxsize=None)
+def _row_runs(d: int) -> tuple:
+    """(counter mask, first row, end row) of each run of rows, top first;
+    a row wider than RUN_BITS is a run alone, and the empty last row ends
+    the last run."""
+    runs, first, mask = [], 0, 0
+    for i, (off, width) in enumerate(_row_chunks(d)):
+        if i > first and mask.bit_count() + width > RUN_BITS:
+            runs.append((mask, first, i))
+            first, mask = i, 0
+        mask |= (1 << width) - 1 << off
+    return (*runs, (mask, first, d))
+
+
+@lru_cache(maxsize=1 << 12)
+def _run_string(d: int, first: int, end: int, bits: int) -> str:
+    """The strings of rows first..end-1 of the matrix of counter ``bits``,
+    joined as :func:`hit_json` lists them."""
+    return '", "'.join([_row_string(d, row)
+                        for row in _counter_rows(d, bits)[first:end]])
 
 
 def hit_record(hit: SearchHit) -> dict:
@@ -580,7 +601,8 @@ def hit_record(hit: SearchHit) -> dict:
     witness = report.witness
     return {
         "dim": hit.dim,
-        "matrix": _hit_rows(hit),
+        "matrix": [_row_string(hit.dim, row)
+                   for row in _counter_rows(hit.dim, hit.counter)],
         "orientable": report.orientable,
         "w3sq_nonzero": report.w3sq_nonzero,
         "witness": None if witness is None else format_monomial(witness),
@@ -591,13 +613,14 @@ def hit_record(hit: SearchHit) -> dict:
 def hit_json(hit: SearchHit) -> str:
     """:func:`hit_record` as one JSON line, as ``json.dumps`` writes it
     with separators ", " and ": "; row strings and monomials need no
-    escapes.  Row and monomial strings come from the same cached helpers
-    as :func:`hit_record`'s."""
-    report = hit.report
+    escapes.  The rows come a run at a time from :func:`_run_string`,
+    rendered by :func:`hit_record`'s helper, as is the monomial."""
+    d, counter, report = hit.dim, hit.counter, hit.report
     witness = report.witness
     return ('{"dim": %d, "matrix": ["%s"], "orientable": %s, '
             '"w3sq_nonzero": %s, "witness": %s, "candidate_index": %d}' % (
-                hit.dim, '", "'.join(_hit_rows(hit)),
+                d, '", "'.join([_run_string(d, first, end, counter & mask)
+                                for mask, first, end in _row_runs(d)]),
                 "true" if report.orientable else "false",
                 "true" if report.w3sq_nonzero else "false",
                 "null" if witness is None

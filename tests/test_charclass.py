@@ -1,13 +1,15 @@
 """Characteristic classes, Steenrod squares, and the criterion."""
 
+import pickle
 import random
-from dataclasses import replace
+from dataclasses import fields, replace
 from itertools import combinations
 
 import pytest
 
 from bottforge import charclass
 from bottforge.charclass import (
+    SwReport,
     _stack_reports,
     counterexample_criteria,
     counterexample_criterion,
@@ -391,6 +393,29 @@ def test_report_replace_keeps_the_classes():
         (report.w1, report.w3, report.w3sq, report.witness)
     assert flipped != report
     assert replace(flipped, verdict=True) == report
+
+
+def test_report_record_semantics():
+    """Reports are compared and hashed by value, so equal reports built
+    apart dedupe in a set; the fields and their order are pinned, the
+    kernel values stay out of the repr, and ``replace`` and a pickle
+    round trip give equal reports of the same class."""
+    m = REFERENCE_MATRICES[0]
+    first, second = counterexample_criterion(m), counterexample_criterion(m)
+    assert first == second and first is not second
+    assert hash(first) == hash(second)
+    zero = counterexample_criterion(BottMatrix.zero(9))
+    assert len({first, second, zero}) == 2
+    assert [f.name for f in fields(SwReport)] == [
+        "dim", "orientable", "_w1", "_w3", "_w3sq", "verdict", "witness"]
+    assert repr(first) == (f"SwReport(dim=9, orientable=True, verdict=True, "
+                           f"witness={first.witness!r})")
+    flipped = replace(first, verdict=False)
+    assert type(flipped) is SwReport and flipped != first
+    for r in (first, flipped, zero):
+        back = pickle.loads(pickle.dumps(r))
+        assert type(back) is SwReport
+        assert back == r and hash(back) == hash(r)
 
 
 def test_stacked_criteria_reject_mixed_dimensions():

@@ -5,14 +5,16 @@ import json
 import os
 import pickle
 import random
-from dataclasses import replace
+from dataclasses import fields, replace
 from itertools import islice, product
 
 import pytest
 
 from bottforge import search
-from bottforge.charclass import counterexample_criterion, orientable_by_rowsums
-from bottforge.gf2ring import BottMatrix
+from bottforge.charclass import (SwReport, counterexample_criterion,
+                                 orientable_by_rowsums)
+from bottforge.gf2ring import (BottMatrix, _counter_rows, _row_chunks,
+                               _row_string)
 from bottforge.search import (
     MAX_EXHAUSTIVE_SPAN,
     REFERENCE_D9,
@@ -762,6 +764,73 @@ def test_hit_json_is_json_dumps_of_hit_record():
     for h in hits:
         assert hit_json(h) == json.dumps(hit_record(h),
                                          separators=(", ", ": "))
+
+
+def test_row_runs_cover_every_row_once():
+    """The runs of each dimension are whole rows, in order, each row in
+    one run, the last run ending with the empty last row; a run holds at
+    most RUN_BITS counter bits unless it is one row wider than that."""
+    assert search.RUN_BITS == 12
+    runs8 = search._row_runs(8)
+    assert [(m.bit_length() - m.bit_count(), m.bit_count())
+            for m, _, _ in runs8] == [(0, 7), (7, 11), (18, 10)]
+    for d in range(1, 21):
+        runs = search._row_runs(d)
+        assert runs[0][1] == 0 and runs[-1][2] == d
+        assert all(a[2] == b[1] for a, b in zip(runs, runs[1:]))
+        chunks = _row_chunks(d)
+        for mask, first, end in runs:
+            assert first < end
+            assert mask == sum(((1 << w) - 1) << off
+                               for off, w in chunks[first:end])
+            assert mask.bit_count() <= search.RUN_BITS or end - first == 1
+        assert sum(m for m, _, _ in runs) == (1 << free_bit_count(d)) - 1
+    assert search._run_string.cache_info().maxsize is not None
+
+
+def test_hit_json_rows_match_the_row_renderer():
+    """For d = 1..20, on seeded counters, 0 and all ones, the matrix of a
+    hit line is the ``_row_string`` join of ``_counter_rows``, read cold
+    and again from the run cache."""
+    rng = random.Random(1414)
+    for d in range(1, 21):
+        report = SwReport(d, True, 0, 0, 0, False, None)
+        bits = free_bit_count(d)
+        for c in [0, (1 << bits) - 1] + [rng.getrandbits(bits)
+                                         for _ in range(20)]:
+            hit = search.SearchHit(d, c, report, c)
+            want = '", "'.join(_row_string(d, row)
+                               for row in _counter_rows(d, c))
+            for line in (hit_json(hit), hit_json(hit)):
+                body = line.split('"matrix": ["', 1)[1]
+                assert body.split('"], "orientable"', 1)[0] == want
+                assert json.loads(line) == hit_record(hit)
+
+
+def test_hit_record_semantics():
+    """Hits are compared and hashed by value, so equal hits built apart
+    dedupe in a set; the fields and their order are pinned, the repr
+    shows the report's repr without its kernel values, and ``replace``
+    and a pickle round trip give equal hits of the same class."""
+    spec = SearchSpec(dim=9, mode="random", limit=3000, seed=42)
+    first, second = collect_hits(spec)[1], collect_hits(spec)[1]
+    assert first == second and first[0] is not second[0]
+    assert [hash(h) for h in first] == [hash(h) for h in second]
+    assert len(set(first + second)) == len(first) > 1
+    assert [f.name for f in fields(search.SearchHit)] == [
+        "dim", "counter", "report", "candidate_index"]
+    hit = first[0]
+    assert repr(hit) == (f"SearchHit(dim=9, counter={hit.counter}, "
+                         f"report={hit.report!r}, "
+                         f"candidate_index={hit.candidate_index})")
+    assert "_w" not in repr(hit)
+    moved = replace(hit, candidate_index=-1)
+    assert type(moved) is search.SearchHit and moved != hit
+    assert moved.report is hit.report
+    for h in (hit, moved):
+        back = pickle.loads(pickle.dumps(h))
+        assert type(back) is search.SearchHit
+        assert back == h and hash(back) == hash(h)
 
 
 def test_hits_build_their_matrix_when_read():
