@@ -6,123 +6,60 @@ characteristic classes (:mod:`bottforge.charclass`), a candidate search
 normal form (:mod:`bottforge.abelian`), odometer towers over expanding
 integer matrices (:mod:`bottforge.odometer`), and a command line front end
 (:mod:`bottforge.cli`).
-"""
 
-from .abelian import (
-    FgAbGroup,
-    HypothesisViolation,
-    IntMatrix,
-    SmithDecomposition,
-    StationarySystem,
-    check_beta_torsion_iso,
-    direct_limit_torsion,
-    exponent_plus_one_identity,
-    limit_torsion_bound,
-    smith_normal_form,
-    torsion_subgroup,
-)
-from .charclass import (
-    SwReport,
-    counterexample_criteria,
-    counterexample_criterion,
-    orientable_by_rowsums,
-    stiefel_whitney,
-    total_steenrod_square,
-    total_stiefel_whitney,
-)
-from .gf2ring import (
-    BottMatrix,
-    Gf2Poly,
-    InvalidMatrixError,
-    RingContext,
-    basis_masks,
-    format_monomial,
-    make_context,
-    multiply,
-    pairing_matrix,
-    parse_monomial,
-    reduce_exponents,
-    relation_strings,
-    square,
-)
-from .odometer import (
-    BudgetExceeded,
-    LevelPoint,
-    OdometerTower,
-    SingularMatrixError,
-    act,
-    escape_level,
-    expanding_check,
-    is_transitive,
-    level_order,
-    project,
-)
-from .search import (
-    SearchHit,
-    SearchSpec,
-    SearchStats,
-    SpecTooLargeError,
-    collect_hits,
-    enumerate_space,
-    hit_record,
-    minimal_dimension_survey,
-    reproduce_reference,
-    run_partitioned,
-)
+``import bottforge`` loads none of them: each public name below imports its
+home module on first access (PEP 562).  A fresh process compiles every
+module it imports unless a bytecode cache is at hand, so a one-shot command
+pays only for the layers it runs.
+"""
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "BottMatrix",
-    "BudgetExceeded",
-    "FgAbGroup",
-    "Gf2Poly",
-    "HypothesisViolation",
-    "IntMatrix",
-    "InvalidMatrixError",
-    "LevelPoint",
-    "OdometerTower",
-    "RingContext",
-    "SearchHit",
-    "SearchSpec",
-    "SearchStats",
-    "SingularMatrixError",
-    "SmithDecomposition",
-    "SpecTooLargeError",
-    "StationarySystem",
-    "SwReport",
-    "act",
-    "basis_masks",
-    "check_beta_torsion_iso",
-    "collect_hits",
-    "counterexample_criteria",
-    "counterexample_criterion",
-    "direct_limit_torsion",
-    "enumerate_space",
-    "escape_level",
-    "expanding_check",
-    "exponent_plus_one_identity",
-    "format_monomial",
-    "hit_record",
-    "is_transitive",
-    "level_order",
-    "limit_torsion_bound",
-    "make_context",
-    "minimal_dimension_survey",
-    "multiply",
-    "orientable_by_rowsums",
-    "pairing_matrix",
-    "parse_monomial",
-    "project",
-    "reduce_exponents",
-    "relation_strings",
-    "reproduce_reference",
-    "run_partitioned",
-    "smith_normal_form",
-    "square",
-    "stiefel_whitney",
-    "torsion_subgroup",
-    "total_steenrod_square",
-    "total_stiefel_whitney",
-    "__version__",
-]
+# every public name, listed once under the module that defines it
+_EXPORTS = {
+    "abelian": (
+        "BudgetExceeded", "FgAbGroup", "HypothesisViolation", "IntMatrix",
+        "SmithDecomposition", "StationarySystem", "check_beta_torsion_iso",
+        "direct_limit_torsion", "exponent_plus_one_identity",
+        "limit_torsion_bound", "smith_normal_form", "torsion_subgroup",
+    ),
+    "charclass": (
+        "SwReport", "counterexample_criteria", "counterexample_criterion",
+        "orientable_by_rowsums", "stiefel_whitney", "total_steenrod_square",
+        "total_stiefel_whitney",
+    ),
+    "gf2ring": (
+        "BottMatrix", "Gf2Poly", "InvalidMatrixError", "RingContext",
+        "basis_masks", "format_monomial", "make_context", "multiply",
+        "pairing_matrix", "parse_monomial", "reduce_exponents",
+        "relation_strings", "square",
+    ),
+    "odometer": (
+        "LevelPoint", "OdometerTower", "SingularMatrixError", "act",
+        "escape_level", "expanding_check", "is_transitive", "level_order",
+        "project",
+    ),
+    "search": (
+        "SearchHit", "SearchSpec", "SearchStats", "SpecTooLargeError",
+        "collect_hits", "enumerate_space", "hit_record",
+        "minimal_dimension_survey", "reproduce_reference", "run_partitioned",
+    ),
+}
+_HOME = {name: module for module, names in _EXPORTS.items() for name in names}
+
+__all__ = [*_HOME, "__version__"]
+
+
+def __getattr__(name):
+    # a submodule name misses here, so ``from bottforge import search``
+    # falls through to the submodule import
+    if name not in _HOME:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    from importlib import import_module
+    value = getattr(import_module(f".{_HOME[name]}", __name__), name)
+    globals()[name] = value
+    return value
+
+
+def __dir__():
+    return sorted({*globals(), *_HOME})

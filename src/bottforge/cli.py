@@ -8,6 +8,11 @@ and ``odometer`` prints a level table for an integer matrix.
 Matrix file format: first line the dimension d, then d lines of d
 whitespace-separated 0/1 entries.  Exit codes: 0 success, 1 invalid input,
 2 internal error, 3 reference mismatch (reproduce only).
+
+Each command imports the layers it runs when it runs, not at module load: a
+fresh process compiles every module it imports unless a bytecode cache is at
+hand, so ``limit-torsion`` never loads the ring and ``check`` never loads the
+search.
 """
 
 from __future__ import annotations
@@ -15,14 +20,8 @@ from __future__ import annotations
 import argparse
 import json
 import os
-import random
 import sys
 import time
-
-from . import abelian, charclass, odometer, search
-from .abelian import FgAbGroup, HypothesisViolation, IntMatrix, StationarySystem
-from .charclass import SwReport, total_steenrod_square, total_stiefel_whitney
-from .gf2ring import BottMatrix, InvalidMatrixError, format_monomial, make_context
 
 SCHEMA_VERSION = "bott-forge/1"
 
@@ -120,6 +119,7 @@ def _bit(tok: str) -> int:
 
 def read_bott_matrix_file(path: str) -> BottMatrix:
     """Parse the 0/1 matrix format, naming bad entries as (row, col)."""
+    from .gf2ring import BottMatrix, InvalidMatrixError
     entries = _read_matrix_file(path, _bit, "0 or 1")
     try:
         return BottMatrix.from_entries(entries)
@@ -141,6 +141,7 @@ def read_system_file(path: str) -> tuple[StationarySystem, dict]:
     vectors, each of length generators), "beta" (matrix as rows), "n"
     (multiplier), optionally "alpha".
     """
+    from .abelian import FgAbGroup, IntMatrix, StationarySystem
     try:
         with open(path, encoding="utf-8") as fh:
             data = json.load(fh)
@@ -185,6 +186,7 @@ def read_system_file(path: str) -> tuple[StationarySystem, dict]:
 def build_report(report: SwReport, timings: dict,
                  full_sw=None, sq=None) -> dict:
     """Assemble the check report dict in stable key order."""
+    from .gf2ring import format_monomial
     out = {
         "version": SCHEMA_VERSION,
         "dim": report.dim,
@@ -206,6 +208,9 @@ def build_report(report: SwReport, timings: dict,
 
 
 def cmd_check(args) -> int:
+    from . import charclass
+    from .charclass import total_steenrod_square, total_stiefel_whitney
+    from .gf2ring import make_context
     matrix = read_bott_matrix_file(args.matrix)
     t0 = time.perf_counter()
     report = charclass.counterexample_criterion(matrix)
@@ -241,6 +246,7 @@ def _env_jobs() -> int:
 
 
 def cmd_search(args) -> int:
+    from . import search
     partition = None
     if args.partition:
         try:
@@ -270,6 +276,8 @@ def cmd_search(args) -> int:
 
 
 def cmd_reproduce(args) -> int:
+    from . import search
+    from .gf2ring import format_monomial
     reports = search.reproduce_reference()
     ok = all(r.verdict for r in reports)
     coeff_ok = search.REFERENCE_D9_WITNESS_MASK in reports[0].w3sq.terms
@@ -297,6 +305,7 @@ def cmd_reproduce(args) -> int:
 
 
 def cmd_limit_torsion(args) -> int:
+    from . import abelian
     if args.depth < 1:
         raise UsageError(f"--depth must be positive, got {args.depth}")
     system, raw = read_system_file(args.system)
@@ -312,7 +321,7 @@ def cmd_limit_torsion(args) -> int:
     try:
         payload["beta_torsion_bijective"] = abelian.check_beta_torsion_iso(system)
         payload["limit_torsion"] = abelian.direct_limit_torsion(system)
-    except HypothesisViolation as exc:
+    except abelian.HypothesisViolation as exc:
         raise UsageError(f"{args.system}: {exc}") from exc
     bound, orders = abelian.limit_torsion_bound(
         group, [system.beta], args.depth)
@@ -324,6 +333,10 @@ def cmd_limit_torsion(args) -> int:
 
 
 def cmd_odometer(args) -> int:
+    import random
+
+    from . import odometer
+    from .abelian import IntMatrix
     for flag, value in (("--levels", args.levels), ("--samples", args.samples),
                         ("--transitive-budget", args.transitive_budget)):
         if value < 0:
@@ -427,10 +440,7 @@ def main(argv=None) -> int:
         return 1
     try:
         return args.func(args)
-    except UsageError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except (InvalidMatrixError, ValueError) as exc:
+    except ValueError as exc:  # UsageError and InvalidMatrixError among them
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except BrokenPipeError:

@@ -391,8 +391,8 @@ def _validate_spec(spec: SearchSpec) -> None:
     if spec.mode == "random":
         if spec.limit is None or spec.limit < 1:
             raise ValueError("random mode needs a positive limit")
-        if not 0 <= spec.seed <= MASK64:
-            raise ValueError(f"seed {spec.seed} outside 0..2^64-1")
+    if not 0 <= spec.seed <= MASK64:
+        raise ValueError(f"seed {spec.seed} outside 0..2^64-1")
     if spec.limit is not None and spec.limit < 0:
         raise ValueError("limit must be non-negative")
 

@@ -9,7 +9,7 @@ from pathlib import Path
 import jsonschema
 import pytest
 
-from bottforge import abelian, cli, odometer, search
+from bottforge import abelian, charclass, cli, odometer, search
 from bottforge.gf2ring import BottMatrix
 
 
@@ -201,6 +201,16 @@ def test_search_random_seed_outside_64_bits(capsys, seed):
     assert err.strip() == f"error: seed {seed} outside 0..2^64-1"
 
 
+@pytest.mark.parametrize("seed", ["18446744073709551616", "-1"])
+def test_search_exhaustive_seed_outside_64_bits(capsys, seed):
+    # the seed is range-checked whatever the mode, as README states
+    rc, out, err = run_cli(capsys, ["search", "--dim", "6", "--limit", "3",
+                                    "--seed", seed])
+    assert rc == 1
+    assert out == ""
+    assert err.strip() == f"error: seed {seed} outside 0..2^64-1"
+
+
 def test_search_random_largest_seed(capsys):
     rc, _, err = run_cli(capsys, ["search", "--dim", "9", "--mode", "random",
                                   "--limit", "100",
@@ -232,7 +242,7 @@ def test_search_threads_env_uses_partitioned_path(capsys, monkeypatch):
 
     monkeypatch.setenv("BOTT_THREADS", "2")
     monkeypatch.setattr(cli.os, "cpu_count", lambda: 4)
-    monkeypatch.setattr(cli.search, "run_partitioned", spy)
+    monkeypatch.setattr(search, "run_partitioned", spy)
     rc, out, err = run_cli(capsys, ["search", "--dim", "6"])
     assert rc == 0
     assert calls == [2]
@@ -590,7 +600,7 @@ def test_internal_error_maps_to_2(capsys, tmp_path, monkeypatch):
     def boom(_matrix):
         raise RuntimeError("synthetic failure")
 
-    monkeypatch.setattr(cli.charclass, "counterexample_criterion", boom)
+    monkeypatch.setattr(charclass, "counterexample_criterion", boom)
     rc, _, err = run_cli(capsys, ["check", "--matrix", write_d9(tmp_path)])
     assert rc == 2
     assert err.startswith("internal error: RuntimeError")
@@ -665,3 +675,85 @@ def test_cli_import_builds_no_counter_table():
             "search.enumerate_space(search.SearchSpec(dim=6))\n"
             "print(search._low_counters.cache_info().currsize)\n")
     assert _fresh_python(code).split() == ["0", "1"]
+
+
+# the bottforge submodules a fresh process holds after each command
+COMMAND_LAYERS = {
+    "import": set(),
+    "limit-torsion": {"cli", "abelian"},
+    "odometer": {"cli", "abelian", "odometer"},
+    "check": {"cli", "gf2ring", "charclass"},
+    "reproduce": {"cli", "gf2ring", "charclass", "search"},
+    "search": {"cli", "gf2ring", "charclass", "search"},
+}
+
+
+@pytest.mark.parametrize("command", COMMAND_LAYERS)
+def test_each_command_loads_only_its_layers(tmp_path, command):
+    # a fresh process compiles every module it imports, so a one-shot
+    # command must leave the layers it does not run unloaded
+    odometer_matrix = tmp_path / "odometer.txt"
+    odometer_matrix.write_text("2\n2 1\n0 2\n")
+    argv = {
+        "limit-torsion": ["limit-torsion", "--system", write_system(tmp_path, {
+            "generators": 2, "relations": [[0, 4]], "beta": [[5, 0], [0, 5]],
+            "n": 5, "alpha": [[1, 0], [0, 1]]})],
+        "odometer": ["odometer", "--dim", "2", "--matrix",
+                     str(odometer_matrix), "--levels", "12"],
+        "check": ["check", "--matrix", write_d9(tmp_path), "--full-sw",
+                  "--sq", "3"],
+        "reproduce": ["reproduce", "--json"],
+        "search": ["search", "--dim", "6"],
+    }.get(command)
+    code = "import bottforge\nrc = 0\n"
+    if argv:
+        code = ("import contextlib, io\n"
+                "from bottforge.cli import main\n"
+                "with contextlib.redirect_stdout(io.StringIO()):\n"
+                f"    rc = main({argv!r})\n")
+    code += ("import sys\n"
+             "print(rc, *sorted(m for m in sys.modules\n"
+             "                  if m.startswith('bottforge.')))\n")
+    rc, *loaded = _fresh_python(code).split()
+    assert rc == "0"
+    assert set(loaded) == {f"bottforge.{m}" for m in COMMAND_LAYERS[command]}
+
+
+PUBLIC_NAMES = [
+    "BottMatrix", "BudgetExceeded", "FgAbGroup", "Gf2Poly",
+    "HypothesisViolation", "IntMatrix", "InvalidMatrixError", "LevelPoint",
+    "OdometerTower", "RingContext", "SearchHit", "SearchSpec", "SearchStats",
+    "SingularMatrixError", "SmithDecomposition", "SpecTooLargeError",
+    "StationarySystem", "SwReport", "__version__", "act", "basis_masks",
+    "check_beta_torsion_iso", "collect_hits", "counterexample_criteria",
+    "counterexample_criterion", "direct_limit_torsion", "enumerate_space",
+    "escape_level", "expanding_check", "exponent_plus_one_identity",
+    "format_monomial", "hit_record", "is_transitive", "level_order",
+    "limit_torsion_bound", "make_context", "minimal_dimension_survey",
+    "multiply", "orientable_by_rowsums", "pairing_matrix", "parse_monomial",
+    "project", "reduce_exponents", "relation_strings", "reproduce_reference",
+    "run_partitioned", "smith_normal_form", "square", "stiefel_whitney",
+    "torsion_subgroup", "total_steenrod_square", "total_stiefel_whitney",
+]
+
+
+def test_lazy_namespace_keeps_public_api():
+    import bottforge
+
+    assert sorted(bottforge.__all__) == PUBLIC_NAMES
+    for name in bottforge.__all__:
+        if name == "__version__":
+            continue
+        value = getattr(bottforge, name)
+        # the very object of the module that defines it
+        assert getattr(sys.modules[value.__module__], name) is value, name
+    assert set(bottforge.__all__) <= set(dir(bottforge))
+    star = {}
+    exec("from bottforge import *", star)
+    assert set(bottforge.__all__) <= set(star)
+    with pytest.raises(AttributeError, match="no_such_name"):
+        bottforge.no_such_name
+    code = ("import sys, bottforge\n"
+            "print(bottforge.__version__,\n"
+            "      *[m for m in sys.modules if m.startswith('bottforge.')])\n")
+    assert _fresh_python(code).split() == ["0.1.0"]

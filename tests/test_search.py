@@ -138,6 +138,8 @@ def test_spec_validation():
         with pytest.raises(ValueError, match="outside 0..2"):
             enumerate_space(
                 SearchSpec(dim=9, mode="random", limit=10, seed=seed), None)
+        with pytest.raises(ValueError, match="outside 0..2"):
+            enumerate_space(SearchSpec(dim=6, seed=seed), None)
 
 
 def test_random_seed_64_bit_range_accepted():
