@@ -242,7 +242,9 @@ def _env_jobs() -> int:
         jobs = int(raw)
     except ValueError:
         raise UsageError(f"BOTT_THREADS={raw!r} is not an integer") from None
-    return max(1, min(jobs, os.cpu_count() or 1))
+    if jobs < 1:
+        raise UsageError(f"BOTT_THREADS={raw!r} is not positive")
+    return min(jobs, os.cpu_count() or 1)
 
 
 def cmd_search(args) -> int:

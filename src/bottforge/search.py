@@ -32,10 +32,11 @@ the counter of the hit's lane number, from a table built on first use.
 Random mode jumps the xorshift64* stream straight to the first draw of
 its range with powers of the GF(2) matrix of one state step (Haramoto et
 al., INFORMS J. Comput. 20, 2008), each power kept as byte tables only.
-It then steps LANES runs of consecutive draws at once, packed in 128-bit
+It then steps LANES runs of consecutive draws at once, packed in 64-bit
 lanes of one int, each lane started by a jump past the run before it,
 and prunes them all with a few big-int operations per step; each batch
 of orientable draws, in index order, is transposed into entry lanes.
+A pool builds the jump tables of its parts before it starts its workers.
 """
 
 from __future__ import annotations
@@ -46,13 +47,12 @@ from array import array
 from collections import deque
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import islice
+from itertools import compress, islice
 
 from .charclass import (SwReport, counterexample_criterion,
                         criteria_of_counters, w3_square_lanes)
-from .gf2ring import (BottMatrix, _bits, _counter_rows, _free_slots,
-                      _row_chunks, _row_string, format_monomial,
-                      matrix_from_counter)
+from .gf2ring import (BottMatrix, _counter_rows, _free_slots, _row_chunks,
+                      _row_string, format_monomial, matrix_from_counter)
 # the counter codec lives in gf2ring; its inverse stays importable here
 from .gf2ring import counter_from_matrix  # noqa: F401
 # importable from here for the benchmark's trace hooks, which patch them by
@@ -205,6 +205,16 @@ def _block_entries(d: int, base: int, lane_bits: int) -> list:
     return entries
 
 
+_BINARY_DIGITS = bytes.maketrans(b"01", b"\x00\x01")
+
+
+def _lanes_of(mask: int) -> list:
+    """The set bits of a lane mask in increasing order, found in one
+    linear pass over its binary digits."""
+    digits = format(mask, "b").encode().translate(_BINARY_DIGITS)[::-1]
+    return list(compress(range(len(digits)), digits))
+
+
 def _draw_entries(d: int, counters: list) -> list:
     """Entry lanes of ``counters``, counter n in lane n: their bit matrix
     transposed."""
@@ -283,29 +293,34 @@ def _xs_jump(state: int, n: int) -> int:
 
 
 # Random mode steps LANES runs of consecutive draws at once, each run in a
-# 128-bit lane of one int, so a lane's 64x64-bit product never carries into
-# the next.  A window steps every lane at most 2^12 times, and fewer below
-# d = 9, so that it expects at most 2^12 orientable draws.
+# 64-bit lane of one int.  A window steps every lane at most 2^12 times, and
+# fewer below d = 9, so that it expects at most 2^12 orientable draws.
 LANES = 256
 WINDOW_STEP_BITS = 12
 
 
 @lru_cache(maxsize=None)
 def _draw_words(d: int) -> tuple:
-    """(mask, row-end bits, prefix shifts) of each 64-bit word of a draw.
+    """(mask, row-end bits, free shifts, lane-crossing shifts) of each
+    64-bit word of a draw.
 
     A draw takes one xorshift output per word, the first in the least
     significant bits.  Its rows are all even exactly when the prefix XOR
-    of its bits is 0 at the last bit of every row.
+    of its bits is 0 at the last bit of every row.  The prefix XOR shifts
+    by 1, 2, 4, ...; a shift crosses into the next 64-bit lane once the
+    highest bit it can reach passes bit 63, and so do all later ones.
     """
     bits = free_bit_count(d)
     ends = [off + width - 1 for off, width in _row_chunks(d)]
     words = []
     for at in range(0, bits, 64):
         width = min(64, bits - at)
+        shifts = [1 << k for k in range((width - 1).bit_length())]
+        # shifts 1 .. k reach bit width - 1 + 2k - 1
+        free = [k for k in shifts if width + 2 * k <= 65]
         words.append(((1 << width) - 1,
                       sum(1 << (e - at) for e in ends if at <= e < at + 64),
-                      [1 << k for k in range((width - 1).bit_length())]))
+                      free, shifts[len(free):]))
     return tuple(words)
 
 
@@ -315,11 +330,13 @@ def _orientable_draws(d: int, seed: int, lo: int, hi: int):
 
     Draw i is the counter made of xorshift outputs i*w+1 .. i*w+w, w words
     per draw.  The stream jumps straight to draw ``lo``, then runs in
-    windows of at most LANES lanes, each lane owning ``steps`` consecutive
-    draws.  A step moves every lane one draw: xorshift and multiply, a
-    prefix XOR whose row-end bits are 0 in an orientable lane (the parity
-    carries from word to word), and one borrow-free subtraction that sets
-    bit 64 of exactly those lanes.
+    windows of at most LANES lanes of 64 bits, each lane owning ``steps``
+    consecutive draws.  A step moves every lane one draw: xorshift with
+    each shift masked to its lane, the multiply of the even and of the odd
+    lanes apart, so that each 128-bit product fills a lane pair of its
+    own, a prefix XOR whose row-end bits are 0 in an orientable lane (the
+    parity carries from word to word), and one borrow-free subtraction
+    that keeps bit 63 of exactly those lanes.
     """
     words = _draw_words(d)
     w = len(words)
@@ -332,37 +349,52 @@ def _orientable_draws(d: int, seed: int, lo: int, hi: int):
         starts = [state]
         for _ in range(lanes - 1):
             starts.append(_xs_jump(starts[-1], steps * w))
-        s = int.from_bytes(b"".join(x.to_bytes(16, "little") for x in starts),
+        s = int.from_bytes(b"".join(x.to_bytes(8, "little") for x in starts),
                            "little")
-        ones = int.from_bytes((b"\x01" + bytes(15)) * lanes, "little")
-        low = MASK64 * ones
-        flag = ones << 64
-        lane_words = [(mask * ones, ends * ones, shifts)
-                      for mask, ends, shifts in words]
+        ones = int.from_bytes((b"\x01" + bytes(7)) * lanes, "little")
+        evens = int.from_bytes((b"\x01" + bytes(15)) * (lanes + 1 >> 1),
+                               "little")
+        odds = ones ^ evens
+        low52, low37 = (MASK64 >> 12) * ones, (MASK64 >> 27) * ones
+        high39 = (MASK64 >> 25 << 25) * ones
+        even_lanes, odd_lanes = MASK64 * evens, MASK64 * odds
+        # No row ends on bit 63 of a word, so an orientable lane keeps the
+        # flag and any other loses it to a borrow that stops at the flag.
+        # Row i ends at draw bit S_i - 1, where 2 S_i = (i+1)(2d-2-i), and
+        # bit 63 of a word would need 128 | 2 S_i.  The two factors sum to
+        # 2d - 1, which is odd, so one of them would be a multiple of 128;
+        # both are at most 2d - 2 < 128 for d <= 64.
+        flag = ones << 63
+        lane_words = [(mask * evens, mask * odds, ends * ones, free,
+                       [(k, (MASK64 >> k << k) * ones) for k in crossing])
+                      for mask, ends, free, crossing in words]
         found = []
         for t in range(base, base + steps):
-            odd = carry = 0
+            odd = prefix = 0
             outs = []
-            for mask, ends, shifts in lane_words:
-                s ^= s >> 12 & low
-                s ^= s << 25 & low
-                s ^= s >> 27 & low
-                out = s * _XS_MULT & mask
+            for even_mask, odd_mask, ends, free, crossing in lane_words:
+                s ^= s >> 12 & low52
+                s ^= s << 25 & high39
+                s ^= s >> 27 & low37
+                out = (s & even_lanes) * _XS_MULT & even_mask \
+                    | (s & odd_lanes) * _XS_MULT & odd_mask
                 outs.append(out)
-                prefix = out ^ carry
-                for k in shifts:
+                # bit 63 of the last prefix carries the parity so far
+                prefix = out ^ prefix >> 63 & ones
+                for k in free:
                     prefix ^= prefix << k
+                for k, keep in crossing:
+                    prefix ^= prefix << k & keep
                 odd |= prefix & ends
-                carry = prefix >> 63 & ones
             even = flag - odd & flag
             if even:
                 # one byte per lane: 1 where the lane's draw is orientable
-                marks = (even >> 64).to_bytes(lanes << 4, "little")[::16]
+                marks = (even >> 63).to_bytes(lanes << 3, "little")[::8]
                 lane = marks.find(1)
                 while lane >= 0:
                     counter = 0
                     for k, out in enumerate(outs):
-                        counter |= (out >> (lane << 7) & MASK64) << (k << 6)
+                        counter |= (out >> (lane << 6) & MASK64) << (k << 6)
                     found.append((t + lane * steps, counter))
                     lane = marks.find(1, lane + 1)
         found.sort()
@@ -370,7 +402,7 @@ def _orientable_draws(d: int, seed: int, lo: int, hi: int):
             if index >= hi:
                 break
             yield index, counter
-        state = s >> ((lanes - 1) << 7) & MASK64
+        state = s >> ((lanes - 1) << 6)
         base += lanes * steps
 
 
@@ -461,7 +493,7 @@ def _enumerate_range(spec: SearchSpec, lo: int, hi: int, sink) -> SearchStats:
                 d, _block_entries(d, base, lane_bits), width)
             # the counters of the block's hits by the linear rank map
             top, low = _counter_from_rank(d, base), _low_counters(d)
-            found = [top ^ low[n] for n in _bits(hits)]
+            found = [top ^ low[n] for n in _lanes_of(hits)]
             emit(found, found)
     else:
         draws = _orientable_draws(d, spec.seed, lo, hi)
@@ -470,7 +502,7 @@ def _enumerate_range(spec: SearchSpec, lo: int, hi: int, sink) -> SearchStats:
             if decide:
                 hits = w3_square_lanes(
                     d, _draw_entries(d, [c for _, c in batch]), len(batch))
-                found = [batch[n] for n in _bits(hits)]
+                found = [batch[n] for n in _lanes_of(hits)]
                 emit([i for i, _ in found], [c for _, c in found])
     stats.pruned = stats.candidates - stats.tested
     stats.wall_time_s = time.perf_counter() - start
@@ -488,9 +520,11 @@ def collect_hits(spec: SearchSpec) -> tuple[SearchStats, list[SearchHit]]:
     return _range_worker(spec, *_spec_range(spec))
 
 
-# Parts per worker: the hits are uneven across equal parts (at d=8 all of
-# them lie in a quarter of the orientable counters), so the pool hands out
-# many small parts in order instead of one large part per worker.
+# Random mode splits its draws into PARTS_PER_JOB equal parts per pool
+# worker; exhaustive parts are aligned rank blocks and do not use it.  The
+# parts go out in order as workers free up, at most two per worker at once,
+# so a worker slowed by other load takes fewer of them, and the parent
+# holds the hits of a few parts at a time, not of the whole range.
 PARTS_PER_JOB = 8
 
 
@@ -534,6 +568,11 @@ def run_partitioned(spec: SearchSpec, jobs: int, sink=None
     if len(bounds) == 2:
         return _enumerate_range(spec, lo, hi, sink), hits
     import multiprocessing
+
+    if spec.mode == "random":
+        # no jump of a part passes draw hi; built here, the tables reach
+        # the workers at fork instead of being built in each of them
+        _step_power((hi * len(_draw_words(spec.dim))).bit_length() - 1)
 
     merged = SearchStats(dim=spec.dim, mode=spec.mode, candidates=hi - lo)
     parts = ((spec, a, b) for a, b in zip(bounds, bounds[1:]))

@@ -258,6 +258,14 @@ def test_search_threads_env_must_be_integer(capsys, monkeypatch):
     assert "BOTT_THREADS" in err
 
 
+@pytest.mark.parametrize("raw", ["0", "-3"])
+def test_search_threads_env_must_be_positive(capsys, monkeypatch, raw):
+    monkeypatch.setenv("BOTT_THREADS", raw)
+    rc, out, err = run_cli(capsys, ["search", "--dim", "5"])
+    assert (rc, out) == (1, "")
+    assert f"BOTT_THREADS={raw!r} is not positive" in err
+
+
 def test_search_threads_env_capped_at_cpu_count(monkeypatch):
     monkeypatch.setenv("BOTT_THREADS", "64")
     monkeypatch.setattr(cli.os, "cpu_count", lambda: 3)

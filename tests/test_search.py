@@ -656,8 +656,12 @@ def _scalar_orientable(d, seed, lo, hi):
 
 
 def test_orientable_draws_match_scalar_stream():
-    # d = 4 runs windows of 2^15 draws, so this range spans four of them
-    for d, seed, lo, hi in [(4, 7, 5000, 105000), (9, 0, 0, 1)]:
+    # d = 4 runs windows of 2^15 draws, so the first range spans four of
+    # them; the second runs one full window and then one of five lanes, the
+    # top one even and partly past hi; d = 64 draws 32 words a draw
+    odd_tail = search.LANES * 128 + 5 * 128 - 7
+    for d, seed, lo, hi in [(4, 7, 5000, 105000), (4, 5, 5, 5 + odd_tail),
+                            (9, 0, 0, 1), (64, 11, 3, 3 + 2 * search.LANES)]:
         assert list(search._orientable_draws(d, seed, lo, hi)) == \
             _scalar_orientable(d, seed, lo, hi)
 
@@ -673,6 +677,36 @@ def test_orientable_draws_small_lanes(monkeypatch):
         lo, hi = rng.randrange(100), rng.randrange(100, 400)
         assert list(search._orientable_draws(d, seed, lo, hi)) == \
             _scalar_orientable(d, seed, lo, hi)
+
+
+def test_no_row_ends_on_bit_63_of_a_word():
+    # the orientable flag of a 64-bit lane sits at bit 63
+    for d in range(1, 65):
+        for mask, ends, free, crossing in search._draw_words(d):
+            assert not ends >> 63 & 1
+            assert ends & mask == ends
+            width = mask.bit_length()
+            assert free + crossing == [
+                1 << k for k in range((width - 1).bit_length())]
+            # the prefix shifts 1 .. k reach bit width + 2k - 2: the free
+            # ones stay in the lane, the crossing ones leave it
+            assert all(width + 2 * k - 2 <= 63 for k in free)
+            assert all(width + 2 * k - 2 > 63 for k in crossing)
+
+
+def test_lanes_of_lists_set_bits_in_order():
+    rng = random.Random(3)
+    for mask in [0, 1, 1 << 8191] + [rng.getrandbits(8192) for _ in range(3)]:
+        assert search._lanes_of(mask) == \
+            [n for n in range(mask.bit_length()) if mask >> n & 1]
+
+
+def test_random_pool_builds_jump_tables_in_the_parent():
+    # the parts of 20000 one-word draws start less than 2^15 steps in, and
+    # the workers inherit the tables of those jumps at fork
+    search._step_power.cache_clear()
+    run_partitioned(SearchSpec(dim=9, mode="random", limit=20000, seed=42), 2)
+    assert search._step_power.cache_info().currsize == (20000).bit_length()
 
 
 @pytest.mark.parametrize("lane_bits", [search.LANE_BITS, 5])
