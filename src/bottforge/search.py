@@ -210,7 +210,12 @@ _BINARY_DIGITS = bytes.maketrans(b"01", b"\x00\x01")
 
 def _lanes_of(mask: int) -> list:
     """The set bits of a lane mask in increasing order, found in one
-    linear pass over its binary digits."""
+    linear pass over its binary digits.
+
+    This is for kernel-width masks of thousands of bits, where
+    ``gf2ring._bits`` is quadratic: it clears one bit of the whole int a
+    step.  On the few-bit masks of the ring code ``_bits`` stays faster
+    (0.50 against 0.94 us for 3 bits of 4 on a Xeon core)."""
     digits = format(mask, "b").encode().translate(_BINARY_DIGITS)[::-1]
     return list(compress(range(len(digits)), digits))
 
@@ -572,7 +577,9 @@ def run_partitioned(spec: SearchSpec, jobs: int, sink=None
     if spec.mode == "random":
         # no jump of a part passes draw hi; built here, the tables reach
         # the workers at fork instead of being built in each of them
-        _step_power((hi * len(_draw_words(spec.dim))).bit_length() - 1)
+        steps = hi * len(_draw_words(spec.dim))
+        if steps:  # 0 at d = 1, whose draws are empty, or an empty range
+            _step_power(steps.bit_length() - 1)
 
     merged = SearchStats(dim=spec.dim, mode=spec.mode, candidates=hi - lo)
     parts = ((spec, a, b) for a, b in zip(bounds, bounds[1:]))

@@ -576,6 +576,20 @@ def test_run_partitioned_random_merges_like_serial():
         [h.candidate_index for h in serial_hits]
 
 
+@pytest.mark.parametrize("spec", [
+    SearchSpec(dim=1, mode="random", limit=10),
+    SearchSpec(dim=9, mode="random", limit=3, seed=5, partition=(0, 4)),
+], ids=["d1-empty-draws", "empty-partition"])
+def test_run_partitioned_random_without_steps_matches_serial(spec):
+    # no part makes a jump: a d = 1 draw has no free bits, and partition 0
+    # of 4 over 3 draws is empty
+    serial, serial_hits = collect_hits(spec)
+    merged, merged_hits = run_partitioned(spec, 2)
+    assert (merged.candidates, merged.tested, merged.pruned, merged.hits) == \
+        (serial.candidates, serial.tested, serial.pruned, serial.hits)
+    assert merged_hits == serial_hits
+
+
 # ------------------------------------------------- random-mode jump-ahead
 
 def _brute_random(d, stream, count):
