@@ -34,8 +34,8 @@ its range with powers of the GF(2) matrix of one state step (Haramoto et
 al., INFORMS J. Comput. 20, 2008), each power kept as byte tables only.
 It then steps LANES runs of consecutive draws at once, packed in 64-bit
 lanes of one int, each lane started by a jump past the run before it,
-and prunes them all with a few big-int operations per step; each batch
-of orientable draws, in index order, is transposed into entry lanes.
+prunes them by a parity fold within rows that never crosses a lane, and
+transposes each batch of orientable draws, in index order, into entry lanes.
 A pool builds the jump tables of its parts before it starts its workers.
 """
 
@@ -306,26 +306,28 @@ WINDOW_STEP_BITS = 12
 
 @lru_cache(maxsize=None)
 def _draw_words(d: int) -> tuple:
-    """(mask, row-end bits, free shifts, lane-crossing shifts) of each
-    64-bit word of a draw.
+    """(mask, multiplier, row-end bits, fold stages) of each draw word.
 
     A draw takes one xorshift output per word, the first in the least
-    significant bits.  Its rows are all even exactly when the prefix XOR
-    of its bits is 0 at the last bit of every row.  The prefix XOR shifts
-    by 1, 2, 4, ...; a shift crosses into the next 64-bit lane once the
-    highest bit it can reach passes bit 63, and so do all later ones.
+    significant bits, which the xorshift multiplier cut to the word's
+    width gives alike.  Its rows are all even exactly when every row-end
+    bit is 0 after a parity fold within rows: stage ``(k, keep)``, for
+    k = 1, 2, 4, ... below the widest row part of the word, XORs the bit
+    k below into each bit at least k bits into its row's part, so no
+    stage leaves a row's part, nor the word's 64-bit lane.
     """
     bits = free_bit_count(d)
-    ends = [off + width - 1 for off, width in _row_chunks(d)]
+    # how far each draw bit lies into its row; a 0 starts a row
+    depth = [j for _, width in _row_chunks(d) for j in range(width)] + [0]
     words = []
     for at in range(0, bits, 64):
-        width = min(64, bits - at)
-        shifts = [1 << k for k in range((width - 1).bit_length())]
-        # shifts 1 .. k reach bit width - 1 + 2k - 1
-        free = [k for k in shifts if width + 2 * k <= 65]
-        words.append(((1 << width) - 1,
-                      sum(1 << (e - at) for e in ends if at <= e < at + 64),
-                      free, shifts[len(free):]))
+        mask = (1 << min(64, bits - at)) - 1
+        # and into its row's part of this word
+        into = [min(depth[at + p], p) for p in range(mask.bit_length())]
+        stages = [(k, sum(1 << p for p, n in enumerate(into) if n >= k))
+                  for k in (1 << i for i in range(max(into).bit_length()))]
+        ends = sum(1 << p for p in range(len(into)) if not depth[at + p + 1])
+        words.append((mask, _XS_MULT & mask, ends, stages))
     return tuple(words)
 
 
@@ -338,10 +340,10 @@ def _orientable_draws(d: int, seed: int, lo: int, hi: int):
     windows of at most LANES lanes of 64 bits, each lane owning ``steps``
     consecutive draws.  A step moves every lane one draw: xorshift with
     each shift masked to its lane, the multiply of the even and of the odd
-    lanes apart, so that each 128-bit product fills a lane pair of its
-    own, a prefix XOR whose row-end bits are 0 in an orientable lane (the
-    parity carries from word to word), and one borrow-free subtraction
-    that keeps bit 63 of exactly those lanes.
+    lanes apart, so that each product fills a lane pair of its own, a
+    parity fold within rows whose row-end bits are 0 in an orientable lane
+    (bit 63 carries its row's parity into the next word), and one
+    borrow-free subtraction that keeps bit 63 of exactly those lanes.
     """
     words = _draw_words(d)
     w = len(words)
@@ -370,27 +372,25 @@ def _orientable_draws(d: int, seed: int, lo: int, hi: int):
         # 2d - 1, which is odd, so one of them would be a multiple of 128;
         # both are at most 2d - 2 < 128 for d <= 64.
         flag = ones << 63
-        lane_words = [(mask * evens, mask * odds, ends * ones, free,
-                       [(k, (MASK64 >> k << k) * ones) for k in crossing])
-                      for mask, ends, free, crossing in words]
+        lane_words = [(mask * evens, mask * odds, mult, ends * ones,
+                       [(k, keep * ones) for k, keep in stages])
+                      for mask, mult, ends, stages in words]
         found = []
         for t in range(base, base + steps):
-            odd = prefix = 0
+            odd = fold = 0
             outs = []
-            for even_mask, odd_mask, ends, free, crossing in lane_words:
+            for even_mask, odd_mask, mult, ends, stages in lane_words:
                 s ^= s >> 12 & low52
                 s ^= s << 25 & high39
                 s ^= s >> 27 & low37
-                out = (s & even_lanes) * _XS_MULT & even_mask \
-                    | (s & odd_lanes) * _XS_MULT & odd_mask
+                out = (s & even_lanes) * mult & even_mask \
+                    | (s & odd_lanes) * mult & odd_mask
                 outs.append(out)
-                # bit 63 of the last prefix carries the parity so far
-                prefix = out ^ prefix >> 63 & ones
-                for k in free:
-                    prefix ^= prefix << k
-                for k, keep in crossing:
-                    prefix ^= prefix << k & keep
-                odd |= prefix & ends
+                # bit 63 of the last fold carries its row's parity so far
+                fold = out ^ fold >> 63 & ones
+                for k, keep in stages:
+                    fold ^= fold << k & keep
+                odd |= fold & ends
             even = flag - odd & flag
             if even:
                 # one byte per lane: 1 where the lane's draw is orientable

@@ -662,22 +662,42 @@ def test_random_partitions_match_brute_criterion(d, two_words):
     assert orientable > 4
 
 
-def _scalar_orientable(d, seed, lo, hi):
-    stream = xorshift_stream(seed)
-    draws = [draw_counter(stream, free_bit_count(d)) for _ in range(hi)]
-    return [(i, c) for i, c in enumerate(draws) if i >= lo and all(
+def _scalar_orientable(d, seed, lo, hi, skip=0):
+    # the stream reaches draw ``skip`` by a jump, which
+    # test_jump_matches_stepping pins to plain stepping
+    words = -(-free_bit_count(d) // 64)
+    stream = xorshift_stream(
+        search._xs_jump(search._xs_seed_state(seed), skip * words))
+    draws = [draw_counter(stream, free_bit_count(d)) for _ in range(skip, hi)]
+    return [(i, c) for i, c in enumerate(draws, skip) if i >= lo and all(
         r.bit_count() % 2 == 0 for r in matrix_from_counter(d, c).rows)]
 
 
 def test_orientable_draws_match_scalar_stream():
     # d = 4 runs windows of 2^15 draws, so the first range spans four of
     # them; the second runs one full window and then one of five lanes, the
-    # top one even and partly past hi; d = 64 draws 32 words a draw
+    # top one even and partly past hi; at d = 12 row 9 runs over bits 63
+    # and 64, so its parity carries into the second word; d = 64 draws 32
+    # words a draw
     odd_tail = search.LANES * 128 + 5 * 128 - 7
     for d, seed, lo, hi in [(4, 7, 5000, 105000), (4, 5, 5, 5 + odd_tail),
-                            (9, 0, 0, 1), (64, 11, 3, 3 + 2 * search.LANES)]:
+                            (9, 0, 0, 1),
+                            (12, 3, 7, 7 + 3 * search.LANES << 5),
+                            (64, 11, 3, 3 + 2 * search.LANES)]:
         assert list(search._orientable_draws(d, seed, lo, hi)) == \
             _scalar_orientable(d, seed, lo, hi)
+    # d = 9 steps a lane 2^12 times a window, so this range runs two full
+    # windows and one of 129 lanes, the top one even and partly past hi;
+    # the scalar stream checks an even and an odd lane at each end and in
+    # the middle of each window
+    lo, hi, run = 1000, 1000 + (5 << 19) + 77, 1 << 12
+    draws = list(search._orientable_draws(9, 42, lo, hi))
+    for window in range(lo, hi, search.LANES * run):
+        for a in [window + lane * run for lane in (0, 127, 128, 255)]:
+            if a < hi:
+                b = min(a + run, hi)
+                assert [x for x in draws if a <= x[0] < b] == \
+                    _scalar_orientable(9, 42, a, b, skip=a)
 
 
 def test_orientable_draws_small_lanes(monkeypatch):
@@ -696,16 +716,58 @@ def test_orientable_draws_small_lanes(monkeypatch):
 def test_no_row_ends_on_bit_63_of_a_word():
     # the orientable flag of a 64-bit lane sits at bit 63
     for d in range(1, 65):
-        for mask, ends, free, crossing in search._draw_words(d):
+        for mask, mult, ends, stages in search._draw_words(d):
             assert not ends >> 63 & 1
             assert ends & mask == ends
-            width = mask.bit_length()
-            assert free + crossing == [
-                1 << k for k in range((width - 1).bit_length())]
-            # the prefix shifts 1 .. k reach bit width + 2k - 2: the free
-            # ones stay in the lane, the crossing ones leave it
-            assert all(width + 2 * k - 2 <= 63 for k in free)
-            assert all(width + 2 * k - 2 > 63 for k in crossing)
+
+
+def _row_parts(d):
+    """Per draw word, the (start, stop) bits of each row's part of it and
+    the bits on which a row ends, by brute force over the free positions."""
+    row_of = [i for i, _ in search.free_positions(d)] + [None]
+    words = []
+    for at in range(0, len(row_of) - 1, 64):
+        rows = row_of[at:at + 65]
+        starts = [p for p in range(len(rows) - 1)
+                  if not p or rows[p] != rows[p - 1]]
+        ends = sum(1 << p for p in range(len(rows) - 1)
+                   if rows[p] != rows[p + 1])
+        words.append((list(zip(starts, starts[1:] + [len(rows) - 1])), ends))
+    return words
+
+
+def test_draw_words_fold_each_row_part_within_itself():
+    # d = 9 draws one 36-bit word whose widest row part has 8 bits, where a
+    # prefix XOR over the word shifted 6 times; no word ever folds in more
+    # stages than such a prefix XOR shifts
+    assert [len(stages) for *_, stages in search._draw_words(9)] == [3]
+    rng = random.Random(17)
+    for d in range(1, 65):
+        words = search._draw_words(d)
+        assert len(words) == len(_row_parts(d))
+        for (mask, mult, ends, stages), (parts, row_ends) in zip(
+                words, _row_parts(d)):
+            assert ends == row_ends
+            widest = max(stop - start for start, stop in parts)
+            assert [k for k, _ in stages] == \
+                [1 << i for i in range(7) if 1 << i < widest]
+            assert len(stages) <= (mask.bit_length() - 1).bit_length()
+            # a stage keeps exactly the bits whose source k below lies in
+            # the same row part, so no stage crosses a row start
+            for k, keep in stages:
+                assert keep == sum(1 << p for start, stop in parts
+                                   for p in range(start + k, stop))
+            for _ in range(20):
+                x = rng.getrandbits(64) & mask
+                fold = x
+                for k, keep in stages:
+                    fold ^= fold << k & keep
+                for start, stop in parts:
+                    parity = (x >> start & (1 << stop - start) - 1).bit_count()
+                    assert fold >> stop - 1 & 1 == parity & 1
+                y = rng.getrandbits(64)
+                assert y * mult & mask == y * search._XS_MULT & mask
+            assert mult <= mask
 
 
 def test_lanes_of_lists_set_bits_in_order():
