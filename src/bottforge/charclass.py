@@ -15,16 +15,16 @@ sum of x_S * x_T over subsets T of S.
 A matrix passes the counterexample criterion when its manifold is
 orientable and w_3^2 is nonzero; dimensions below 6 never pass because
 w_3^2 lives in degree 6.  Squaring is a ring map in characteristic 2, so
-w_3^2 = e_3(y_1^2, ..., y_d^2), the degree-6 part of prod (1 + y_i)^2,
-two products by y_i per column.  The criterion evaluates a stack of
+w_3^2 sums x_S^2 = x_S * prod_{k in S} y_k over the terms x_S of w3, by
+a ladder over the indices k.  The criterion evaluates a stack of
 matrices of one dimension, from their counters, in one dense ring context
 and cross-checks its w1 against the row sums for the whole stack at once.
 
 The search decides many candidates at once with a bit-sliced kernel of
-its own, :func:`w3_square_lanes`, which shares no code with the ring
-context: it squares w3 term by term, and its products by y_l keep no
-memo, settling owed terms from the top index down, one whole set per
-index.
+its own, :func:`w3_square_lanes`.  It rests on the same identity but
+shares no code with the ring context: it squares w3 on per-term lane
+dicts, and its products by y_l keep no memo, settling owed terms from the
+top index down, one whole set per index.
 """
 
 from __future__ import annotations
@@ -259,24 +259,24 @@ def _stack_reports(ctx: RingContext) -> list[SwReport]:
     """The reports of the matrices in the slots of ``ctx``, in slot
     order."""
     g = _total_class(ctx, 3)
-    # prod (1 + y_i^2) up to degree 6, y_i^2 as two products by y_i
-    h = ctx._unit(0)
-    for form in ctx.y_form:
-        if form:
-            h ^= ctx._mul_form(ctx._mul_form(ctx._cut(h, 0, 4), form), form)
+    # the ladder from x_0 up: the terms holding x_k times y_k, dropped where
+    # y_k = 0; y_k only rewrites indices below k, so step k sees exactly
+    # the terms whose S held x_k
+    h = w3 = ctx._cut(g, 3, 3)
+    for k, form in enumerate(ctx.y_form):
+        if held := ctx._holding(h, k):
+            h ^= held ^ ctx._mul_form(held, form) if form else held
     w1 = ctx._cut(g, 1, 1)
     _check_rowsums(ctx, w1)
-    dense = ctx._dense
     reports = []
     for w1, w3, w3sq in zip(ctx._unstack(w1),
-                            ctx._unstack(ctx._cut(g, 3, 3)),
-                            ctx._unstack(ctx._cut(h, 6, 6))):
+                            ctx._unstack(w3), ctx._unstack(h)):
         orientable = not w1
         # w3sq is homogeneous, so its first term in canonical order is its
         # smallest mask, in a dense value the lowest set bit
         if not w3sq:
             witness = None
-        elif dense:
+        elif ctx._dense:
             witness = (w3sq & -w3sq).bit_length() - 1
         else:
             witness = min(w3sq)

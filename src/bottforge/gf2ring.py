@@ -31,10 +31,9 @@ from itertools import combinations
 
 MAX_DIM = 64
 DENSE_DIM_LIMIT = 12
-# Matrices in one stacked context at most.  Searches at d = 8..10 measure
-# within 5% of each other from 2^6 to 2^9 hits a stack, 2^8 the best;
-# smaller stacks pay more per stack, larger ones hold more indices owed by
-# some slot.  A d=12 value of 2^8 slots is 128 KB.
+# Matrices in one stacked context at most.  Re-checking search hits, 2^8
+# is within 4% of the best size at d = 8 and 9, and 5-11% behind 2^7 at
+# d=10, which trails by 13-17% at d=8.  A d=12 value of 2^8 slots is 128 KB.
 RECHECK_STACK = 1 << 8
 
 
@@ -258,7 +257,7 @@ class RingContext:
     The context chooses a dense int-bitset polynomial kernel for
     dim <= ``DENSE_DIM_LIMIT`` and a frozenset kernel above it; the public
     API is identical either way.  ``y_support[j]`` is the mask of rows with
-    a 1 in column j; ``yclass`` is derived from it on first use.
+    a 1 in column j; ``yclass`` is derived from it when read.
 
     A context built by :meth:`stacked` holds ``slots`` matrices in one
     dense kernel: matrix k owns the k-th run of ``_width`` bits of every
@@ -272,7 +271,7 @@ class RingContext:
     """
 
     __slots__ = ("dim", "matrix", "y_support", "y_form", "slots", "entries",
-                 "_yclass", "_dense", "_free", "_width", "_cuts")
+                 "_dense", "_free", "_width", "_cuts")
 
     def __init__(self, matrix: BottMatrix):
         dim = matrix.dim
@@ -287,7 +286,6 @@ class RingContext:
                             for sup in supports)
         self.slots = 1
         self.entries = counter_from_matrix(matrix)
-        self._yclass = None
         self._dense = dim <= DENSE_DIM_LIMIT
         self._free = _free_slots(dim) if self._dense else None
         self._cuts = {}
@@ -306,7 +304,7 @@ class RingContext:
             raise ValueError(f"dimension {dim} outside 1..{DENSE_DIM_LIMIT}")
         self = cls.__new__(cls)
         self.dim = dim
-        self.matrix = self.y_support = self._yclass = None
+        self.matrix = self.y_support = None
         self.slots = len(counters)
         self._dense = True
         # whole bytes with room for the monomials, so for the counter too
@@ -338,11 +336,8 @@ class RingContext:
 
     @property
     def yclass(self) -> tuple:
-        if self._yclass is None:
-            self._yclass = tuple(
-                Gf2Poly(frozenset(1 << k for k in _bits(sup)))
-                for sup in self.y_support)
-        return self._yclass
+        return tuple(Gf2Poly(frozenset(1 << k for k in _bits(sup)))
+                     for sup in self.y_support)
 
     # kernel primitives: a kernel value is an int bitset over monomial masks
     # when dense, one run of bits per slot, otherwise a frozenset of masks;
@@ -397,6 +392,11 @@ class RingContext:
             mask = self._cuts[lo, hi] = self._repeat(
                 _degree_mask(self.dim, lo, hi))
         return rep & mask
+
+    def _holding(self, rep, k: int):
+        """The terms of ``rep`` that hold x_k."""
+        return (rep & ~self._free[k] if self._dense else
+                frozenset(t for t in rep if t >> k & 1))
 
     def _mul_form(self, rep, form):
         """Reduced product of a kernel value and a linear form, in each

@@ -424,6 +424,68 @@ def test_stacked_criteria_reject_mixed_dimensions():
     assert counterexample_criteria([]) == []
 
 
+# ------------------------------------------ square ladder against (1 + y_i)^2
+
+def _w3sq_by_square_product(ctx):
+    """w3^2 in each slot of ``ctx`` by the route before the index ladder:
+    the degree-6 part of prod (1 + y_i^2), built up to degree 4 and then
+    times y_i twice, per column."""
+    h = ctx._unit(0)
+    for form in ctx.y_form:
+        if form:
+            h ^= ctx._mul_form(ctx._mul_form(ctx._cut(h, 0, 4), form), form)
+    return ctx._unstack(ctx._cut(h, 6, 6))
+
+
+@pytest.mark.parametrize("d", range(6, DENSE_DIM_LIMIT + 1))
+def test_square_ladder_matches_square_product_stacked(d):
+    """Slot by slot, stacks of 1, 37, RECHECK_STACK - 1 and RECHECK_STACK
+    seeded counters from both ends of a mixed stack (the zero matrix,
+    non-orientable slots, zero columns), and a stack whose column j is
+    zero in every slot."""
+    rng = random.Random(1000 + d)
+    stack = _mixed_stack(rng, d, RECHECK_STACK)
+    counters = [counter_from_matrix(m) for m in stack]
+    stacks = [part for size in (1, 37, RECHECK_STACK - 1, RECHECK_STACK)
+              for part in (counters[:size], counters[-size:])]
+    j = rng.randrange(1, d)
+    stacks.append([counter_from_matrix(BottMatrix(
+        d, tuple(r & ~(1 << j) for r in m.rows))) for m in stack[:37]])
+    nonzero = 0
+    for part in stacks:
+        ctx = RingContext.stacked(d, part)
+        got = [r._w3sq for r in _stack_reports(ctx)]
+        assert got == _w3sq_by_square_product(ctx)
+        nonzero += sum(map(bool, got))
+    assert not ctx.y_form[j]
+    assert nonzero or d < 8
+
+
+@pytest.mark.parametrize("d", range(DENSE_DIM_LIMIT + 1, 17))
+def test_square_ladder_matches_square_product_sparse(d):
+    """One sparse context per matrix: a mixed seeded stack, the full
+    strictly upper triangular matrix and its even-row version."""
+    rng = random.Random(1100 + d)
+    full = BottMatrix(d, tuple((1 << d) - (2 << i) for i in range(d)))
+    nonzero = 0
+    for m in _mixed_stack(rng, d, 6) + [full, _even_rows(full)]:
+        ctx = make_context(m)
+        got = [r._w3sq for r in _stack_reports(ctx)]
+        assert type(got[0]) is frozenset
+        assert got == _w3sq_by_square_product(ctx)
+        nonzero += bool(got[0])
+    assert nonzero
+
+
+def test_criterion_d16_matches_square_route():
+    """A seeded orientable d=16 matrix, a hit, against the term-by-term
+    square on its own sparse context."""
+    m = _even_rows(random_bott_matrix(random.Random(1216), 16))
+    expected = _criterion_by_square(m)
+    assert expected[4]
+    assert _report_tuple(counterexample_criterion(m)) == expected
+
+
 # ------------------------------------------------- stacks built from counters
 
 def _kernel_fields(r):
