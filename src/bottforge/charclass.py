@@ -16,9 +16,11 @@ A matrix passes the counterexample criterion when its manifold is
 orientable and w_3^2 is nonzero; dimensions below 6 never pass because
 w_3^2 lives in degree 6.  Squaring is a ring map in characteristic 2, so
 w_3^2 sums x_S^2 = x_S * prod_{k in S} y_k over the terms x_S of w3, by
-a ladder over the indices k.  The criterion evaluates a stack of
-matrices of one dimension, from their counters, in one dense ring context
-and cross-checks its w1 against the row sums for the whole stack at once.
+the ring context's ladder over the indices k, the one that
+:func:`~bottforge.gf2ring.square` runs.  The criterion evaluates a stack
+of matrices of one dimension, from their counters, in one ring context
+(one matrix per context above the dense limit) and cross-checks its w1
+against the row sums for the whole stack at once.
 
 The search decides many candidates at once with a bit-sliced kernel of
 its own, :func:`w3_square_lanes`.  It rests on the same identity but
@@ -40,8 +42,6 @@ from .gf2ring import (
     _bits,
     _row_chunks,
     counter_from_matrix,
-    make_context,
-    matrix_from_counter,
 )
 
 
@@ -220,14 +220,12 @@ def counterexample_criteria(matrices) -> list[SwReport]:
 def criteria_of_counters(dim: int, counters: list) -> list[SwReport]:
     """:func:`counterexample_criterion` of the matrix of each of
     ``counters``, in input order: up to ``DENSE_DIM_LIMIT`` RECHECK_STACK
-    at a time, one slot each of a stacked dense ring context, above it
-    each in a sparse context of its own."""
-    if dim > DENSE_DIM_LIMIT:
-        return [report for c in counters for report in
-                _stack_reports(make_context(matrix_from_counter(dim, c)))]
-    return [report for at in range(0, len(counters), RECHECK_STACK)
-            for report in _stack_reports(RingContext.stacked(
-                dim, counters[at:at + RECHECK_STACK]))]
+    at a time, one slot each of a dense ring context, above it each in a
+    sparse context of its own."""
+    step = RECHECK_STACK if dim <= DENSE_DIM_LIMIT else 1
+    return [report for at in range(0, len(counters), step)
+            for report in _stack_reports(
+                RingContext(dim, counters[at:at + step]))]
 
 
 def _fold(value: int, span: int) -> int:
@@ -259,18 +257,11 @@ def _stack_reports(ctx: RingContext) -> list[SwReport]:
     """The reports of the matrices in the slots of ``ctx``, in slot
     order."""
     g = _total_class(ctx, 3)
-    # the ladder from x_0 up: the terms holding x_k times y_k, dropped where
-    # y_k = 0; y_k only rewrites indices below k, so step k sees exactly
-    # the terms whose S held x_k
-    h = w3 = ctx._cut(g, 3, 3)
-    for k, form in enumerate(ctx.y_form):
-        if held := ctx._holding(h, k):
-            h ^= held ^ ctx._mul_form(held, form) if form else held
-    w1 = ctx._cut(g, 1, 1)
+    w1, w3 = ctx._cut(g, 1, 1), ctx._cut(g, 3, 3)
     _check_rowsums(ctx, w1)
     reports = []
-    for w1, w3, w3sq in zip(ctx._unstack(w1),
-                            ctx._unstack(w3), ctx._unstack(h)):
+    for w1, w3, w3sq in zip(ctx._unstack(w1), ctx._unstack(w3),
+                            ctx._unstack(ctx._square(w3))):
         orientable = not w1
         # w3sq is homogeneous, so its first term in canonical order is its
         # smallest mask, in a dense value the lowest set bit

@@ -12,14 +12,17 @@ x_{i+1}.  Polynomials are finite sets of masks and addition is symmetric
 difference.  Code is 0-based throughout; 1-based names appear only in
 rendered strings such as ``"x1x2x4"`` and in diagnostics.
 
-Internally a ring context holds a polynomial in one of two equivalent
-forms: for dim <= 12 a single int whose bit at position ``mask`` marks the
+A ring context is built from matrix counters, the packed free entries
+of the matrices, and holds a polynomial in one of two equivalent forms:
+for dim <= 12 a single int whose bit at position ``mask`` marks the
 monomial (dense), and for larger dim a frozenset of masks; products
-rewrite whole sets of terms at once, with no tables.  Both serialize
-through the same canonical (degree, mask) order.  A dense context can also
-stack the matrices of up to RECHECK_STACK counters of one dimension, each
-counter packed into its own slot of bits of one int, so that one big-int
-operation acts on all of them; the search re-checks its hits that way.
+rewrite whole sets of terms at once, with no tables, and the Frobenius
+square is one ladder over the indices.  Both serialize through the same
+canonical (degree, mask) order.  A dense context stacks up to
+RECHECK_STACK counters of one dimension, each packed into its own slot
+of bits of one int, so that one big-int operation acts on all of them;
+the search re-checks its hits that way, and a single matrix is a stack
+of one.
 """
 
 from __future__ import annotations
@@ -251,66 +254,50 @@ def parse_monomial(s: str) -> int:
 
 
 class RingContext:
-    """Reduction data for one matrix, or a stack of matrices of one
-    dimension: their y classes as linear forms, and no memo or tables.
+    """Reduction data for a stack of matrices of one dimension, from their
+    counters (see :func:`matrix_from_counter`): their y classes as linear
+    forms, and no memo or tables.
 
-    The context chooses a dense int-bitset polynomial kernel for
-    dim <= ``DENSE_DIM_LIMIT`` and a frozenset kernel above it; the public
-    API is identical either way.  ``y_support[j]`` is the mask of rows with
-    a 1 in column j; ``yclass`` is derived from it when read.
-
-    A context built by :meth:`stacked` holds ``slots`` matrices in one
-    dense kernel: matrix k owns the k-th run of ``_width`` bits of every
-    value, its slot, and of ``entries``, the packed counters (see
-    :func:`matrix_from_counter`).  It has no single ``matrix``,
-    ``y_support`` or ``yclass`` (all None).  A linear form is a tuple of
-    pairs (m, sel): in the slots that the mask ``sel`` covers, it holds
-    x_m.  ``y_form[l]`` is y_l of every slot's matrix.  A context of one
-    BottMatrix has one slot, selectors all -1, and its counter as
-    ``entries``.
+    ``RingContext(dim, counters)`` takes 1..``RECHECK_STACK`` counters up
+    to ``DENSE_DIM_LIMIT``, in a dense int-bitset polynomial kernel, and
+    one above it, in a frozenset kernel; the public API is identical
+    either way, and a single matrix is a stack of one (see
+    :func:`make_context`).  Counter k owns the k-th run of ``_width`` bits
+    of ``entries``, the packed counters, and of every dense value, its
+    slot.  A linear form is a tuple of pairs (m, sel): in the slots that
+    the mask ``sel`` covers, it holds x_m (the frozenset kernel ignores
+    ``sel``).  ``y_form[l]`` is y_l of every slot's matrix.  With one slot,
+    ``y_support[l]`` is the mask of rows with a 1 in column l and
+    ``yclass`` the y classes, both derived from ``y_form`` when read; a
+    stack of more has neither (both None).
     """
 
-    __slots__ = ("dim", "matrix", "y_support", "y_form", "slots", "entries",
+    __slots__ = ("dim", "y_form", "slots", "entries",
                  "_dense", "_free", "_width", "_cuts")
 
-    def __init__(self, matrix: BottMatrix):
-        dim = matrix.dim
-        supports = [0] * dim
-        for i, row in enumerate(matrix.rows):
-            for j in _bits(row):
-                supports[j] |= 1 << i
-        self.dim = dim
-        self.matrix = matrix
-        self.y_support = tuple(supports)
-        self.y_form = tuple(tuple((m, -1) for m in _bits(sup))
-                            for sup in supports)
-        self.slots = 1
-        self.entries = counter_from_matrix(matrix)
-        self._dense = dim <= DENSE_DIM_LIMIT
-        self._free = _free_slots(dim) if self._dense else None
+    def __init__(self, dim: int, counters):
+        """Pack counter k into slot k of one int: the slots whose matrix
+        has entry (m, l) are one shift and AND away, at the counter's bit
+        for that entry, and spread over their slots they are the selector
+        of x_m in y_l."""
+        if not 1 <= dim <= MAX_DIM:
+            raise ValueError(f"dimension {dim} outside 1..{MAX_DIM}")
+        dense = dim <= DENSE_DIM_LIMIT
+        most = RECHECK_STACK if dense else 1
+        if not 1 <= len(counters) <= most:
+            raise ValueError("a ring context needs at least one matrix "
+                             f"counter, and at most {most} at dimension {dim}")
+        bits = dim * (dim - 1) // 2
+        if min(counters) < 0 or max(counters) >> bits:
+            raise ValueError(
+                f"matrix counter outside 0..2^{bits}-1 at dimension {dim}")
+        self.dim, self.slots, self._dense = dim, len(counters), dense
         self._cuts = {}
-
-    @classmethod
-    def stacked(cls, dim: int, counters) -> "RingContext":
-        """One dense context for the matrices of 1..RECHECK_STACK
-        ``counters``, counter k packed into slot k of one int: the slots
-        whose matrix has entry (m, l) are one shift and AND away, at the
-        counter's bit for that entry, and spread over their slots they are
-        the selector of x_m in y_l."""
-        if not 1 <= len(counters) <= RECHECK_STACK:
-            raise ValueError("stacked needs at least one matrix counter, "
-                             f"and at most {RECHECK_STACK}")
-        if not 1 <= dim <= DENSE_DIM_LIMIT:
-            raise ValueError(f"dimension {dim} outside 1..{DENSE_DIM_LIMIT}")
-        self = cls.__new__(cls)
-        self.dim = dim
-        self.matrix = self.y_support = None
-        self.slots = len(counters)
-        self._dense = True
-        # whole bytes with room for the monomials, so for the counter too
-        width = self._width = max(1 << dim, 8)
-        self._cuts = {}
-        self._free = tuple(self._repeat(f) for f in _free_slots(dim))
+        # whole bytes with room for the counter, and for the monomials when
+        # dense, which is room for the counter too
+        width = self._width = max(1 << dim, 8) if dense else bits + 8 & ~7
+        self._free = (tuple(map(self._repeat, _free_slots(dim))) if dense
+                      else None)
         n = width // 8
         entries = self.entries = int.from_bytes(
             b"".join(c.to_bytes(n, "little") for c in counters), "little")
@@ -322,22 +309,29 @@ class RingContext:
                 if starts := entries >> off + l - m - 1 & ones:
                     forms[l].append((m, (starts << width) - starts))
         self.y_form = tuple(map(tuple, forms))
-        return self
 
     @classmethod
     def from_column_supports(cls, dim: int, supports) -> "RingContext":
-        """Build from per-column support masks: support j must only use
-        bits below j."""
-        rows = [0] * dim
-        for j, sup in enumerate(supports):
-            for i in _bits(sup):
-                rows[i] |= 1 << j
-        return cls(BottMatrix(dim, tuple(rows)))
+        """Build from per-column support masks, one per column: support j
+        must only use bits below j."""
+        if len(supports) != dim or any(
+                sup < 0 or sup >> j for j, sup in enumerate(supports)):
+            raise InvalidMatrixError(f"expected {dim} column supports, each "
+                                     "with no bit on or below the diagonal")
+        chunks = _row_chunks(dim)
+        return cls(dim, [sum(1 << chunks[i][0] + j - i - 1
+                             for j, sup in enumerate(supports)
+                             for i in _bits(sup))])
 
     @property
-    def yclass(self) -> tuple:
-        return tuple(Gf2Poly(frozenset(1 << k for k in _bits(sup)))
-                     for sup in self.y_support)
+    def y_support(self) -> tuple | None:
+        return (tuple(sum(1 << m for m, _ in form) for form in self.y_form)
+                if self.slots == 1 else None)
+
+    @property
+    def yclass(self) -> tuple | None:
+        return (tuple(Gf2Poly(frozenset(1 << m for m, _ in form))
+                      for form in self.y_form) if self.slots == 1 else None)
 
     # kernel primitives: a kernel value is an int bitset over monomial masks
     # when dense, one run of bits per slot, otherwise a frozenset of masks;
@@ -393,10 +387,18 @@ class RingContext:
                 _degree_mask(self.dim, lo, hi))
         return rep & mask
 
-    def _holding(self, rep, k: int):
-        """The terms of ``rep`` that hold x_k."""
-        return (rep & ~self._free[k] if self._dense else
-                frozenset(t for t in rep if t >> k & 1))
+    def _square(self, rep):
+        """The Frobenius square of a kernel value in every slot: the sum
+        of x_S^2 = x_S * prod_{k in S} y_k over its terms x_S, by a ladder
+        from x_0 up.  Step k replaces the terms that hold x_k by their
+        product with y_k, and drops them where y_k = 0 (x_k^2 = 0).  A
+        product by y_k only rewrites indices below k, so step k sees
+        exactly the terms whose S held k; the order is load-bearing."""
+        for k, form in enumerate(self.y_form):
+            if held := (rep & ~self._free[k] if self._dense else
+                        frozenset(t for t in rep if t >> k & 1)):
+                rep ^= held ^ self._mul_form(held, form) if form else held
+        return rep
 
     def _mul_form(self, rep, form):
         """Reduced product of a kernel value and a linear form, in each
@@ -468,7 +470,7 @@ def make_context(matrix: BottMatrix) -> RingContext:
     """The ring context of ``matrix``, checked to be a BottMatrix."""
     if not isinstance(matrix, BottMatrix):
         raise TypeError("make_context expects a BottMatrix")
-    return RingContext(matrix)
+    return RingContext(matrix.dim, [counter_from_matrix(matrix)])
 
 
 def multiply(ctx: RingContext, p: Gf2Poly, q: Gf2Poly) -> Gf2Poly:
@@ -485,14 +487,9 @@ def multiply(ctx: RingContext, p: Gf2Poly, q: Gf2Poly) -> Gf2Poly:
 
 
 def square(ctx: RingContext, p: Gf2Poly) -> Gf2Poly:
-    """Frobenius square: (sum m_i)^2 = sum m_i^2 in characteristic 2."""
-    rep = ctx._kzero()
-    for a in p.terms:
-        part = ctx._unit(a)
-        for k in _bits(a):
-            part = ctx._mul_form(part, ctx.y_form[k])
-        rep ^= part
-    return ctx._wrap(rep)
+    """Frobenius square: (sum m_i)^2 = sum m_i^2 in characteristic 2, by
+    the ladder of :meth:`RingContext._square`."""
+    return ctx._wrap(ctx._square(ctx._rep(p.terms)))
 
 
 def reduce_exponents(ctx: RingContext, exponents, strategy: str = "highest") -> Gf2Poly:
@@ -514,6 +511,7 @@ def reduce_exponents(ctx: RingContext, exponents, strategy: str = "highest") -> 
     if strategy not in ("highest", "lowest"):
         raise ValueError(f"unknown strategy {strategy!r}")
     pick = max if strategy == "highest" else min
+    supports = ctx.y_support
     pending = {exps}
     out: set[int] = set()
     while pending:
@@ -527,7 +525,7 @@ def reduce_exponents(ctx: RingContext, exponents, strategy: str = "highest") -> 
             out ^= {mask}
             continue
         j = pick(squared)
-        for l in _bits(ctx.y_support[j]):
+        for l in _bits(supports[j]):
             child = list(term)
             child[j] -= 1
             child[l] += 1

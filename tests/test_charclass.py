@@ -13,6 +13,7 @@ from bottforge.charclass import (
     _stack_reports,
     counterexample_criteria,
     counterexample_criterion,
+    criteria_of_counters,
     orientable_by_rowsums,
     stiefel_whitney,
     total_steenrod_square,
@@ -303,8 +304,8 @@ def test_witness_is_smallest_term_and_coefficient_one():
 # ------------------------------------------------------- stacked criterion
 
 def _criterion_by_square(m):
-    """The criterion on a fresh context of m alone, w3^2 squared term by
-    term (the route before the stacked Frobenius form)."""
+    """The criterion on a fresh context of m alone, w3^2 by
+    :func:`square` on the polynomial w3."""
     ctx = make_context(m)
     w1, w3 = stiefel_whitney(ctx, 1), stiefel_whitney(ctx, 3)
     w3sq = square(ctx, w3)
@@ -333,9 +334,9 @@ def _mixed_stack(rng, d, count):
 
 @pytest.mark.parametrize("d", range(6, DENSE_DIM_LIMIT + 3))
 def test_stacked_criteria_match_square_route(d):
-    """Each slot of a stack against the term-by-term square on its own
-    context, in input order: the whole stack, a permutation of it, a stack
-    of one; from d=13 on, one sparse context per matrix."""
+    """Each slot of a stack against gf2ring.square on its own context, in
+    input order: the whole stack, a permutation of it, a stack of one;
+    from d=13 on, one sparse context per matrix."""
     rng = random.Random(700 + d)
     stack = _mixed_stack(rng, d, 40 if d <= DENSE_DIM_LIMIT else 6)
     expected = [_criterion_by_square(m) for m in stack]
@@ -354,7 +355,7 @@ def test_stacked_criteria_match_square_route(d):
 
 def test_stacked_criteria_reference_matrices():
     """The reference matrices, alone and stacked with copies of themselves
-    and the zero matrix, against the term-by-term square."""
+    and the zero matrix, against gf2ring.square."""
     for m in REFERENCE_MATRICES:
         expected = _criterion_by_square(m)
         assert expected[4]
@@ -370,7 +371,7 @@ def test_stacked_reports_build_polynomials_when_read(d):
     """A report keeps the kernel values of its slot, ints in the dense
     kernel and frozensets in the sparse one, and builds w1, w3 and w3sq
     as polynomials when they are read; they, the witness and
-    ``w3sq_nonzero`` agree with the term-by-term square."""
+    ``w3sq_nonzero`` agree with gf2ring.square."""
     rng = random.Random(800 + d)
     stack = _mixed_stack(rng, d, 40 if d <= DENSE_DIM_LIMIT else 6)
     kind = int if d <= DENSE_DIM_LIMIT else frozenset
@@ -424,6 +425,22 @@ def test_stacked_criteria_reject_mixed_dimensions():
     assert counterexample_criteria([]) == []
 
 
+@pytest.mark.parametrize("d", [4, 9, DENSE_DIM_LIMIT + 1])
+def test_criteria_of_counters_reject_out_of_range_counters(d):
+    """A counter with a bit above the d(d-1)/2 entries, or a negative one,
+    is refused, where it was truncated to another matrix's report or
+    overflowed; a stack with one such counter is refused whole."""
+    bits = d * (d - 1) // 2
+    for bad in (1 << bits, -1, (1 << bits) | 5):
+        for counters in ([bad], [0, bad], [5, 0, bad, 3]):
+            with pytest.raises(ValueError, match="outside"):
+                criteria_of_counters(d, counters)
+    assert criteria_of_counters(d, []) == []
+    top = (1 << bits) - 1
+    assert criteria_of_counters(d, [top])[0] == \
+        counterexample_criterion(matrix_from_counter(d, top))
+
+
 # ------------------------------------------ square ladder against (1 + y_i)^2
 
 def _w3sq_by_square_product(ctx):
@@ -453,7 +470,7 @@ def test_square_ladder_matches_square_product_stacked(d):
         d, tuple(r & ~(1 << j) for r in m.rows))) for m in stack[:37]])
     nonzero = 0
     for part in stacks:
-        ctx = RingContext.stacked(d, part)
+        ctx = RingContext(d, part)
         got = [r._w3sq for r in _stack_reports(ctx)]
         assert got == _w3sq_by_square_product(ctx)
         nonzero += sum(map(bool, got))
@@ -478,12 +495,68 @@ def test_square_ladder_matches_square_product_sparse(d):
 
 
 def test_criterion_d16_matches_square_route():
-    """A seeded orientable d=16 matrix, a hit, against the term-by-term
-    square on its own sparse context."""
+    """A seeded orientable d=16 matrix, a hit, against gf2ring.square on
+    its own sparse context."""
     m = _even_rows(random_bott_matrix(random.Random(1216), 16))
     expected = _criterion_by_square(m)
     assert expected[4]
     assert _report_tuple(counterexample_criterion(m)) == expected
+
+
+# ------------------------------------------- relabelling the generators
+
+def _linear_extension(rng, m):
+    """A random order pi of the generators with pi[i] < pi[j] wherever m
+    has entry (i, j): a random topological sort of m's graph."""
+    d = m.dim
+    below = [m.column_support(j) for j in range(d)]
+    placed, pi = 0, [0] * d
+    for at in range(d):
+        j = rng.choice([j for j in range(d)
+                        if not (placed >> j & 1 or below[j] & ~placed)])
+        pi[j] = at
+        placed |= 1 << j
+    return pi
+
+
+def _image(pi, mask):
+    return sum(1 << pi[i] for i in range(len(pi)) if mask >> i & 1)
+
+
+@pytest.mark.parametrize("d", range(6, DENSE_DIM_LIMIT + 3))
+def test_relabelled_matrices_keep_the_criterion(d):
+    """Relabel the generators of seeded matrices by a random linear
+    extension pi, A'[pi(i)][pi(j)] = A[i][j] (Choi-Masuda-Oum, Op1): an
+    isomorphism of the rings, x_i -> x_pi(i), that takes y_j to
+    y_pi(j).  The orientability and the verdict stay, w3 and w3sq of A'
+    are the images of those of A term by term, and the lane kernel,
+    which shares no code with the ring's square, agrees on A'."""
+    rng = random.Random(1300 + d)
+    count = 48 if d <= DENSE_DIM_LIMIT else 8
+    pairs, moved = [], 0
+    for n in range(count):
+        m = random_bott_matrix(rng, d, rng.uniform(0.2, 0.6))
+        if n % 4:
+            m = _even_rows(m)
+        pi = _linear_extension(rng, m)
+        moved += pi != list(range(d))
+        rows = [0] * d
+        for i, row in enumerate(m.rows):
+            rows[pi[i]] = _image(pi, row)
+        # validated: A' is strictly upper triangular again
+        pairs.append((m, pi, BottMatrix.from_row_strings(
+            BottMatrix(d, tuple(rows)).to_row_strings())))
+    reports = counterexample_criteria([m for m, _, _ in pairs])
+    images = counterexample_criteria([r for _, _, r in pairs])
+    for (m, pi, _), report, image in zip(pairs, reports, images):
+        assert (image.orientable, image.verdict) == \
+            (report.orientable, report.verdict)
+        assert image.w3.terms == {_image(pi, t) for t in report.w3.terms}
+        assert image.w3sq.terms == {_image(pi, t) for t in report.w3sq.terms}
+    lanes = w3_square_lanes(d, _entry_lanes([r for _, _, r in pairs]), count)
+    assert lanes == sum(r.w3sq_nonzero << n for n, r in enumerate(reports))
+    assert moved > count // 2
+    assert any(r.verdict for r in reports) or d < 8
 
 
 # ------------------------------------------------- stacks built from counters
@@ -514,11 +587,11 @@ def test_counter_stacks_match_one_matrix_contexts(d):
     counters = [counter_from_matrix(m) for m in matrices]
     assert [matrix_from_counter(d, c) for c in counters] == matrices
     alone = [_kernel_fields(r) for m in matrices
-             for r in _stack_reports(RingContext(m))]
+             for r in _stack_reports(make_context(m))]
     assert any(f[1] for f in alone) and not all(f[1] for f in alone)
     assert any(f[5] for f in alone) is (d >= 8)
     for size in (1, 2, 37, RECHECK_STACK - 1, RECHECK_STACK):
-        ctx = RingContext.stacked(d, counters[:size])
+        ctx = RingContext(d, counters[:size])
         assert ctx.slots == size
         full, empty = b"\xff" * (ctx._width // 8), bytes(ctx._width // 8)
         supports = [[0] * d for _ in range(size)]
@@ -528,7 +601,7 @@ def test_counter_stacks_match_one_matrix_contexts(d):
                     assert window in (full, empty)
                     supports[k][l] |= (window == full) << m
         assert [tuple(s) for s in supports] == \
-            [RingContext(m).y_support for m in matrices[:size]]
+            [make_context(m).y_support for m in matrices[:size]]
         assert [_kernel_fields(r) for r in _stack_reports(ctx)] == \
             alone[:size]
 

@@ -590,6 +590,57 @@ def test_odometer_rejects_nonpositive_max_escape(capsys, tmp_path, value):
     assert err.strip() == f"error: --max-escape must be positive, got {value}"
 
 
+@pytest.fixture
+def int_digit_limit():
+    """Set Python's integer string digit limit for one test, then restore
+    it."""
+    saved = sys.get_int_max_str_digits()
+    yield sys.set_int_max_str_digits
+    sys.set_int_max_str_digits(saved)
+
+
+@pytest.mark.parametrize("rows, det", [
+    ("2\n2 1\n0 2\n", 4), ("1\n3\n", 3), ("1\n-5\n", -5)])
+def test_odometer_levels_at_the_digit_limit(capsys, tmp_path,
+                                            int_digit_limit, rows, det):
+    """--levels is refused before any level is built exactly when the top
+    order |det|^levels would have more digits than Python prints; one
+    level fewer runs and prints every order, and with no limit the
+    refused count runs too."""
+    path = tmp_path / "m.txt"
+    path.write_text(rows)
+    dim = rows.split()[0]
+    int_digit_limit(640)
+    bound, first = 10 ** 640, 0
+    while abs(det) ** first < bound:
+        first += 1
+    argv = ["odometer", "--dim", dim, "--matrix", str(path), "--samples", "0",
+            "--transitive-budget", "0", "--levels"]
+    rc, out, err = run_cli(capsys, argv + [str(first)])
+    assert rc == 1
+    assert out == ""
+    assert err.startswith(f"error: --levels {first} is too large")
+    rc, out, err = run_cli(capsys, argv + [str(first - 1)])
+    assert (rc, err) == (0, "")
+    orders = [lvl["order"] for lvl in json.loads(out)["levels"]]
+    assert orders == [abs(det) ** i for i in range(first)]
+    int_digit_limit(0)
+    rc, out, _ = run_cli(capsys, argv + [str(first)])
+    assert rc == 0
+    assert json.loads(out)["levels"][-1]["order"] == abs(det) ** first
+
+
+def test_odometer_default_digit_limit_refuses_levels(capsys, tmp_path):
+    # 4^8000 has 4,817 digits, above the default limit of 4,300
+    path = tmp_path / "m.txt"
+    path.write_text("2\n2 1\n0 2\n")
+    rc, out, err = run_cli(capsys, ["odometer", "--dim", "2", "--matrix",
+                                    str(path), "--levels", "8000"])
+    assert rc == 1
+    assert out == ""
+    assert "--levels 8000" in err and "set_int_max_str_digits" not in err
+
+
 # ------------------------------------------------------------- error paths
 
 def test_no_subcommand_is_usage_error(capsys):
@@ -653,11 +704,11 @@ def test_cli_import_builds_no_slot_masks():
             "from bottforge import gf2ring, search\n"
             "print(len(gf2ring._SLOT_COPIES))\n"
             "sizes = set()\n"
-            "stacked = gf2ring.RingContext.stacked\n"
-            "def spy(dim, counters):\n"
+            "init = gf2ring.RingContext.__init__\n"
+            "def spy(self, dim, counters):\n"
             "    sizes.add(len(counters))\n"
-            "    return stacked(dim, counters)\n"
-            "gf2ring.RingContext.stacked = spy\n"
+            "    init(self, dim, counters)\n"
+            "gf2ring.RingContext.__init__ = spy\n"
             "for d, limit in ((9, 30000), (10, 60000), (11, 120000),\n"
             "                 (12, 240000)):\n"
             "    for seed in range(3):\n"

@@ -17,6 +17,7 @@ from bottforge.gf2ring import (
     InvalidMatrixError,
     RingContext,
     basis_masks,
+    counter_from_matrix,
     format_monomial,
     make_context,
     multiply,
@@ -270,7 +271,7 @@ def _supports(m: BottMatrix) -> list[int]:
 
 @pytest.mark.parametrize("d", [6, 9, DENSE_DIM_LIMIT + 1, DENSE_DIM_LIMIT + 2])
 def test_context_constructors_agree(d):
-    """The matrix constructor's one-pass column supports against
+    """The column supports of a context from a matrix's counter against
     column_support, and a context built from those supports against it."""
     rng = random.Random(1000 + d)
     for _ in range(8):
@@ -279,7 +280,7 @@ def test_context_constructors_agree(d):
         other = RingContext.from_column_supports(d, _supports(m))
         assert ctx.y_support == other.y_support == tuple(_supports(m))
         assert ctx.yclass == other.yclass
-        assert other.matrix == m
+        assert other.entries == counter_from_matrix(m)
         w3 = stiefel_whitney(ctx, 3)
         assert w3 == stiefel_whitney(other, 3)
         assert square(ctx, w3) == square(other, w3)
@@ -489,14 +490,59 @@ def test_products_preserve_grading():
 
 def test_stacked_rejects_an_empty_stack():
     with pytest.raises(ValueError, match="at least one matrix"):
-        RingContext.stacked(8, [])
+        RingContext(8, [])
 
 
 def test_stacked_takes_at_most_a_full_dense_stack():
     with pytest.raises(ValueError, match="at most"):
-        RingContext.stacked(8, [0] * (RECHECK_STACK + 1))
-    with pytest.raises(ValueError, match="outside"):
-        RingContext.stacked(DENSE_DIM_LIMIT + 1, [0])
+        RingContext(8, [0] * (RECHECK_STACK + 1))
+    # above the dense kernel a context holds one matrix
+    with pytest.raises(ValueError, match="at most 1 "):
+        RingContext(DENSE_DIM_LIMIT + 1, [0, 0])
+    for dim in (0, 65):
+        with pytest.raises(ValueError, match="outside"):
+            RingContext(dim, [0])
+
+
+@pytest.mark.parametrize("d", [1, 4, 8, DENSE_DIM_LIMIT + 1, 64])
+def test_context_rejects_out_of_range_counters(d):
+    """Counters outside 0..2^(d(d-1)/2)-1 are refused, not truncated;
+    both ends of the range are accepted."""
+    top = (1 << d * (d - 1) // 2) - 1
+    assert RingContext(d, [0]).entries == 0
+    assert RingContext(d, [top]).entries == top
+    for bad in (top + 1, -1, -top - 1, top + 1 << 3):
+        with pytest.raises(ValueError, match="outside"):
+            RingContext(d, [bad])
+        if d <= DENSE_DIM_LIMIT:
+            with pytest.raises(ValueError, match="outside"):
+                RingContext(d, [0, bad, top])
+
+
+def test_stacked_context_has_no_single_y_classes():
+    """A stack of more than one matrix has no y_support or yclass of its
+    own: both read None, as documented.  A stack of one has both."""
+    ctx = RingContext(8, [0, 1])
+    assert ctx.slots == 2
+    assert ctx.y_support is None and ctx.yclass is None
+    one = RingContext(8, [1])
+    assert one.y_support == (0, 1) + (0,) * 6
+    assert one.yclass[1] == Gf2Poly.variable(0)
+
+
+def test_column_supports_reject_bits_on_or_below_the_diagonal():
+    """Support j may only use rows below j; a bit at or above j is no
+    Bott matrix, and neither is a wrong number of supports."""
+    for dim, supports in ((3, [0b100, 0, 0]), (3, [0, 0b10, 0]),
+                          (3, [0, 1, 0b100]), (14, [0] * 13 + [1 << 13]),
+                          (3, [0, -1, 0])):
+        with pytest.raises(InvalidMatrixError, match="diagonal"):
+            RingContext.from_column_supports(dim, supports)
+    for supports in ([0, 1], [0, 1, 3, 0]):
+        with pytest.raises(InvalidMatrixError, match="expected 3"):
+            RingContext.from_column_supports(3, supports)
+    ctx = RingContext.from_column_supports(3, [0, 1, 0b11])
+    assert ctx.y_support == (0, 1, 0b11)
 
 
 def test_row_strings_match_the_entries():
