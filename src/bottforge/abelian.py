@@ -17,9 +17,10 @@ as finite computations.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import product as _iterproduct
 from math import prod
+
+from ._record import FrozenRecord, Record
 
 
 class HypothesisViolation(ValueError):
@@ -34,11 +35,13 @@ class BudgetExceeded(RuntimeError):
     """Raised when an enumeration would exceed its element budget."""
 
 
-@dataclass(frozen=True)
-class IntMatrix:
+class IntMatrix(FrozenRecord):
     """Immutable integer matrix stored as a tuple of row tuples."""
 
-    rows: tuple[tuple[int, ...], ...]
+    __slots__ = ("rows",)
+
+    def __init__(self, rows: tuple[tuple[int, ...], ...]):
+        object.__setattr__(self, "rows", rows)
 
     @classmethod
     def from_rows(cls, rows) -> "IntMatrix":
@@ -145,13 +148,15 @@ class IntMatrix:
         return "\n".join(" ".join(str(x) for x in r) for r in self.rows)
 
 
-@dataclass(frozen=True)
-class SmithDecomposition:
+class SmithDecomposition(FrozenRecord):
     """U * M * V = D with U, V unimodular and D in Smith normal form."""
 
-    U: IntMatrix
-    D: IntMatrix
-    V: IntMatrix
+    __slots__ = ("U", "D", "V")
+
+    def __init__(self, U: IntMatrix, D: IntMatrix, V: IntMatrix):
+        object.__setattr__(self, "U", U)
+        object.__setattr__(self, "D", D)
+        object.__setattr__(self, "V", V)
 
     def diagonal(self) -> tuple[int, ...]:
         n = min(self.D.nrows, self.D.ncols)
@@ -371,8 +376,7 @@ def torsion_subgroup(group: FgAbGroup) -> list[int]:
     return list(group.torsion())
 
 
-@dataclass
-class StationarySystem:
+class StationarySystem(Record):
     """Constant-shape directed system over one group.
 
     ``beta`` maps each stage into the next; ``alpha`` (optional) comes back
@@ -380,10 +384,15 @@ class StationarySystem:
     the multiplier is the field "n".
     """
 
-    group: FgAbGroup
-    beta: IntMatrix
-    multiplier: int
-    alpha: IntMatrix | None = None
+    __slots__ = ("group", "beta", "multiplier", "alpha")
+    __hash__ = None  # mutable
+
+    def __init__(self, group: FgAbGroup, beta: IntMatrix, multiplier: int,
+                 alpha: IntMatrix | None = None):
+        self.group = group
+        self.beta = beta
+        self.multiplier = multiplier
+        self.alpha = alpha
 
     def hypothesis_failures(self, require_alpha: bool = False) -> list[str]:
         g = self.group

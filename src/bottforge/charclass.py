@@ -31,8 +31,7 @@ top index down, one whole set per index.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-
+from ._record import Record
 from .gf2ring import (
     DENSE_DIM_LIMIT,
     RECHECK_STACK,
@@ -45,11 +44,10 @@ from .gf2ring import (
 )
 
 
-@dataclass(unsafe_hash=True)
-class SwReport:
+class SwReport(Record):
     """Outcome of the criterion evaluation for one matrix, read-only by
-    convention: it is hashed by value and not frozen, because a frozen
-    dataclass takes about four times as long to build.
+    convention: it is hashed by value and not frozen, because the search
+    builds one per hit and a frozen record costs a call per field.
 
     ``witness`` is the smallest monomial of w3sq in canonical order, present
     exactly when w3sq is nonzero (even if the verdict fails on
@@ -63,13 +61,19 @@ class SwReport:
     build the :class:`Gf2Poly` when read.
     """
 
-    dim: int
-    orientable: bool
-    _w1: int | frozenset = field(repr=False)
-    _w3: int | frozenset = field(repr=False)
-    _w3sq: int | frozenset = field(repr=False)
-    verdict: bool
-    witness: int | None
+    __slots__ = ("dim", "orientable", "_w1", "_w3", "_w3sq", "verdict",
+                 "witness")
+
+    def __init__(self, dim: int, orientable: bool, _w1: int | frozenset,
+                 _w3: int | frozenset, _w3sq: int | frozenset,
+                 verdict: bool, witness: int | None):
+        self.dim = dim
+        self.orientable = orientable
+        self._w1 = _w1
+        self._w3 = _w3
+        self._w3sq = _w3sq
+        self.verdict = verdict
+        self.witness = witness
 
     @property
     def w1(self) -> Gf2Poly:

@@ -356,12 +356,14 @@ def cmd_odometer(args) -> int:
         print(f"matrix is not expanding: |det| = {abs(det)} < 2",
               file=sys.stderr)
         return 1
-    # the top order |det|^levels must print; it has at least
+    # det and the top order |det|^levels must print; the order has at least
     # levels * (bits - 1) + 1 bits, so no power far above the bound is formed
     digits = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+    if digits and abs(det) >= (bound := 10 ** digits):
+        raise UsageError(f"|det| has more than {digits} digits, Python's "
+                         "limit for printing an integer")
     if digits and (args.levels * (abs(det).bit_length() - 1) >=
-                   (bound := 10 ** digits).bit_length()
-                   or abs(det) ** args.levels >= bound):
+                   bound.bit_length() or abs(det) ** args.levels >= bound):
         raise UsageError(f"--levels {args.levels} is too large: |det|^"
                          f"{args.levels} has more than {digits} digits, "
                          "Python's limit for printing an integer")

@@ -28,9 +28,10 @@ of one.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
 from functools import lru_cache
 from itertools import combinations
+
+from ._record import FrozenRecord
 
 MAX_DIM = 64
 DENSE_DIM_LIMIT = 12
@@ -52,8 +53,7 @@ def _bits(mask: int):
         mask ^= low
 
 
-@dataclass(frozen=True)
-class BottMatrix:
+class BottMatrix(FrozenRecord):
     """Strictly upper triangular binary matrix, rows stored as bit masks.
 
     ``rows[i]`` has bit j set iff entry (i, j) is 1 (0-based).  Use
@@ -61,8 +61,11 @@ class BottMatrix:
     construction; the raw constructor trusts its input.
     """
 
-    dim: int
-    rows: tuple[int, ...]
+    __slots__ = ("dim", "rows")
+
+    def __init__(self, dim: int, rows: tuple[int, ...]):
+        object.__setattr__(self, "dim", dim)
+        object.__setattr__(self, "rows", rows)
 
     @classmethod
     def from_entries(cls, entries) -> "BottMatrix":
@@ -141,8 +144,7 @@ def counter_from_matrix(matrix: BottMatrix) -> int:
     return counter
 
 
-@dataclass(frozen=True)
-class Gf2Poly:
+class Gf2Poly(FrozenRecord):
     """Polynomial over GF(2) in the squarefree monomial basis.
 
     ``terms`` is a frozenset of monomial masks; the zero polynomial has no
@@ -151,7 +153,10 @@ class Gf2Poly:
     :func:`multiply`).
     """
 
-    terms: frozenset = frozenset()
+    __slots__ = ("terms",)
+
+    def __init__(self, terms: frozenset = frozenset()):
+        object.__setattr__(self, "terms", terms)
 
     @classmethod
     def zero(cls) -> "Gf2Poly":
@@ -170,10 +175,7 @@ class Gf2Poly:
     def from_masks(cls, masks) -> "Gf2Poly":
         acc: set = set()
         for m in masks:
-            if m in acc:
-                acc.remove(m)
-            else:
-                acc.add(m)
+            acc ^= {m}
         return cls(frozenset(acc))
 
     @classmethod
@@ -473,9 +475,16 @@ def make_context(matrix: BottMatrix) -> RingContext:
     return RingContext(matrix.dim, [counter_from_matrix(matrix)])
 
 
+def _one_matrix(ctx: RingContext, name: str) -> None:
+    """Refuse a stack of matrices where the answer is for one matrix."""
+    if ctx.slots != 1:
+        raise ValueError(f"{name} takes one matrix, not a stack of {ctx.slots}")
+
+
 def multiply(ctx: RingContext, p: Gf2Poly, q: Gf2Poly) -> Gf2Poly:
     """Reduced product of two normal-form polynomials: all of q times x_a
     for each term a of p, one generator of a at a time."""
+    _one_matrix(ctx, "multiply")
     qrep = ctx._rep(q.terms)
     rep = ctx._kzero()
     for a in p.terms:
@@ -489,6 +498,7 @@ def multiply(ctx: RingContext, p: Gf2Poly, q: Gf2Poly) -> Gf2Poly:
 def square(ctx: RingContext, p: Gf2Poly) -> Gf2Poly:
     """Frobenius square: (sum m_i)^2 = sum m_i^2 in characteristic 2, by
     the ladder of :meth:`RingContext._square`."""
+    _one_matrix(ctx, "square")
     return ctx._wrap(ctx._square(ctx._rep(p.terms)))
 
 
@@ -503,6 +513,7 @@ def reduce_exponents(ctx: RingContext, exponents, strategy: str = "highest") -> 
     exponent weight at index j for weight at indices below j, which strictly
     decreases the sum of e_i * 2^i.
     """
+    _one_matrix(ctx, "reduce_exponents")
     exps = tuple(int(e) for e in exponents)
     if len(exps) != ctx.dim:
         raise ValueError(f"expected {ctx.dim} exponents, got {len(exps)}")
@@ -518,22 +529,14 @@ def reduce_exponents(ctx: RingContext, exponents, strategy: str = "highest") -> 
         term = pending.pop()
         squared = [i for i, e in enumerate(term) if e >= 2]
         if not squared:
-            mask = 0
-            for i, e in enumerate(term):
-                if e:
-                    mask |= 1 << i
-            out ^= {mask}
+            out ^= {sum(1 << i for i, e in enumerate(term) if e)}
             continue
         j = pick(squared)
         for l in _bits(supports[j]):
             child = list(term)
             child[j] -= 1
             child[l] += 1
-            child_t = tuple(child)
-            if child_t in pending:
-                pending.remove(child_t)
-            else:
-                pending.add(child_t)
+            pending ^= {tuple(child)}
     return Gf2Poly(frozenset(out))
 
 
@@ -551,6 +554,7 @@ def pairing_matrix(ctx: RingContext, k: int) -> list[list[int]]:
     reduced product x_S * x_T, with rows over degree-k masks and columns
     over degree-(d-k) masks, both in :func:`basis_masks` order.
     """
+    _one_matrix(ctx, "pairing_matrix")
     d = ctx.dim
     row_masks = basis_masks(d, k)
     col_masks = basis_masks(d, d - k)

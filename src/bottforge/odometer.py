@@ -18,8 +18,8 @@ orbit by theorem.
 from __future__ import annotations
 
 import threading
-from dataclasses import dataclass
 
+from ._record import FrozenRecord
 from .abelian import BudgetExceeded, FgAbGroup, IntMatrix
 # importable from here for the benchmark's trace hooks, which patch it by
 # name; the tower itself no longer calls it
@@ -50,12 +50,14 @@ def _charpoly_adjugate(matrix: IntMatrix) -> tuple[list[int], IntMatrix]:
     return coeffs, nk.scale((-1) ** (n - 1))
 
 
-@dataclass(frozen=True)
-class LevelPoint:
+class LevelPoint(FrozenRecord):
     """A coset of M^level Z^d in canonical residue coordinates."""
 
-    level: int
-    coords: tuple[int, ...]
+    __slots__ = ("level", "coords")
+
+    def __init__(self, level: int, coords: tuple[int, ...]):
+        object.__setattr__(self, "level", level)
+        object.__setattr__(self, "coords", coords)
 
 
 class OdometerTower:

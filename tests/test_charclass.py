@@ -1,8 +1,8 @@
 """Characteristic classes, Steenrod squares, and the criterion."""
 
+import inspect
 import pickle
 import random
-from dataclasses import fields, replace
 from itertools import combinations
 
 import pytest
@@ -384,34 +384,44 @@ def test_stacked_reports_build_polynomials_when_read(d):
         assert r.orientable is orientable_by_rowsums(m)
 
 
+def _with_verdict(report, verdict):
+    """A copy of ``report`` with another verdict, built by keyword."""
+    return SwReport(dim=report.dim, orientable=report.orientable,
+                    _w1=report._w1, _w3=report._w3, _w3sq=report._w3sq,
+                    verdict=verdict, witness=report.witness)
+
+
 def test_report_replace_keeps_the_classes():
-    """``dataclasses.replace`` copies the kept kernel values, so a report
-    with one field changed still reads the same classes."""
+    """A report rebuilt with one field changed keeps the kernel values, so
+    it still reads the same classes."""
     report = counterexample_criterion(REFERENCE_MATRICES[0])
-    flipped = replace(report, verdict=False)
+    flipped = _with_verdict(report, False)
     assert report.verdict and not flipped.verdict
     assert (flipped.w1, flipped.w3, flipped.w3sq, flipped.witness) == \
         (report.w1, report.w3, report.w3sq, report.witness)
     assert flipped != report
-    assert replace(flipped, verdict=True) == report
+    assert _with_verdict(flipped, True) == report
 
 
 def test_report_record_semantics():
     """Reports are compared and hashed by value, so equal reports built
-    apart dedupe in a set; the fields and their order are pinned, the
-    kernel values stay out of the repr, and ``replace`` and a pickle
-    round trip give equal reports of the same class."""
+    apart dedupe in a set; the fields and their order are pinned, in the
+    slots and the constructor alike, the kernel values stay out of the
+    repr, and a copy built by keyword and a pickle round trip give equal
+    reports of the same class."""
     m = REFERENCE_MATRICES[0]
     first, second = counterexample_criterion(m), counterexample_criterion(m)
     assert first == second and first is not second
     assert hash(first) == hash(second)
     zero = counterexample_criterion(BottMatrix.zero(9))
     assert len({first, second, zero}) == 2
-    assert [f.name for f in fields(SwReport)] == [
-        "dim", "orientable", "_w1", "_w3", "_w3sq", "verdict", "witness"]
+    order = ["dim", "orientable", "_w1", "_w3", "_w3sq", "verdict", "witness"]
+    assert list(SwReport.__slots__) == order
+    assert list(inspect.signature(SwReport).parameters) == order
     assert repr(first) == (f"SwReport(dim=9, orientable=True, verdict=True, "
                            f"witness={first.witness!r})")
-    flipped = replace(first, verdict=False)
+    assert SwReport(*(getattr(first, name) for name in order)) == first
+    flipped = _with_verdict(first, False)
     assert type(flipped) is SwReport and flipped != first
     for r in (first, flipped, zero):
         back = pickle.loads(pickle.dumps(r))

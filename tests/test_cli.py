@@ -630,6 +630,33 @@ def test_odometer_levels_at_the_digit_limit(capsys, tmp_path,
     assert json.loads(out)["levels"][-1]["order"] == abs(det) ** first
 
 
+@pytest.mark.parametrize("sign", ["", "-"])
+def test_odometer_det_at_the_digit_limit(capsys, tmp_path, int_digit_limit,
+                                         sign):
+    """A determinant with more digits than Python prints is refused as a
+    usage error even at --levels 0, where |det|^levels is 1; one digit
+    fewer runs, and with no limit the refused matrix runs too."""
+    int_digit_limit(640)
+    path = tmp_path / "m.txt"
+    argv = ["odometer", "--dim", "2", "--matrix", str(path), "--levels", "0",
+            "--samples", "0"]
+    # entries of 321 digits, det 10^640 with 641
+    path.write_text(f"2\n{10 ** 320} 0\n0 {sign}{10 ** 320}\n")
+    rc, out, err = run_cli(capsys, argv)
+    assert (rc, out) == (1, "")
+    assert err == ("error: |det| has more than 640 digits, Python's limit "
+                   "for printing an integer\n")
+    path.write_text(f"2\n{10 ** 320 - 1} 0\n0 {sign}{10 ** 320 - 1}\n")
+    rc, out, err = run_cli(capsys, argv)
+    assert (rc, err) == (0, "")
+    assert json.loads(out)["det"] == int(f"{sign}{(10 ** 320 - 1) ** 2}")
+    int_digit_limit(0)
+    path.write_text(f"2\n{10 ** 320} 0\n0 {sign}{10 ** 320}\n")
+    rc, out, _ = run_cli(capsys, argv)
+    assert rc == 0
+    assert json.loads(out)["det"] == int(f"{sign}1" + "0" * 640)
+
+
 def test_odometer_default_digit_limit_refuses_levels(capsys, tmp_path):
     # 4^8000 has 4,817 digits, above the default limit of 4,300
     path = tmp_path / "m.txt"
@@ -665,14 +692,19 @@ def test_internal_error_maps_to_2(capsys, tmp_path, monkeypatch):
     assert err.startswith("internal error: RuntimeError")
 
 
+def _fresh_env() -> dict:
+    """The environment of a new interpreter that imports this checkout of
+    the package."""
+    src = str(Path(cli.__file__).resolve().parents[1])
+    return dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p))
+
+
 def _fresh_python(code: str) -> str:
     """Stdout of ``code`` run by a new interpreter that imports this
     checkout of the package."""
-    src = str(Path(cli.__file__).resolve().parents[1])
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-        p for p in (src, os.environ.get("PYTHONPATH")) if p))
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
-                          text=True, check=True, timeout=60, env=env)
+                          text=True, check=True, timeout=60, env=_fresh_env())
     return proc.stdout
 
 
@@ -739,11 +771,11 @@ def test_cli_import_builds_no_counter_table():
 # the bottforge submodules a fresh process holds after each command
 COMMAND_LAYERS = {
     "import": set(),
-    "limit-torsion": {"cli", "abelian"},
-    "odometer": {"cli", "abelian", "odometer"},
-    "check": {"cli", "gf2ring", "charclass"},
-    "reproduce": {"cli", "gf2ring", "charclass", "search"},
-    "search": {"cli", "gf2ring", "charclass", "search"},
+    "limit-torsion": {"cli", "_record", "abelian"},
+    "odometer": {"cli", "_record", "abelian", "odometer"},
+    "check": {"cli", "_record", "gf2ring", "charclass"},
+    "reproduce": {"cli", "_record", "gf2ring", "charclass", "search"},
+    "search": {"cli", "_record", "gf2ring", "charclass", "search"},
 }
 
 
@@ -776,6 +808,41 @@ def test_each_command_loads_only_its_layers(tmp_path, command):
     rc, *loaded = _fresh_python(code).split()
     assert rc == "0"
     assert set(loaded) == {f"bottforge.{m}" for m in COMMAND_LAYERS[command]}
+
+
+def _imports_of(args) -> set:
+    """The modules a new interpreter imports to run ``args``, start-up
+    included, as ``-X importtime`` lists them; the run must succeed."""
+    proc = subprocess.run([sys.executable, "-X", "importtime", *args],
+                          capture_output=True, text=True, timeout=60,
+                          env=_fresh_env())
+    assert proc.returncode == 0, proc.stderr
+    return {line.rsplit("|", 1)[1].strip() for line in proc.stderr.splitlines()
+            if line.startswith("import time:")}
+
+
+@pytest.mark.parametrize("command", ["check", "limit-torsion", "odometer"])
+def test_one_shot_commands_skip_dataclasses(tmp_path, command):
+    # dataclasses pulls in inspect, ast, dis and tokenize, which cost a
+    # fresh process more than these commands' work; compare with a bare
+    # interpreter, since site hooks may import either of them first
+    bare = _imports_of(["-c", "pass"])
+    probe = _imports_of(["-c", "import dataclasses"]) - bare
+    assert {"dataclasses", "inspect"} <= probe
+    odometer_matrix = tmp_path / "odometer.txt"
+    odometer_matrix.write_text("2\n2 1\n0 2\n")
+    argv = {
+        "check": ["check", "--matrix", write_d9(tmp_path), "--full-sw",
+                  "--sq", "3"],
+        "limit-torsion": ["limit-torsion", "--system", write_system(tmp_path, {
+            "generators": 2, "relations": [[0, 4]], "beta": [[5, 0], [0, 5]],
+            "n": 5, "alpha": [[1, 0], [0, 1]]})],
+        "odometer": ["odometer", "--dim", "2", "--matrix",
+                     str(odometer_matrix), "--levels", "12"],
+    }[command]
+    added = _imports_of(["-m", "bottforge.cli", *argv]) - bare
+    assert "bottforge._record" in added
+    assert not {"dataclasses", "inspect"} & added
 
 
 PUBLIC_NAMES = [

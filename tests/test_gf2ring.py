@@ -530,6 +530,24 @@ def test_stacked_context_has_no_single_y_classes():
     assert one.yclass[1] == Gf2Poly.variable(0)
 
 
+def test_one_polynomial_functions_refuse_a_stack():
+    """multiply, square, reduce_exponents and pairing_matrix answer for one
+    matrix, so a stack of more is refused with its slot count; each slot's
+    own context answers."""
+    p = Gf2Poly.from_monomial_strings(["x1", "x2", "x3x4"])
+    calls = (lambda ctx: multiply(ctx, p, p), lambda ctx: square(ctx, p),
+             lambda ctx: reduce_exponents(ctx, (0, 0, 2, 0)),
+             lambda ctx: pairing_matrix(ctx, 2))
+    for call in calls:
+        for counters in ([0, 0b111111], [7] * 5):
+            with pytest.raises(ValueError, match=f"stack of {len(counters)}"):
+                call(RingContext(4, counters))
+    # all entries 1: x1^2 = 0, x2^2 = x1x2, and x3^2 x4^2 = 0 by hand
+    assert square(RingContext(4, [0b111111]), p) == \
+        Gf2Poly.from_monomial_strings(["x1x2"])
+    assert square(RingContext(4, [0]), p) == Gf2Poly.zero()
+
+
 def test_column_supports_reject_bits_on_or_below_the_diagonal():
     """Support j may only use rows below j; a bit at or above j is no
     Bott matrix, and neither is a wrong number of supports."""

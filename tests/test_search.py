@@ -217,8 +217,10 @@ def test_flipped_recheck_verdict_raises(monkeypatch, spec):
 
     def flip_one(dim, counters):
         reports = real(dim, counters)
-        reports[len(reports) // 2] = replace(reports[len(reports) // 2],
-                                             verdict=False)
+        r = reports[len(reports) // 2]
+        reports[len(reports) // 2] = SwReport(r.dim, r.orientable, r._w1,
+                                              r._w3, r._w3sq, False,
+                                              r.witness)
         return reports
     monkeypatch.setattr(search, "criteria_of_counters", flip_one)
     with pytest.raises(AssertionError):
