@@ -25,8 +25,8 @@ _EXPORTS = {
     ),
     "charclass": (
         "SwReport", "counterexample_criteria", "counterexample_criterion",
-        "orientable_by_rowsums", "stiefel_whitney", "total_steenrod_square",
-        "total_stiefel_whitney",
+        "orientable_by_rowsums", "reproduce_reference", "stiefel_whitney",
+        "total_steenrod_square", "total_stiefel_whitney",
     ),
     "gf2ring": (
         "BottMatrix", "Gf2Poly", "InvalidMatrixError", "RingContext",
@@ -42,7 +42,7 @@ _EXPORTS = {
     "search": (
         "SearchHit", "SearchSpec", "SearchStats", "SpecTooLargeError",
         "collect_hits", "enumerate_space", "hit_record",
-        "minimal_dimension_survey", "reproduce_reference", "run_partitioned",
+        "minimal_dimension_survey", "run_partitioned",
     ),
 }
 _HOME = {name: module for module, names in _EXPORTS.items() for name in names}

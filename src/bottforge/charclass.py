@@ -39,6 +39,7 @@ from .gf2ring import (
     Gf2Poly,
     RingContext,
     _bits,
+    _one_matrix,
     _row_chunks,
     counter_from_matrix,
 )
@@ -162,6 +163,7 @@ def w3_square_lanes(dim: int, entries, lanes: int) -> int:
 
 def stiefel_whitney(ctx: RingContext, m: int) -> Gf2Poly:
     """w_m of the manifold of ``ctx``: e_m(y_1, ..., y_d), reduced."""
+    _one_matrix(ctx, "stiefel_whitney")
     if not 0 <= m <= ctx.dim:
         raise ValueError(f"degree {m} outside 0..{ctx.dim}")
     return ctx._wrap(ctx._cut(_total_class(ctx, m), m, m))
@@ -169,6 +171,7 @@ def stiefel_whitney(ctx: RingContext, m: int) -> Gf2Poly:
 
 def total_stiefel_whitney(ctx: RingContext) -> list[Gf2Poly]:
     """All graded parts [w_0, w_1, ..., w_d]."""
+    _one_matrix(ctx, "total_stiefel_whitney")
     total = _total_class(ctx, ctx.dim)
     return [ctx._wrap(ctx._cut(total, k, k)) for k in range(ctx.dim + 1)]
 
@@ -181,7 +184,8 @@ def total_steenrod_square(ctx: RingContext, p: Gf2Poly) -> list[Gf2Poly]:
     Sq^m vanishes for m above the degree.  x_S * x_T is x_S times y_k for
     each k in T, so the products are built up one index of S at a time.
     """
-    comps = [ctx._kzero() for _ in range(ctx.dim + 1)]
+    _one_matrix(ctx, "total_steenrod_square", p)
+    comps = [ctx._rep(()) for _ in range(ctx.dim + 1)]
     for s in p.terms:
         parts = {0: ctx._unit(s)}
         for k in _bits(s):
@@ -219,6 +223,59 @@ def counterexample_criteria(matrices) -> list[SwReport]:
         return []
     return criteria_of_counters(matrices[0].dim,
                                 [counter_from_matrix(m) for m in matrices])
+
+
+# Reference matrices with known verdicts: the 9 x 9 witness and the two
+# 10 x 10 variants (zero-padded, and the longer chain with a full last
+# column).  Rows are 0/1 strings, top row first.
+
+REFERENCE_D9 = BottMatrix.from_row_strings((
+    "010000001",
+    "001000001",
+    "000100001",
+    "000010001",
+    "000001001",
+    "000000101",
+    "000000011",
+    "000000000",
+    "000000000",
+))
+
+REFERENCE_D10_PADDED = BottMatrix.from_row_strings((
+    "0100000010",
+    "0010000010",
+    "0001000010",
+    "0000100010",
+    "0000010010",
+    "0000001010",
+    "0000000110",
+    "0000000000",
+    "0000000000",
+    "0000000000",
+))
+
+REFERENCE_D10_CHAIN = BottMatrix.from_row_strings((
+    "0100000001",
+    "0010000001",
+    "0001000001",
+    "0000100001",
+    "0000010001",
+    "0000001001",
+    "0000000101",
+    "0000000011",
+    "0000000000",
+    "0000000000",
+))
+
+REFERENCE_MATRICES = (REFERENCE_D9, REFERENCE_D10_PADDED, REFERENCE_D10_CHAIN)
+
+# coefficient target for the 9 x 9 check: x1x2x4x5x6x7
+REFERENCE_D9_WITNESS_MASK = 0b1111011
+
+
+def reproduce_reference() -> list[SwReport]:
+    """Criterion reports for the three bundled reference matrices."""
+    return [counterexample_criterion(m) for m in REFERENCE_MATRICES]
 
 
 def criteria_of_counters(dim: int, counters: list) -> list[SwReport]:

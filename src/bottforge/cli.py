@@ -11,8 +11,8 @@ whitespace-separated 0/1 entries.  Exit codes: 0 success, 1 invalid input,
 
 Each command imports the layers it runs when it runs, not at module load: a
 fresh process compiles every module it imports unless a bytecode cache is at
-hand, so ``limit-torsion`` never loads the ring and ``check`` never loads the
-search.
+hand, so ``limit-torsion`` never loads the ring, and ``check`` and
+``reproduce`` never load the search.
 """
 
 from __future__ import annotations
@@ -134,7 +134,7 @@ def format_matrix_file(matrix: BottMatrix) -> str:
     return "\n".join(lines) + "\n"
 
 
-def read_system_file(path: str) -> tuple[StationarySystem, dict]:
+def read_system_file(path: str) -> StationarySystem:
     """Parse a stationary system JSON file.
 
     Expected keys: "generators" (int), "relations" (list of relation
@@ -180,7 +180,7 @@ def read_system_file(path: str) -> tuple[StationarySystem, dict]:
         raise UsageError(f"{path}: malformed matrix: {exc}") from exc
     group = FgAbGroup(rel_matrix)
     return StationarySystem(group=group, beta=beta, multiplier=multiplier,
-                            alpha=alpha), data
+                            alpha=alpha)
 
 
 def build_report(report: SwReport, timings: dict,
@@ -278,11 +278,11 @@ def cmd_search(args) -> int:
 
 
 def cmd_reproduce(args) -> int:
-    from . import search
+    from . import charclass
     from .gf2ring import format_monomial
-    reports = search.reproduce_reference()
+    reports = charclass.reproduce_reference()
     ok = all(r.verdict for r in reports)
-    coeff_ok = search.REFERENCE_D9_WITNESS_MASK in reports[0].w3sq.terms
+    coeff_ok = charclass.REFERENCE_D9_WITNESS_MASK in reports[0].w3sq.terms
     if args.json:
         payload = {
             "version": SCHEMA_VERSION,
@@ -297,7 +297,7 @@ def cmd_reproduce(args) -> int:
             print(f"dim={r.dim} orientable={r.orientable} "
                   f"w3sq_nonzero={r.w3sq_nonzero} verdict={r.verdict} "
                   f"witness={witness}")
-        target = format_monomial(search.REFERENCE_D9_WITNESS_MASK)
+        target = format_monomial(charclass.REFERENCE_D9_WITNESS_MASK)
         print(f"coefficient of {target} in w3^2 (dim 9): "
               f"{1 if coeff_ok else 0}")
     if not (ok and coeff_ok):
@@ -310,7 +310,7 @@ def cmd_limit_torsion(args) -> int:
     from . import abelian
     if args.depth < 1:
         raise UsageError(f"--depth must be positive, got {args.depth}")
-    system, raw = read_system_file(args.system)
+    system = read_system_file(args.system)
     group = system.group
     payload = {
         "version": SCHEMA_VERSION,

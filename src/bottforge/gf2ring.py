@@ -193,12 +193,6 @@ class Gf2Poly(FrozenRecord):
     def __len__(self) -> int:
         return len(self.terms)
 
-    def degree(self) -> int:
-        """Largest monomial degree, or -1 for the zero polynomial."""
-        if not self.terms:
-            return -1
-        return max(m.bit_count() for m in self.terms)
-
     def component(self, k: int) -> "Gf2Poly":
         """Homogeneous degree-k part."""
         return Gf2Poly(frozenset(m for m in self.terms if m.bit_count() == k))
@@ -353,9 +347,6 @@ class RingContext:
             return full
         return full & (1 << self.slots * self._width) - 1
 
-    def _kzero(self):
-        return 0 if self._dense else frozenset()
-
     def _unit(self, mask: int):
         """The monomial x_mask, in every slot."""
         return self._repeat(1 << mask) if self._dense else frozenset((mask,))
@@ -475,18 +466,31 @@ def make_context(matrix: BottMatrix) -> RingContext:
     return RingContext(matrix.dim, [counter_from_matrix(matrix)])
 
 
-def _one_matrix(ctx: RingContext, name: str) -> None:
-    """Refuse a stack of matrices where the answer is for one matrix."""
+def _one_matrix(ctx: RingContext, name: str, *polys: Gf2Poly) -> None:
+    """Refuse a stack of matrices where the answer is for one matrix, and a
+    monomial of ``polys`` on a generator that the ring lacks."""
     if ctx.slots != 1:
         raise ValueError(f"{name} takes one matrix, not a stack of {ctx.slots}")
+    for p in polys:
+        if foreign := [m for m in p.terms if m >> ctx.dim]:
+            raise ValueError(f"{name}: monomial {format_monomial(min(foreign))}"
+                             f" lies outside the ring of x1..x{ctx.dim}")
+
+
+def _times_y(ctx: RingContext, rep, ks):
+    """``rep`` times y_k for each k of ``ks`` in turn: the step of
+    x_S * x_T = x_{S|T} * prod_{j in S&T} y_j and of x_j^e = x_j * y_j^(e-1)."""
+    for k in ks:
+        rep = ctx._mul_form(rep, ctx.y_form[k])
+    return rep
 
 
 def multiply(ctx: RingContext, p: Gf2Poly, q: Gf2Poly) -> Gf2Poly:
     """Reduced product of two normal-form polynomials: all of q times x_a
     for each term a of p, one generator of a at a time."""
-    _one_matrix(ctx, "multiply")
+    _one_matrix(ctx, "multiply", p, q)
     qrep = ctx._rep(q.terms)
-    rep = ctx._kzero()
+    rep = ctx._rep(())
     for a in p.terms:
         part = qrep
         for k in _bits(a):
@@ -498,20 +502,20 @@ def multiply(ctx: RingContext, p: Gf2Poly, q: Gf2Poly) -> Gf2Poly:
 def square(ctx: RingContext, p: Gf2Poly) -> Gf2Poly:
     """Frobenius square: (sum m_i)^2 = sum m_i^2 in characteristic 2, by
     the ladder of :meth:`RingContext._square`."""
-    _one_matrix(ctx, "square")
+    _one_matrix(ctx, "square", p)
     return ctx._wrap(ctx._square(ctx._rep(p.terms)))
 
 
 def reduce_exponents(ctx: RingContext, exponents, strategy: str = "highest") -> Gf2Poly:
     """Expand a power product ``prod x_i^{e_i}`` in the squarefree basis.
 
-    ``exponents`` is a length-dim vector of non-negative integers.  Each step
-    rewrites one squared variable through x_j^2 = x_j y_j; ``strategy``
-    selects the highest or lowest squared index first.  The two strategies
-    agree on the result (the rewrite system is confluent); both are exposed
-    so that tests can check exactly that.  Termination: a rewrite trades
-    exponent weight at index j for weight at indices below j, which strictly
-    decreases the sum of e_i * 2^i.
+    ``exponents`` is a length-dim vector of non-negative integers.  By
+    induction on x_j^2 = x_j y_j, x_j^e = x_j y_j^(e-1) for e >= 1, so the
+    product is x_S * prod_i y_i^(e_i - 1), with S the indices of nonzero
+    exponent.  ``strategy`` takes the y factors from the highest or the
+    lowest index first; the ring is commutative and the basis unique, so
+    the two agree, and both are exposed so that tests can check exactly
+    that.
     """
     _one_matrix(ctx, "reduce_exponents")
     exps = tuple(int(e) for e in exponents)
@@ -521,23 +525,12 @@ def reduce_exponents(ctx: RingContext, exponents, strategy: str = "highest") -> 
         raise ValueError("exponents must be non-negative")
     if strategy not in ("highest", "lowest"):
         raise ValueError(f"unknown strategy {strategy!r}")
-    pick = max if strategy == "highest" else min
-    supports = ctx.y_support
-    pending = {exps}
-    out: set[int] = set()
-    while pending:
-        term = pending.pop()
-        squared = [i for i, e in enumerate(term) if e >= 2]
-        if not squared:
-            out ^= {sum(1 << i for i, e in enumerate(term) if e)}
-            continue
-        j = pick(squared)
-        for l in _bits(supports[j]):
-            child = list(term)
-            child[j] -= 1
-            child[l] += 1
-            pending ^= {tuple(child)}
-    return Gf2Poly(frozenset(out))
+    order = sorted(range(ctx.dim), reverse=strategy == "highest")
+    support = sum(1 << i for i, e in enumerate(exps) if e)
+    # x_i y_i^dim is 0, above the top degree: more factors change nothing
+    return ctx._wrap(_times_y(ctx, ctx._unit(support),
+                              [i for i in order
+                               for _ in range(min(exps[i] - 1, ctx.dim))]))
 
 
 def basis_masks(d: int, k: int) -> list[int]:
@@ -569,10 +562,8 @@ def pairing_matrix(ctx: RingContext, k: int) -> list[list[int]]:
             key = (s | t, s & t)
             rep = memo.get(key)
             if rep is None:
-                rep = ctx._unit(s | t)
-                for j in _bits(s & t):
-                    rep = ctx._mul_form(rep, ctx.y_form[j])
-                memo[key] = rep
+                rep = memo[key] = _times_y(ctx, ctx._unit(s | t),
+                                           _bits(s & t))
             if ctx._dense:
                 row.append((rep >> top) & 1)
             else:
@@ -582,11 +573,7 @@ def pairing_matrix(ctx: RingContext, k: int) -> list[list[int]]:
 
 
 def relation_strings(ctx: RingContext) -> list[str]:
-    """Canonical rendering of the defining relations, one per generator."""
-    out = []
-    for j in range(ctx.dim):
-        exps = [0] * ctx.dim
-        exps[j] = 2
-        rhs = reduce_exponents(ctx, exps)
-        out.append(f"x{j + 1}^2 = {rhs}")
-    return out
+    """Canonical rendering of x_j^2 = x_j y_j, one relation per generator."""
+    _one_matrix(ctx, "relation_strings")
+    return [f"x{j + 1}^2 = {ctx._wrap(_times_y(ctx, ctx._unit(1 << j), (j,)))}"
+            for j in range(ctx.dim)]

@@ -11,8 +11,8 @@ relation matrix M^i, whose coordinates give cosets canonical residues; its
 order is |det M|^i by theorem.  One Faddeev-LeVerrier pass gives the
 characteristic polynomial and the adjugate of M in exact integers: the
 polynomial decides expansion by a Schur-Cohn reduction, and the adjugate
-finds escape levels without a Smith form per level.  Every level is one
-orbit by theorem.
+finds escape levels, and so membership in M^i Z^d, without a Smith form
+per level.  Every level is one orbit by theorem.
 """
 
 from __future__ import annotations
@@ -110,8 +110,13 @@ class OdometerTower:
         return LevelPoint(i, (0,) * self.dim)
 
     def contains(self, i: int, vec) -> bool:
-        """Whether ``vec`` lies in M^i Z^d."""
-        return self.level(i).contains_in_relations(vec)
+        """Whether ``vec`` lies in M^i Z^d: always at level 0 and for 0,
+        otherwise when it has not escaped by level i (:func:`escape_level`)."""
+        if i < 0:
+            raise ValueError("level must be non-negative")
+        if len(vec := tuple(vec)) != self.dim:
+            raise ValueError("vector length mismatch")
+        return i == 0 or not any(vec) or escape_level(self, vec, i) is None
 
 
 def level_order(tower: OdometerTower, i: int) -> int:

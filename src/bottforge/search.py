@@ -49,15 +49,18 @@ from dataclasses import dataclass
 from functools import lru_cache
 from itertools import compress, islice
 
-from .charclass import (SwReport, counterexample_criterion,
-                        criteria_of_counters, w3_square_lanes)
+from .charclass import SwReport, criteria_of_counters, w3_square_lanes
 from .gf2ring import (BottMatrix, _counter_rows, _free_slots, _row_chunks,
                       _row_string, format_monomial, matrix_from_counter)
-# the counter codec lives in gf2ring; its inverse stays importable here
+# importable from here too: the counter codec's inverse, from gf2ring, and
+# the reference matrices, which live next to the criterion
 from .gf2ring import counter_from_matrix  # noqa: F401
+from .charclass import (REFERENCE_D9, REFERENCE_D10_CHAIN,  # noqa: F401
+                        REFERENCE_D10_PADDED, REFERENCE_D9_WITNESS_MASK,
+                        REFERENCE_MATRICES, reproduce_reference)
 # importable from here for the benchmark's trace hooks, which patch them by
 # name; the search itself no longer calls them
-from .charclass import stiefel_whitney  # noqa: F401
+from .charclass import counterexample_criterion, stiefel_whitney  # noqa: F401
 from .gf2ring import RingContext, square  # noqa: F401
 
 MAX_EXHAUSTIVE_SPAN = 1 << 36
@@ -672,59 +675,6 @@ def hit_json(hit: SearchHit) -> str:
                 "null" if witness is None
                 else '"%s"' % format_monomial(witness),
                 hit.candidate_index))
-
-
-# Reference matrices with known verdicts: the 9 x 9 witness and the two
-# 10 x 10 variants (zero-padded, and the longer chain with a full last
-# column).  Rows are 0/1 strings, top row first.
-
-REFERENCE_D9 = BottMatrix.from_row_strings((
-    "010000001",
-    "001000001",
-    "000100001",
-    "000010001",
-    "000001001",
-    "000000101",
-    "000000011",
-    "000000000",
-    "000000000",
-))
-
-REFERENCE_D10_PADDED = BottMatrix.from_row_strings((
-    "0100000010",
-    "0010000010",
-    "0001000010",
-    "0000100010",
-    "0000010010",
-    "0000001010",
-    "0000000110",
-    "0000000000",
-    "0000000000",
-    "0000000000",
-))
-
-REFERENCE_D10_CHAIN = BottMatrix.from_row_strings((
-    "0100000001",
-    "0010000001",
-    "0001000001",
-    "0000100001",
-    "0000010001",
-    "0000001001",
-    "0000000101",
-    "0000000011",
-    "0000000000",
-    "0000000000",
-))
-
-REFERENCE_MATRICES = (REFERENCE_D9, REFERENCE_D10_PADDED, REFERENCE_D10_CHAIN)
-
-# coefficient target for the 9 x 9 check: x1x2x4x5x6x7
-REFERENCE_D9_WITNESS_MASK = 0b1111011
-
-
-def reproduce_reference() -> list[SwReport]:
-    """Criterion reports for the three bundled reference matrices."""
-    return [counterexample_criterion(m) for m in REFERENCE_MATRICES]
 
 
 @dataclass(frozen=True)

@@ -304,8 +304,8 @@ def test_reproduce_json(capsys):
 
 def test_reproduce_corrupt_builtin_fails(capsys, monkeypatch):
     # a zero matrix in place of the d=9 reference: not a counterexample
-    broken = (BottMatrix.zero(9),) + search.REFERENCE_MATRICES[1:]
-    monkeypatch.setattr(search, "REFERENCE_MATRICES", broken)
+    broken = (BottMatrix.zero(9),) + charclass.REFERENCE_MATRICES[1:]
+    monkeypatch.setattr(charclass, "REFERENCE_MATRICES", broken)
     rc, _, err = run_cli(capsys, ["reproduce"])
     assert rc == 3
     assert "reference verification FAILED" in err
@@ -774,7 +774,7 @@ COMMAND_LAYERS = {
     "limit-torsion": {"cli", "_record", "abelian"},
     "odometer": {"cli", "_record", "abelian", "odometer"},
     "check": {"cli", "_record", "gf2ring", "charclass"},
-    "reproduce": {"cli", "_record", "gf2ring", "charclass", "search"},
+    "reproduce": {"cli", "_record", "gf2ring", "charclass"},
     "search": {"cli", "_record", "gf2ring", "charclass", "search"},
 }
 
@@ -821,7 +821,8 @@ def _imports_of(args) -> set:
             if line.startswith("import time:")}
 
 
-@pytest.mark.parametrize("command", ["check", "limit-torsion", "odometer"])
+@pytest.mark.parametrize("command",
+                         ["check", "limit-torsion", "odometer", "reproduce"])
 def test_one_shot_commands_skip_dataclasses(tmp_path, command):
     # dataclasses pulls in inspect, ast, dis and tokenize, which cost a
     # fresh process more than these commands' work; compare with a bare
@@ -839,6 +840,7 @@ def test_one_shot_commands_skip_dataclasses(tmp_path, command):
             "n": 5, "alpha": [[1, 0], [0, 1]]})],
         "odometer": ["odometer", "--dim", "2", "--matrix",
                      str(odometer_matrix), "--levels", "12"],
+        "reproduce": ["reproduce", "--json"],
     }[command]
     added = _imports_of(["-m", "bottforge.cli", *argv]) - bare
     assert "bottforge._record" in added

@@ -8,7 +8,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from bottforge.charclass import stiefel_whitney, total_stiefel_whitney
+from bottforge.charclass import (stiefel_whitney, total_steenrod_square,
+                                 total_stiefel_whitney)
 from bottforge.gf2ring import (
     DENSE_DIM_LIMIT,
     RECHECK_STACK,
@@ -194,16 +195,36 @@ def test_disjoint_monomials_multiply_to_union():
 # ------------------------------------------------------- reduction oracle
 
 def test_reduce_against_naive_rewriter():
+    """Both factor orders of the closed form against the exponent-vector
+    rewriter, up to d=14, past DENSE_DIM_LIMIT into the frozenset kernel.
+    A total degree of at most d + 2 makes about half the products nonzero."""
     rng = random.Random(13)
-    for _ in range(60):
-        d = rng.randint(1, 7)
+    nonzero = set()
+    for _ in range(400):
+        d = rng.randint(1, 14)
         m = random_bott_matrix(rng, d)
         ctx = make_context(m)
         supports = tuple(m.column_support(j) for j in range(d))
-        exps = tuple(rng.randint(0, 3) for _ in range(d))
-        got = reduce_exponents(ctx, exps)
+        exps = [0] * d
+        for _ in range(rng.randint(0, d + 2)):
+            i = rng.randrange(d)
+            exps[i] = min(exps[i] + 1, 3)
         want = naive_reduce(supports, exps)
-        assert got.terms == want, (m.to_row_strings(), exps)
+        for strategy in ("highest", "lowest"):
+            got = reduce_exponents(ctx, exps, strategy)
+            assert got.terms == want, (m.to_row_strings(), exps, strategy)
+        if want:
+            nonzero.add(d > DENSE_DIM_LIMIT)
+    assert nonzero == {False, True}
+
+
+def test_all_cubes_vanish_at_d14():
+    """prod x_i^3 has degree 42, above the top degree 14, so it is 0 in
+    every ring of dimension 14; the product of the x_i alone is not."""
+    full = RingContext(14, [(1 << 91) - 1])
+    assert reduce_exponents(full, (3,) * 14) == Gf2Poly.zero()
+    top = Gf2Poly.from_masks([(1 << 14) - 1])
+    assert reduce_exponents(full, (1,) * 14) == top
 
 
 def test_multiply_against_naive_rewriter():
@@ -300,7 +321,7 @@ def test_mul_y_matches_multiply(d):
         ctx = make_context(m)
         for k in range(d):
             p = Gf2Poly.from_masks(rng.getrandbits(d) for _ in range(5))
-            rep = ctx._kzero()
+            rep = ctx._rep(())
             for t in p.terms:
                 rep ^= ctx._unit(t)
             assert ctx._wrap(ctx._mul_form(rep, ctx.y_form[k])) == \
@@ -531,13 +552,16 @@ def test_stacked_context_has_no_single_y_classes():
 
 
 def test_one_polynomial_functions_refuse_a_stack():
-    """multiply, square, reduce_exponents and pairing_matrix answer for one
-    matrix, so a stack of more is refused with its slot count; each slot's
-    own context answers."""
+    """multiply, square, reduce_exponents, relation_strings,
+    pairing_matrix and the Stiefel-Whitney and Steenrod functions answer
+    for one matrix, so a stack of more is refused with its slot count;
+    each slot's own context answers."""
     p = Gf2Poly.from_monomial_strings(["x1", "x2", "x3x4"])
     calls = (lambda ctx: multiply(ctx, p, p), lambda ctx: square(ctx, p),
              lambda ctx: reduce_exponents(ctx, (0, 0, 2, 0)),
-             lambda ctx: pairing_matrix(ctx, 2))
+             relation_strings, lambda ctx: pairing_matrix(ctx, 2),
+             lambda ctx: stiefel_whitney(ctx, 1), total_stiefel_whitney,
+             lambda ctx: total_steenrod_square(ctx, p))
     for call in calls:
         for counters in ([0, 0b111111], [7] * 5):
             with pytest.raises(ValueError, match=f"stack of {len(counters)}"):
@@ -546,6 +570,29 @@ def test_one_polynomial_functions_refuse_a_stack():
     assert square(RingContext(4, [0b111111]), p) == \
         Gf2Poly.from_monomial_strings(["x1x2"])
     assert square(RingContext(4, [0]), p) == Gf2Poly.zero()
+
+
+def test_foreign_monomials_are_refused():
+    """A caller's polynomial with a monomial on a generator beyond the
+    ring's is refused with a ValueError that names that monomial, where it
+    would otherwise be read as 0 or index past the y classes."""
+    ctx = RingContext(3, [0b111])
+    x1 = Gf2Poly.variable(0)
+    calls = (("square", lambda p: square(ctx, p)),
+             ("multiply", lambda p: multiply(ctx, p, x1)),
+             ("multiply", lambda p: multiply(ctx, x1, p)),
+             ("total_steenrod_square",
+              lambda p: total_steenrod_square(ctx, p)))
+    for name, call in calls:
+        for foreign in ("x6", "x5", "x4", "x2x7"):
+            p = Gf2Poly.from_monomial_strings(["x1x2", foreign])
+            with pytest.raises(ValueError,
+                               match=f"^{name}: monomial {foreign} "):
+                call(p)
+    # the ring's own top monomial passes
+    x123 = Gf2Poly.from_monomial_strings(["x1x2x3"])
+    assert square(ctx, x123) == Gf2Poly.zero()
+    assert multiply(ctx, x123, Gf2Poly.one()) == x123
 
 
 def test_column_supports_reject_bits_on_or_below_the_diagonal():
