@@ -2,7 +2,8 @@
 which costs a one-shot command more than its work.  A record's fields are
 its class's ``__slots__``, which its constructor takes in order; it equals
 a record of the same class with equal fields, hashes by value, pickles
-through its constructor, and leaves ``_`` fields out of its repr."""
+through its constructor, and shows in its repr its fields, or the
+attributes that its class names in ``_shown``."""
 
 
 class Record:
@@ -19,8 +20,8 @@ class Record:
         return hash(self._values())
 
     def __repr__(self):
-        shown = ", ".join(f"{name}={getattr(self, name)!r}"
-                          for name in self.__slots__ if name[0] != "_")
+        shown = ", ".join(f"{name}={getattr(self, name)!r}" for name
+                          in getattr(self, "_shown", self.__slots__))
         return f"{type(self).__qualname__}({shown})"
 
     def __reduce__(self):

@@ -17,10 +17,11 @@ orientable and w_3^2 is nonzero; dimensions below 6 never pass because
 w_3^2 lives in degree 6.  Squaring is a ring map in characteristic 2, so
 w_3^2 sums x_S^2 = x_S * prod_{k in S} y_k over the terms x_S of w3, by
 the ring context's ladder over the indices k, the one that
-:func:`~bottforge.gf2ring.square` runs.  The criterion evaluates a stack
-of matrices of one dimension, from their counters, in one ring context
-(one matrix per context above the dense limit) and cross-checks its w1
-against the row sums for the whole stack at once.
+:func:`~bottforge.gf2ring.square` runs.  The criterion evaluates matrices of
+one dimension from their counters, one per slot of a ring context, as
+many at a time as a context stacks, and cross-checks w1 against the row
+sums for the whole stack in one comparison.  A report keeps w1, w3 and
+w3^2 of its slot and reads every flag off them.
 
 The search decides many candidates at once with a bit-sliced kernel of
 its own, :func:`w3_square_lanes`.  It rests on the same identity but
@@ -33,48 +34,31 @@ from __future__ import annotations
 
 from ._record import Record
 from .gf2ring import (
-    DENSE_DIM_LIMIT,
-    RECHECK_STACK,
     BottMatrix,
     Gf2Poly,
     RingContext,
     _bits,
     _one_matrix,
-    _row_chunks,
     counter_from_matrix,
 )
 
 
 class SwReport(Record):
-    """Outcome of the criterion evaluation for one matrix, read-only by
-    convention: it is hashed by value and not frozen, because the search
-    builds one per hit and a frozen record costs a call per field.
-
-    ``witness`` is the smallest monomial of w3sq in canonical order, present
-    exactly when w3sq is nonzero (even if the verdict fails on
-    orientability).
-
-    The report keeps w1, w3 and w3sq as the kernel values of the ring
-    context that computed them (``_w1``, ``_w3``, ``_w3sq``: an int bitset
-    over monomial masks up to ``DENSE_DIM_LIMIT``, a frozenset of masks
-    above it), so a report that nobody reads costs no polynomial objects
-    and pickles as plain ints; the ``w1``, ``w3`` and ``w3sq`` attributes
-    build the :class:`Gf2Poly` when read.
+    """Outcome of the criterion evaluation for one matrix: its dimension
+    and the kernel values of w1, w3 and w3sq in its ring context slot.
+    ``w1``, ``w3`` and ``w3sq`` build the :class:`Gf2Poly` when read, and
+    every flag is read off the classes: ``orientable`` is w1 = 0,
+    ``verdict`` is orientable with w3sq nonzero, and ``witness`` the
+    smallest monomial of w3sq in canonical order, None for w3sq = 0.
+    Read-only by convention: hashed by value and not frozen, as a frozen
+    record costs a call per field and the search builds one per hit.
     """
 
-    __slots__ = ("dim", "orientable", "_w1", "_w3", "_w3sq", "verdict",
-                 "witness")
+    __slots__ = ("dim", "_w1", "_w3", "_w3sq")
+    _shown = ("dim", "orientable", "verdict", "witness")
 
-    def __init__(self, dim: int, orientable: bool, _w1: int | frozenset,
-                 _w3: int | frozenset, _w3sq: int | frozenset,
-                 verdict: bool, witness: int | None):
-        self.dim = dim
-        self.orientable = orientable
-        self._w1 = _w1
-        self._w3 = _w3
-        self._w3sq = _w3sq
-        self.verdict = verdict
-        self.witness = witness
+    def __init__(self, dim: int, _w1, _w3, _w3sq):
+        self.dim, self._w1, self._w3, self._w3sq = dim, _w1, _w3, _w3sq
 
     @property
     def w1(self) -> Gf2Poly:
@@ -89,8 +73,21 @@ class SwReport(Record):
         return RingContext._wrap(self._w3sq)
 
     @property
+    def orientable(self) -> bool:
+        return not self._w1
+
+    @property
     def w3sq_nonzero(self) -> bool:
         return bool(self._w3sq)
+
+    @property
+    def verdict(self) -> bool:
+        return not self._w1 and bool(self._w3sq)
+
+    @property
+    def witness(self) -> int | None:
+        # w3sq is homogeneous, so its smallest mask comes first
+        return RingContext._lowest(self._w3sq)
 
 
 def _total_class(ctx: RingContext, top: int):
@@ -280,58 +277,21 @@ def reproduce_reference() -> list[SwReport]:
 
 def criteria_of_counters(dim: int, counters: list) -> list[SwReport]:
     """:func:`counterexample_criterion` of the matrix of each of
-    ``counters``, in input order: up to ``DENSE_DIM_LIMIT`` RECHECK_STACK
-    at a time, one slot each of a dense ring context, above it each in a
-    sparse context of its own."""
-    step = RECHECK_STACK if dim <= DENSE_DIM_LIMIT else 1
+    ``counters``, in input order, as many at a time as one ring context
+    stacks (:meth:`RingContext.stack_limit`), one slot each."""
+    step = RingContext.stack_limit(dim)
     return [report for at in range(0, len(counters), step)
             for report in _stack_reports(
                 RingContext(dim, counters[at:at + step]))]
 
 
-def _fold(value: int, span: int) -> int:
-    """``value`` with bits 0..span-1 of each slot ORed into bit 0 of the
-    slot; ``span`` is a power of 2, at most the slot width."""
-    while span > 1:
-        span >>= 1
-        value |= value >> span
-    return value
-
-
-def _check_rowsums(ctx: RingContext, w1) -> None:
-    """Raise unless, in every slot, w1 vanishes exactly when every row has
-    even sum, both folded to bit 0 of each slot and compared as one int:
-    the x_m term of w1 = y_1 + ... + y_d is the sum of row m, at bit 2^m
-    (the last row is empty), and the prefix XOR of the packed counters at
-    the last entry of a row is the sum of the rows up to it."""
-    d, ones, prefix, span = ctx.dim, ctx._repeat(1), ctx.entries, 1
-    while span < d * (d - 1) // 2:
-        prefix ^= prefix << span
-        span <<= 1
-    ends = ctx._repeat(sum(1 << off + w - 1 for off, w in _row_chunks(d)))
-    odd = _fold(prefix & ends, span) & ones
-    if odd != (_fold(w1, 1 << d - 1) & ones if ctx._dense else int(bool(w1))):
-        raise AssertionError("w1 vanishing disagrees with row sums")
-
-
 def _stack_reports(ctx: RingContext) -> list[SwReport]:
-    """The reports of the matrices in the slots of ``ctx``, in slot
-    order."""
+    """The reports of the matrices in the slots of ``ctx``, in slot order,
+    once w1 vanishes exactly in the slots whose rows all have even sum:
+    the x_m term of w1 = y_1 + ... + y_d is the sum of row m."""
     g = _total_class(ctx, 3)
     w1, w3 = ctx._cut(g, 1, 1), ctx._cut(g, 3, 3)
-    _check_rowsums(ctx, w1)
-    reports = []
-    for w1, w3, w3sq in zip(ctx._unstack(w1), ctx._unstack(w3),
-                            ctx._unstack(ctx._square(w3))):
-        orientable = not w1
-        # w3sq is homogeneous, so its first term in canonical order is its
-        # smallest mask, in a dense value the lowest set bit
-        if not w3sq:
-            witness = None
-        elif ctx._dense:
-            witness = (w3sq & -w3sq).bit_length() - 1
-        else:
-            witness = min(w3sq)
-        reports.append(SwReport(ctx.dim, orientable, w1, w3, w3sq,
-                                orientable and bool(w3sq), witness))
-    return reports
+    if ctx._nonzero_slots(w1) != ctx._odd_row_slots():
+        raise AssertionError("w1 vanishing disagrees with row sums")
+    return [SwReport(ctx.dim, w1, w3, w3sq) for w1, w3, w3sq in zip(
+        ctx._unstack(w1), ctx._unstack(w3), ctx._unstack(ctx._square(w3)))]

@@ -212,6 +212,8 @@ def cmd_check(args) -> int:
     from .charclass import total_steenrod_square, total_stiefel_whitney
     from .gf2ring import make_context
     matrix = read_bott_matrix_file(args.matrix)
+    if args.sq is not None and not 0 <= args.sq <= matrix.dim:
+        raise UsageError(f"--sq degree {args.sq} outside 0..{matrix.dim}")
     t0 = time.perf_counter()
     report = charclass.counterexample_criterion(matrix)
     t1 = time.perf_counter()
@@ -225,8 +227,6 @@ def cmd_check(args) -> int:
             full_sw = total_stiefel_whitney(ctx)
             timings["full_sw_s"] = time.perf_counter() - t
         if args.sq is not None:
-            if not 0 <= args.sq <= matrix.dim:
-                raise UsageError(f"--sq degree {args.sq} outside 0..{matrix.dim}")
             t = time.perf_counter()
             graded = total_steenrod_square(ctx, report.w3)
             sq = (args.sq, graded[args.sq])

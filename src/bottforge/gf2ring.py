@@ -254,15 +254,17 @@ class RingContext:
     counters (see :func:`matrix_from_counter`): their y classes as linear
     forms, and no memo or tables.
 
-    ``RingContext(dim, counters)`` takes 1..``RECHECK_STACK`` counters up
-    to ``DENSE_DIM_LIMIT``, in a dense int-bitset polynomial kernel, and
-    one above it, in a frozenset kernel; the public API is identical
-    either way, and a single matrix is a stack of one (see
-    :func:`make_context`).  Counter k owns the k-th run of ``_width`` bits
-    of ``entries``, the packed counters, and of every dense value, its
-    slot.  A linear form is a tuple of pairs (m, sel): in the slots that
-    the mask ``sel`` covers, it holds x_m (the frozenset kernel ignores
-    ``sel``).  ``y_form[l]`` is y_l of every slot's matrix.  With one slot,
+    ``RingContext(dim, counters)`` takes 1..:meth:`stack_limit` counters:
+    up to RECHECK_STACK at most ``DENSE_DIM_LIMIT``, in a dense int-bitset
+    polynomial kernel, and one above it, in a frozenset kernel; the public
+    API is identical either way, and a single matrix is a stack of one
+    (see :func:`make_context`).  Counter k owns the k-th run of ``_width``
+    bits of ``entries``, the packed counters, and of every dense value,
+    its slot.  How values are stored stays in this class, whose
+    primitives answer the questions of other modules about them.  A
+    linear form is a tuple of pairs (m, sel): in the slots that the mask
+    ``sel`` covers, it holds x_m (the frozenset kernel ignores ``sel``).
+    ``y_form[l]`` is y_l of every slot's matrix.  With one slot,
     ``y_support[l]`` is the mask of rows with a 1 in column l and
     ``yclass`` the y classes, both derived from ``y_form`` when read; a
     stack of more has neither (both None).
@@ -279,7 +281,7 @@ class RingContext:
         if not 1 <= dim <= MAX_DIM:
             raise ValueError(f"dimension {dim} outside 1..{MAX_DIM}")
         dense = dim <= DENSE_DIM_LIMIT
-        most = RECHECK_STACK if dense else 1
+        most = self.stack_limit(dim)
         if not 1 <= len(counters) <= most:
             raise ValueError("a ring context needs at least one matrix "
                              f"counter, and at most {most} at dimension {dim}")
@@ -318,6 +320,12 @@ class RingContext:
         return cls(dim, [sum(1 << chunks[i][0] + j - i - 1
                              for j, sup in enumerate(supports)
                              for i in _bits(sup))])
+
+    @staticmethod
+    def stack_limit(dim: int) -> int:
+        """How many counters one context of dimension ``dim`` stacks at
+        most: RECHECK_STACK in the dense kernel, one in the sparse one."""
+        return RECHECK_STACK if dim <= DENSE_DIM_LIMIT else 1
 
     @property
     def y_support(self) -> tuple | None:
@@ -360,6 +368,42 @@ class RingContext:
         sparse (a frozenset)."""
         return Gf2Poly(rep if isinstance(rep, frozenset)
                        else frozenset(_bits(rep)))
+
+    @staticmethod
+    def _lowest(rep) -> int | None:
+        """The smallest monomial mask of a one-slot kernel value, or None;
+        it tests for the dense kernel first, which every search hit uses."""
+        if rep.__class__ is int:
+            return (rep & -rep).bit_length() - 1 if rep else None
+        return min(rep, default=None)
+
+    @staticmethod
+    def _coefficient(rep, mask: int) -> int:
+        """The coefficient, 0 or 1, of x_mask in a one-slot kernel value."""
+        return (int(mask in rep) if isinstance(rep, frozenset)
+                else rep >> mask & 1)
+
+    def _nonzero_slots(self, rep, span: int = 0) -> int:
+        """Bit 0 of each slot set exactly where ``rep`` is nonzero in the
+        slot, or in its low ``span`` bits when a power of 2 is given."""
+        if not self._dense:
+            return int(bool(rep))
+        span = span or self._width
+        while span > 1:  # OR the span into its bit 0 by halving it
+            span >>= 1
+            rep |= rep >> span
+        return rep & self._repeat(1)
+
+    def _odd_row_slots(self) -> int:
+        """Bit 0 of each slot set exactly where the matrix of the slot has
+        a row of odd sum: the prefix XOR of the packed counters at the last
+        entry of a row is the sum of the rows up to it."""
+        d, prefix, span = self.dim, self.entries, 1
+        while span < d * (d - 1) // 2:
+            prefix ^= prefix << span
+            span <<= 1
+        ends = self._repeat(sum(1 << off + w - 1 for off, w in _row_chunks(d)))
+        return self._nonzero_slots(prefix & ends, span)
 
     def _unstack(self, rep) -> list:
         """The one-slot kernel values of the slots of ``rep``, in order."""
@@ -564,10 +608,7 @@ def pairing_matrix(ctx: RingContext, k: int) -> list[list[int]]:
             if rep is None:
                 rep = memo[key] = _times_y(ctx, ctx._unit(s | t),
                                            _bits(s & t))
-            if ctx._dense:
-                row.append((rep >> top) & 1)
-            else:
-                row.append(1 if top in rep else 0)
+            row.append(ctx._coefficient(rep, top))
         out.append(row)
     return out
 

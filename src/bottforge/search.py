@@ -15,11 +15,13 @@ are decided 2^LANE_BITS at a time by the bit-sliced kernel
 batch sits in one int, bit n for candidate n, so one big-int operation
 acts on the whole batch.  The hits of a batch leave in candidate order.
 Each is re-checked by the full criterion straight from its counter, a
-separate route: up to RECHECK_STACK of them at a time, each counter in
-its own slot of one stacked ring context.  A hit stays plain ints until
-something reads it: it builds its matrix when read, its report keeps the
-kernel values of its slot, and the NDJSON line takes the row strings of
-each run of whole rows of the counter, and the witness, from bounded caches.
+separate route: as many at a time as one ring context stacks, each
+counter in its own slot.  Below d = 6 the kernel finds no hit, since
+w3^2 lives in degree 6.  A hit stays plain ints until something reads
+it: it builds its matrix when read, its report keeps w1, w3 and w3^2 of
+its slot and reads its flags and witness off them, and the NDJSON line
+takes the row strings of each run of whole rows of the counter, and the
+witness, from bounded caches.
 
 Exhaustive mode numbers the all-even counters by rank.  A rank drops
 entry (i, i+1) of every row, the parity of the rest of the row, so ranks
@@ -64,8 +66,6 @@ from .charclass import counterexample_criterion, stiefel_whitney  # noqa: F401
 from .gf2ring import RingContext, square  # noqa: F401
 
 MAX_EXHAUSTIVE_SPAN = 1 << 36
-# w3^2 sits in degree 6, above the top class of a smaller ring
-MIN_HIT_DIM = 6
 # The criterion decides 2^LANE_BITS candidates per call of the bit-sliced
 # kernel, one per bit of its lane ints; 2^12 and 2^13 measure alike, 2^11
 # and 2^14 slower.
@@ -92,10 +92,10 @@ class SearchSpec:
     partition: tuple[int, int] | None = None
 
 
-@dataclass(unsafe_hash=True)
+@dataclass(unsafe_hash=True, slots=True)
 class SearchHit:
     """A hit: the matrix of ``counter``, built when ``matrix`` is read.
-    Read-only by convention, like its :class:`SwReport`."""
+    Read-only by convention and slotted, like its :class:`SwReport`."""
 
     dim: int
     counter: int
@@ -482,8 +482,6 @@ def _enumerate_range(spec: SearchSpec, lo: int, hi: int, sink) -> SearchStats:
             for index, counter, report in zip(indices, counters, reports):
                 sink(SearchHit(d, counter, report, index))
 
-    # below MIN_HIT_DIM no candidate needs the criterion
-    decide = d >= MIN_HIT_DIM
     if spec.mode == "exhaustive":
         r_lo, r_hi = _even_rank(d, lo), _even_rank(d, hi)
         stats.tested = r_hi - r_lo
@@ -492,11 +490,8 @@ def _enumerate_range(spec: SearchSpec, lo: int, hi: int, sink) -> SearchStats:
                         (r_hi - r_lo).bit_length())
         width = 1 << lane_bits
         # aligned blocks of ranks, each decided in one kernel call
-        blocks = range(r_lo & -width, r_hi, width) if decide else ()
-        for base in blocks:
+        for base in range(r_lo & -width, r_hi, width):
             valid = (1 << min(r_hi - base, width)) - (1 << max(r_lo - base, 0))
-            if not valid:
-                continue
             hits = valid & w3_square_lanes(
                 d, _block_entries(d, base, lane_bits), width)
             # the counters of the block's hits by the linear rank map
@@ -507,11 +502,10 @@ def _enumerate_range(spec: SearchSpec, lo: int, hi: int, sink) -> SearchStats:
         draws = _orientable_draws(d, spec.seed, lo, hi)
         while batch := list(islice(draws, 1 << LANE_BITS)):
             stats.tested += len(batch)
-            if decide:
-                hits = w3_square_lanes(
-                    d, _draw_entries(d, [c for _, c in batch]), len(batch))
-                found = [batch[n] for n in _lanes_of(hits)]
-                emit([i for i, _ in found], [c for _, c in found])
+            hits = w3_square_lanes(
+                d, _draw_entries(d, [c for _, c in batch]), len(batch))
+            found = [batch[n] for n in _lanes_of(hits)]
+            emit([i for i, _ in found], [c for _, c in found])
     stats.pruned = stats.candidates - stats.tested
     stats.wall_time_s = time.perf_counter() - start
     return stats
@@ -663,7 +657,8 @@ def hit_json(hit: SearchHit) -> str:
     """:func:`hit_record` as one JSON line, as ``json.dumps`` writes it
     with separators ", " and ": "; row strings and monomials need no
     escapes.  The rows come a run at a time from :func:`_run_string`,
-    rendered by :func:`hit_record`'s helper, as is the monomial."""
+    rendered by :func:`hit_record`'s helper, as is the monomial; the
+    witness, present exactly when w3sq is nonzero, gives both fields."""
     d, counter, report = hit.dim, hit.counter, hit.report
     witness = report.witness
     return ('{"dim": %d, "matrix": ["%s"], "orientable": %s, '
@@ -671,7 +666,7 @@ def hit_json(hit: SearchHit) -> str:
                 d, '", "'.join([_run_string(d, first, end, counter & mask)
                                 for mask, first, end in _row_runs(d)]),
                 "true" if report.orientable else "false",
-                "true" if report.w3sq_nonzero else "false",
+                "false" if witness is None else "true",
                 "null" if witness is None
                 else '"%s"' % format_monomial(witness),
                 hit.candidate_index))

@@ -384,49 +384,82 @@ def test_stacked_reports_build_polynomials_when_read(d):
         assert r.orientable is orientable_by_rowsums(m)
 
 
-def _with_verdict(report, verdict):
-    """A copy of ``report`` with another verdict, built by keyword."""
-    return SwReport(dim=report.dim, orientable=report.orientable,
-                    _w1=report._w1, _w3=report._w3, _w3sq=report._w3sq,
-                    verdict=verdict, witness=report.witness)
+def _with_classes(report, **classes):
+    """A copy of ``report`` with some classes replaced, built by keyword."""
+    fields = {"dim": report.dim, "_w1": report._w1, "_w3": report._w3,
+              "_w3sq": report._w3sq}
+    return SwReport(**{**fields, **classes})
 
 
 def test_report_replace_keeps_the_classes():
-    """A report rebuilt with one field changed keeps the kernel values, so
-    it still reads the same classes."""
+    """A report rebuilt with one class changed keeps the others, and its
+    flags follow the classes it holds, so it cannot contradict them: a
+    zero w3sq takes the verdict and the witness, an odd w1 the
+    orientability and the verdict."""
     report = counterexample_criterion(REFERENCE_MATRICES[0])
-    flipped = _with_verdict(report, False)
-    assert report.verdict and not flipped.verdict
-    assert (flipped.w1, flipped.w3, flipped.w3sq, flipped.witness) == \
-        (report.w1, report.w3, report.w3sq, report.witness)
-    assert flipped != report
-    assert _with_verdict(flipped, True) == report
+    flat = _with_classes(report, _w3sq=0)
+    assert report.verdict and not flat.verdict
+    assert (flat.orientable, flat.w3sq_nonzero, flat.witness) == \
+        (True, False, None)
+    assert (flat.w1, flat.w3) == (report.w1, report.w3)
+    assert flat != report
+    assert _with_classes(flat, _w3sq=report._w3sq) == report
+    odd_w1 = counterexample_criterion(BottMatrix(9, (2,) + (0,) * 8))._w1
+    odd = _with_classes(report, _w1=odd_w1)
+    assert odd.w1 == Gf2Poly.variable(0)
+    assert (odd.orientable, odd.verdict) == (False, False)
+    assert (odd.w3sq, odd.witness) == (report.w3sq, report.witness)
 
 
 def test_report_record_semantics():
     """Reports are compared and hashed by value, so equal reports built
-    apart dedupe in a set; the fields and their order are pinned, in the
-    slots and the constructor alike, the kernel values stay out of the
-    repr, and a copy built by keyword and a pickle round trip give equal
-    reports of the same class."""
+    apart dedupe in a set; the fields are the dimension and the three
+    classes, in the slots and the constructor alike, the repr names the
+    flags and not the kernel values, and a copy built by keyword and a
+    pickle round trip give equal reports of the same class."""
     m = REFERENCE_MATRICES[0]
     first, second = counterexample_criterion(m), counterexample_criterion(m)
     assert first == second and first is not second
     assert hash(first) == hash(second)
     zero = counterexample_criterion(BottMatrix.zero(9))
     assert len({first, second, zero}) == 2
-    order = ["dim", "orientable", "_w1", "_w3", "_w3sq", "verdict", "witness"]
-    assert list(SwReport.__slots__) == order
+    order = ["dim", "_w1", "_w3", "_w3sq"]
+    assert SwReport.__slots__ == tuple(order)
     assert list(inspect.signature(SwReport).parameters) == order
     assert repr(first) == (f"SwReport(dim=9, orientable=True, verdict=True, "
                            f"witness={first.witness!r})")
+    assert repr(zero) == ("SwReport(dim=9, orientable=True, verdict=False, "
+                          "witness=None)")
     assert SwReport(*(getattr(first, name) for name in order)) == first
-    flipped = _with_verdict(first, False)
-    assert type(flipped) is SwReport and flipped != first
-    for r in (first, flipped, zero):
+    flat = _with_classes(first, _w3sq=0)
+    assert type(flat) is SwReport and flat != first
+    for r in (first, flat, zero):
         back = pickle.loads(pickle.dumps(r))
         assert type(back) is SwReport
         assert back == r and hash(back) == hash(r)
+
+
+@pytest.mark.parametrize("d", [6, 9, DENSE_DIM_LIMIT, DENSE_DIM_LIMIT + 1,
+                               16])
+def test_report_flags_follow_their_definitions(d):
+    """On dense and sparse reports, every flag is its definition in the
+    classes: ``orientable`` is w1 = 0 and the row-sum test, ``verdict``
+    is orientable with w3sq nonzero, and ``witness`` the first term of
+    w3sq in canonical order; the full strictly upper triangular matrix
+    and its even-row version join the mixed stack."""
+    rng = random.Random(1700 + d)
+    full = BottMatrix(d, tuple((1 << d) - (2 << i) for i in range(d)))
+    stack = _mixed_stack(rng, d, 40 if d <= DENSE_DIM_LIMIT else 8)
+    stack += [full, _even_rows(full)]
+    reports = counterexample_criteria(stack)
+    for m, r in zip(stack, reports):
+        assert r.orientable is (not r.w1) is orientable_by_rowsums(m)
+        assert r.w3sq_nonzero is bool(r.w3sq)
+        assert r.verdict is (r.orientable and r.w3sq_nonzero)
+        masks = r.w3sq.sorted_masks()
+        assert r.witness == (masks[0] if masks else None)
+    assert any(r.verdict for r in reports) or d < 8
+    assert not all(r.orientable for r in reports)
 
 
 def test_stacked_criteria_reject_mixed_dimensions():

@@ -137,6 +137,23 @@ def test_check_sq_degree_out_of_range(capsys, tmp_path):
     assert "outside 0..9" in err
 
 
+def test_check_sq_degree_refused_before_ring_work(capsys, tmp_path,
+                                                  monkeypatch):
+    """An out-of-range --sq is refused once the matrix is read, before
+    the criterion or any Stiefel-Whitney class is computed."""
+    def reached(*args):
+        raise AssertionError("ring work before the --sq check")
+    for name in ("counterexample_criterion", "total_stiefel_whitney",
+                 "total_steenrod_square"):
+        monkeypatch.setattr(charclass, name, reached)
+    for degree in ("99", "-1", "10"):
+        rc, out, err = run_cli(capsys, ["check", "--matrix",
+                                        write_d9(tmp_path), "--full-sw",
+                                        "--sq", degree])
+        assert (rc, out) == (1, "")
+        assert err == f"error: --sq degree {degree} outside 0..9\n"
+
+
 # ------------------------------------------------------------------ search
 
 def test_search_dim5_no_hits(capsys):

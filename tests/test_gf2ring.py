@@ -8,8 +8,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from bottforge.charclass import (stiefel_whitney, total_steenrod_square,
-                                 total_stiefel_whitney)
+from bottforge.charclass import (orientable_by_rowsums, stiefel_whitney,
+                                 total_steenrod_square, total_stiefel_whitney)
 from bottforge.gf2ring import (
     DENSE_DIM_LIMIT,
     RECHECK_STACK,
@@ -21,6 +21,7 @@ from bottforge.gf2ring import (
     counter_from_matrix,
     format_monomial,
     make_context,
+    matrix_from_counter,
     multiply,
     pairing_matrix,
     parse_monomial,
@@ -523,6 +524,12 @@ def test_stacked_takes_at_most_a_full_dense_stack():
     for dim in (0, 65):
         with pytest.raises(ValueError, match="outside"):
             RingContext(dim, [0])
+    for dim in (1, 8, DENSE_DIM_LIMIT, DENSE_DIM_LIMIT + 1, 64):
+        most = RingContext.stack_limit(dim)
+        assert most == (RECHECK_STACK if dim <= DENSE_DIM_LIMIT else 1)
+        assert RingContext(dim, [0] * most).slots == most
+        with pytest.raises(ValueError, match=f"at most {most} "):
+            RingContext(dim, [0] * (most + 1))
 
 
 @pytest.mark.parametrize("d", [1, 4, 8, DENSE_DIM_LIMIT + 1, 64])
@@ -538,6 +545,76 @@ def test_context_rejects_out_of_range_counters(d):
         if d <= DENSE_DIM_LIMIT:
             with pytest.raises(ValueError, match="outside"):
                 RingContext(d, [0, bad, top])
+
+
+def _mixed_counters(rng, d, count):
+    """Seeded counters of random density: the zero matrix first, then
+    every other one with all rows even by its entry (i, i+1)."""
+    out = [0]
+    for n in range(1, count):
+        rows = list(random_bott_matrix(rng, d, rng.random()).rows)
+        for i in range(d - 1):
+            if n % 2 and rows[i].bit_count() & 1:
+                rows[i] ^= 1 << i + 1
+        out.append(counter_from_matrix(BottMatrix(d, tuple(rows))))
+    return out
+
+
+def _slot_values(ctx):
+    """w1 = y_1 + ... + y_d, its square and its products by y_d and by
+    x_d, whose terms sit in the upper half of each slot, in every slot of
+    ``ctx``."""
+    w1 = ctx._rep(())
+    for form in ctx.y_form:
+        w1 ^= ctx._mul_form(ctx._unit(0), form)
+    return [w1, ctx._square(w1), ctx._mul_form(w1, ctx.y_form[-1]),
+            ctx._mul_form(w1, ((ctx.dim - 1, -1),))]
+
+
+@pytest.mark.parametrize("d,size", [(9, 1), (9, 2), (9, 255), (9, 256),
+                                    (DENSE_DIM_LIMIT, 256), (13, 1),
+                                    (40, 1), (64, 1)])
+def test_slot_primitives_match_one_matrix_contexts(d, size):
+    """The slot primitives on dense stacks of ``size`` slots and on
+    sparse one-matrix contexts, each slot against its own one-matrix
+    context and the row-sum test: the slots with an odd row, the nonzero
+    slots of w1, w1^2, w1 * y_d and w1 * x_d (w1 is nonzero exactly where
+    a row is odd), and the lowest term and some coefficients of each slot's
+    values, against their polynomials."""
+    rng = random.Random(1900 + d + size)
+    if d <= DENSE_DIM_LIMIT:
+        stacks = [_mixed_counters(rng, d, size)]
+    else:
+        stacks = [[c] for c in _mixed_counters(rng, d, 6)]
+    seen = set()
+    for part in stacks:
+        ctx = RingContext(d, part)
+        assert ctx.slots == size <= RingContext.stack_limit(d)
+
+        def slot_bits(flags):
+            return [v & 1 for v in ctx._unstack(flags)]
+        odd = [int(not orientable_by_rowsums(matrix_from_counter(d, c)))
+               for c in part]
+        assert slot_bits(ctx._odd_row_slots()) == odd
+        alone = [_slot_values(RingContext(d, [c])) for c in part]
+        values = _slot_values(ctx)
+        assert ctx._nonzero_slots(values[0]) == ctx._odd_row_slots()
+        for n, value in enumerate(values):
+            slots = ctx._unstack(value)
+            assert slots == [own[n] for own in alone]
+            assert slot_bits(ctx._nonzero_slots(value)) == \
+                [int(bool(v)) for v in slots]
+            for v in slots:
+                terms = RingContext._wrap(v).terms
+                seen.add((n, bool(terms)))
+                assert RingContext._lowest(v) == min(terms, default=None)
+                probes = sorted(terms)[:6] + [rng.getrandbits(d)
+                                              for _ in range(6)]
+                assert [RingContext._coefficient(v, m) for m in probes] == \
+                    [int(m in terms) for m in probes]
+    if size > 2 or d > DENSE_DIM_LIMIT:
+        assert {(0, True), (0, False), (1, True), (2, True),
+                (3, True)} <= seen
 
 
 def test_stacked_context_has_no_single_y_classes():

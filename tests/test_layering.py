@@ -1,0 +1,76 @@
+"""Layering guard: only ``gf2ring`` knows how a ring context stores its
+values.  ``charclass`` and ``search`` ask the context's primitives; they
+read none of its layout (which kernel it uses, slot widths, the packed
+counters, the per-slot copies) and neither of the constants that size it.
+"""
+
+import ast
+from pathlib import Path
+
+import pytest
+
+import bottforge
+
+LAYOUT_ATTRIBUTES = {"_dense", "_width", "_repeat", "_free", "_cuts",
+                     "entries"}
+LAYOUT_CONSTANTS = {"DENSE_DIM_LIMIT", "RECHECK_STACK"}
+
+
+def layout_reads(source: str) -> list[str]:
+    """Each read of the ring context's layout in ``source``, as
+    ``line: name``: an attribute named in LAYOUT_ATTRIBUTES or
+    LAYOUT_CONSTANTS, and a name or an import of LAYOUT_CONSTANTS.  A
+    local variable called ``entries`` is not a read of the layout."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Attribute):
+            name = node.attr
+            bad = name in LAYOUT_ATTRIBUTES | LAYOUT_CONSTANTS
+        elif isinstance(node, ast.Name):
+            name = node.id
+            bad = name in LAYOUT_CONSTANTS
+        elif isinstance(node, ast.alias):
+            name = node.name
+            bad = name in LAYOUT_CONSTANTS
+        else:
+            continue
+        if bad:
+            found.append(f"{getattr(node, 'lineno', '?')}: {name}")
+    return found
+
+
+@pytest.mark.parametrize("module", ["charclass.py", "search.py"])
+def test_module_reads_no_ring_layout(module):
+    source = (Path(bottforge.__file__).parent / module).read_text()
+    assert layout_reads(source) == []
+
+
+def test_charclass_tests_no_kernel_value_type():
+    """The kernel of a value is gf2ring's business: charclass calls no
+    ``type``, names no ``frozenset`` and tests only its inputs, which
+    must be matrices, with ``isinstance``."""
+    tree = ast.parse(
+        (Path(bottforge.__file__).parent / "charclass.py").read_text())
+    names = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    assert not names & {"type", "frozenset"}
+    tested = {ast.unparse(node.args[1]) for node in ast.walk(tree)
+              if isinstance(node, ast.Call)
+              and ast.unparse(node.func) == "isinstance"}
+    assert tested == {"BottMatrix"}
+
+
+def test_guard_sees_each_kind_of_read():
+    """The guard is not vacuous: it flags an attribute, a constant read by
+    name or by attribute, and an import, and lets a local ``entries``
+    pass."""
+    source = "\n".join([
+        "from .gf2ring import RECHECK_STACK",
+        "from . import gf2ring as g",
+        "def f(ctx, entries):",
+        "    a = ctx._dense, ctx._width, ctx._repeat(1), ctx._free",
+        "    b = ctx._cuts, ctx.entries, g.DENSE_DIM_LIMIT",
+        "    return entries, DENSE_DIM_LIMIT",
+    ])
+    assert sorted(name.split(": ")[1] for name in layout_reads(source)) == \
+        sorted(["RECHECK_STACK", "_dense", "_width", "_repeat", "_free",
+                "_cuts", "entries", "DENSE_DIM_LIMIT", "DENSE_DIM_LIMIT"])

@@ -144,6 +144,10 @@ def test_reprs_name_the_public_fields():
     assert repr(system) == (f"StationarySystem(group={system.group!r}, "
                             f"beta={system.beta!r}, multiplier=5, "
                             f"alpha={system.alpha!r})")
-    report = SwReport(9, True, 0, 1, 2, True, 5)
+    # a report shows its flags, read off its classes, and not the classes
+    report = SwReport(9, 0, 1 << 7, 1 << 0b1111011 | 1 << 0b1111110)
     assert repr(report) == ("SwReport(dim=9, orientable=True, verdict=True, "
-                            "witness=5)")
+                            "witness=123)")
+    odd = SwReport(13, frozenset({1}), frozenset(), frozenset({0b111111}))
+    assert repr(odd) == ("SwReport(dim=13, orientable=False, verdict=False, "
+                         "witness=63)")

@@ -212,15 +212,14 @@ def test_every_emitted_hit_passes_criterion():
     SearchSpec(dim=8, partition=(870, 2048)),
     SearchSpec(dim=9, mode="random", limit=30000, seed=7)])
 def test_flipped_recheck_verdict_raises(monkeypatch, spec):
-    """One re-check verdict that disagrees with the kernel stops the run."""
+    """One re-check report whose w3sq is 0, so that its verdict disagrees
+    with the kernel, stops the run."""
     real = search.criteria_of_counters
 
     def flip_one(dim, counters):
         reports = real(dim, counters)
         r = reports[len(reports) // 2]
-        reports[len(reports) // 2] = SwReport(r.dim, r.orientable, r._w1,
-                                              r._w3, r._w3sq, False,
-                                              r.witness)
+        reports[len(reports) // 2] = SwReport(r.dim, r._w1, r._w3, 0)
         return reports
     monkeypatch.setattr(search, "criteria_of_counters", flip_one)
     with pytest.raises(AssertionError):
@@ -905,20 +904,25 @@ def test_row_runs_cover_every_row_once():
 def test_hit_json_rows_match_the_row_renderer():
     """For d = 1..20, on seeded counters, 0 and all ones, the matrix of a
     hit line is the ``_row_string`` join of ``_counter_rows``, read cold
-    and again from the run cache."""
+    and again from the run cache, beside a report without a witness and
+    one whose witness is the top monomial, in the kernel of d."""
     rng = random.Random(1414)
     for d in range(1, 21):
-        report = SwReport(d, True, 0, 0, 0, False, None)
+        top = (1 << d) - 1
+        reports = [SwReport(d, 0, 0, 0), SwReport(
+            d, 0, 0, 1 << top if d <= 12 else frozenset({top}))]
+        witnesses = [None, "".join(f"x{i + 1}" for i in range(d))]
         bits = free_bit_count(d)
-        for c in [0, (1 << bits) - 1] + [rng.getrandbits(bits)
-                                         for _ in range(20)]:
-            hit = search.SearchHit(d, c, report, c)
+        for n, c in enumerate([0, (1 << bits) - 1] +
+                              [rng.getrandbits(bits) for _ in range(20)]):
+            hit = search.SearchHit(d, c, reports[n & 1], c)
             want = '", "'.join(_row_string(d, row)
                                for row in _counter_rows(d, c))
             for line in (hit_json(hit), hit_json(hit)):
                 body = line.split('"matrix": ["', 1)[1]
                 assert body.split('"], "orientable"', 1)[0] == want
                 assert json.loads(line) == hit_record(hit)
+                assert hit_record(hit)["witness"] == witnesses[n & 1]
 
 
 def test_hit_record_semantics():
@@ -963,8 +967,10 @@ def test_hits_build_their_matrix_when_read():
     payload = pickle.dumps(first[0])
     assert b"BottMatrix" not in payload and b"Gf2Poly" not in payload
     assert pickle.loads(payload) == first[0]
-    assert set(vars(first[0])) == {"dim", "counter", "report",
-                                   "candidate_index"}
+    # slotted: reading the matrix can leave nothing behind on the hit
+    assert not hasattr(first[0], "__dict__")
+    assert first[0].__slots__ == ("dim", "counter", "report",
+                                  "candidate_index")
     _, hits = collect_hits(SearchSpec(dim=8, partition=(870, 2048)))
     assert all(counter_from_matrix(h.matrix) == h.counter == h.candidate_index
                for h in hits[::97])
