@@ -3,8 +3,9 @@
 A group is presented as Z^n modulo the column span of an integer relation
 matrix.  Smith normal form U * M * V = D (U, V unimodular, D diagonal with
 non-negative entries in a divisibility chain, zeros last) supplies invariant
-factors, canonical coordinates, lattice membership and kernels; everything
-runs on exact Python integers.
+factors, canonical coordinates, lattice membership and kernels; one
+Faddeev-LeVerrier pass, :meth:`IntMatrix.charpoly_adjugate`, gives the
+characteristic polynomial, adjugate and determinant, in exact integers.
 
 Stationary systems model a constant-shape sequence G -> G -> ... with an
 endomorphism beta, optionally a left companion alpha with
@@ -118,31 +119,32 @@ class IntMatrix(FrozenRecord):
             raise ValueError("row count mismatch")
         return IntMatrix(tuple(a + b for a, b in zip(self.rows, other.rows)))
 
-    def det(self) -> int:
-        """Exact determinant by fraction-free (Bareiss) elimination."""
+    def charpoly_adjugate(self) -> tuple[list[int], "IntMatrix"]:
+        """Characteristic polynomial and adjugate by Faddeev-LeVerrier.
+
+        N_0 = 0, N_k = M N_{k-1} + c_{n-k+1} I and c_{n-k} = -tr(M N_k) / k,
+        where the c_j are the coefficients of det(zI - M).  They are
+        integers, so every division is exact.  Returns
+        ``[1, c_{n-1}, ..., c_0]`` (c_0 = (-1)^n det M) and
+        adj M = (-1)^(n-1) N_n.
+        """
         n = self.nrows
         if n != self.ncols:
             raise ValueError("determinant of a non-square matrix")
-        if n == 0:
-            return 1
-        a = [list(r) for r in self.rows]
-        sign = 1
-        prev = 1
-        for k in range(n - 1):
-            if a[k][k] == 0:
-                for i in range(k + 1, n):
-                    if a[i][k]:
-                        a[k], a[i] = a[i], a[k]
-                        sign = -sign
-                        break
-                else:
-                    return 0
-            for i in range(k + 1, n):
-                for j in range(k + 1, n):
-                    a[i][j] = (a[i][j] * a[k][k] - a[i][k] * a[k][j]) // prev
-                a[i][k] = 0
-            prev = a[k][k]
-        return sign * a[n - 1][n - 1]
+        coeffs = [1]
+        nk = mn = IntMatrix.zero(n, n)
+        for k in range(1, n + 1):
+            nk = IntMatrix(tuple(
+                tuple(x + coeffs[-1] if r == c else x for c, x in enumerate(row))
+                for r, row in enumerate(mn.rows)))
+            mn = self.mul(nk)
+            coeffs.append(-sum(mn.entry(t, t) for t in range(n)) // k)
+        return coeffs, nk.scale((-1) ** (n - 1))
+
+    def det(self) -> int:
+        """Exact determinant, (-1)^n times the constant term of
+        :meth:`charpoly_adjugate`; 1 for a 0 x 0 matrix."""
+        return (-1) ** self.nrows * self.charpoly_adjugate()[0][-1]
 
     def __str__(self) -> str:
         return "\n".join(" ".join(str(x) for x in r) for r in self.rows)
@@ -306,9 +308,7 @@ class FgAbGroup:
 
     def invariant_factors(self) -> tuple[int, ...]:
         """Non-unit torsion factors in chain order, then one 0 per free rank."""
-        torsion = tuple(d for d in self._diag if d > 1)
-        zeros = tuple(0 for d in self._diag if d == 0)
-        return torsion + zeros
+        return self.torsion() + (0,) * self.free_rank()
 
     def torsion(self) -> tuple[int, ...]:
         return tuple(d for d in self._diag if d > 1)
@@ -324,15 +324,8 @@ class FgAbGroup:
         return sum(1 for d in self._diag if d == 0)
 
     def contains_in_relations(self, vec) -> bool:
-        """Whether an ambient vector lies in the relation lattice."""
-        w = self._u.mul_vec(vec)
-        for x, dd in zip(w, self._diag):
-            if dd == 0:
-                if x != 0:
-                    return False
-            elif x % dd:
-                return False
-        return True
+        """Whether ``vec`` lies in the relation lattice: coordinates all 0."""
+        return not any(self.coords(vec))
 
     def coords(self, vec) -> tuple[int, ...]:
         """Canonical coordinates of the class of ``vec``.

@@ -271,7 +271,7 @@ class RingContext:
     """
 
     __slots__ = ("dim", "y_form", "slots", "entries",
-                 "_dense", "_free", "_width", "_cuts")
+                 "_dense", "_free", "_width")
 
     def __init__(self, dim: int, counters):
         """Pack counter k into slot k of one int: the slots whose matrix
@@ -290,7 +290,6 @@ class RingContext:
             raise ValueError(
                 f"matrix counter outside 0..2^{bits}-1 at dimension {dim}")
         self.dim, self.slots, self._dense = dim, len(counters), dense
-        self._cuts = {}
         # whole bytes with room for the counter, and for the monomials when
         # dense, which is room for the counter too
         width = self._width = max(1 << dim, 8) if dense else bits + 8 & ~7
@@ -418,11 +417,7 @@ class RingContext:
         """The terms of ``rep`` of degree lo..hi."""
         if not self._dense:
             return frozenset(t for t in rep if lo <= t.bit_count() <= hi)
-        mask = self._cuts.get((lo, hi))
-        if mask is None:
-            mask = self._cuts[lo, hi] = self._repeat(
-                _degree_mask(self.dim, lo, hi))
-        return rep & mask
+        return rep & self._repeat(_degree_mask(self.dim, lo, hi))
 
     def _square(self, rep):
         """The Frobenius square of a kernel value in every slot: the sum
@@ -550,16 +545,15 @@ def square(ctx: RingContext, p: Gf2Poly) -> Gf2Poly:
     return ctx._wrap(ctx._square(ctx._rep(p.terms)))
 
 
-def reduce_exponents(ctx: RingContext, exponents, strategy: str = "highest") -> Gf2Poly:
+def reduce_exponents(ctx: RingContext, exponents) -> Gf2Poly:
     """Expand a power product ``prod x_i^{e_i}`` in the squarefree basis.
 
     ``exponents`` is a length-dim vector of non-negative integers.  By
     induction on x_j^2 = x_j y_j, x_j^e = x_j y_j^(e-1) for e >= 1, so the
     product is x_S * prod_i y_i^(e_i - 1), with S the indices of nonzero
-    exponent.  ``strategy`` takes the y factors from the highest or the
-    lowest index first; the ring is commutative and the basis unique, so
-    the two agree, and both are exposed so that tests can check exactly
-    that.
+    exponent.  The y factors are taken from the highest index down; the
+    ring is commutative and the basis unique, so any order gives the
+    same answer.
     """
     _one_matrix(ctx, "reduce_exponents")
     exps = tuple(int(e) for e in exponents)
@@ -567,13 +561,10 @@ def reduce_exponents(ctx: RingContext, exponents, strategy: str = "highest") -> 
         raise ValueError(f"expected {ctx.dim} exponents, got {len(exps)}")
     if any(e < 0 for e in exps):
         raise ValueError("exponents must be non-negative")
-    if strategy not in ("highest", "lowest"):
-        raise ValueError(f"unknown strategy {strategy!r}")
-    order = sorted(range(ctx.dim), reverse=strategy == "highest")
     support = sum(1 << i for i, e in enumerate(exps) if e)
     # x_i y_i^dim is 0, above the top degree: more factors change nothing
     return ctx._wrap(_times_y(ctx, ctx._unit(support),
-                              [i for i in order
+                              [i for i in reversed(range(ctx.dim))
                                for _ in range(min(exps[i] - 1, ctx.dim))]))
 
 

@@ -8,11 +8,11 @@ M^i Z^d at some finite level (the escape level).
 
 Each level is the abelian group Z^d / M^i Z^d, an :class:`FgAbGroup` with
 relation matrix M^i, whose coordinates give cosets canonical residues; its
-order is |det M|^i by theorem.  One Faddeev-LeVerrier pass gives the
-characteristic polynomial and the adjugate of M in exact integers: the
-polynomial decides expansion by a Schur-Cohn reduction, and the adjugate
-finds escape levels, and so membership in M^i Z^d, without a Smith form
-per level.  Every level is one orbit by theorem.
+order is |det M|^i by theorem.  The characteristic polynomial and the
+adjugate of M come from :meth:`IntMatrix.charpoly_adjugate` in exact
+integers: the polynomial decides expansion by a Schur-Cohn reduction, and
+the adjugate finds escape levels, and so membership in M^i Z^d, without a
+Smith form per level.  Every level is one orbit by theorem.
 """
 
 from __future__ import annotations
@@ -28,26 +28,6 @@ from .abelian import _snf_full  # noqa: F401
 
 class SingularMatrixError(ValueError):
     """Raised when a tower or check needs an invertible matrix."""
-
-
-def _charpoly_adjugate(matrix: IntMatrix) -> tuple[list[int], IntMatrix]:
-    """Characteristic polynomial and adjugate of a square integer matrix.
-
-    Faddeev-LeVerrier: N_0 = 0, N_k = M N_{k-1} + c_{n-k+1} I and
-    c_{n-k} = -tr(M N_k) / k, where the c_j are the coefficients of
-    det(zI - M).  They are integers, so every division is exact.  Returns
-    ``[1, c_{n-1}, ..., c_0]`` (c_0 = (-1)^n det M) and adj M = (-1)^(n-1) N_n.
-    """
-    n = matrix.nrows
-    coeffs = [1]
-    prod = IntMatrix.zero(n, n)
-    for k in range(1, n + 1):
-        nk = IntMatrix(tuple(
-            tuple(x + coeffs[-1] if r == c else x for c, x in enumerate(row))
-            for r, row in enumerate(prod.rows)))
-        prod = matrix.mul(nk)
-        coeffs.append(-sum(prod.entry(t, t) for t in range(n)) // k)
-    return coeffs, nk.scale((-1) ** (n - 1))
 
 
 class LevelPoint(FrozenRecord):
@@ -70,7 +50,7 @@ class OdometerTower:
     def __init__(self, matrix: IntMatrix):
         if matrix.nrows != matrix.ncols or matrix.nrows < 1:
             raise ValueError("tower matrix must be square and nonempty")
-        coeffs, adjugate = _charpoly_adjugate(matrix)
+        coeffs, adjugate = matrix.charpoly_adjugate()
         det = (-1) ** matrix.nrows * coeffs[-1]
         if det == 0:
             raise SingularMatrixError("tower matrix is singular")
@@ -186,7 +166,7 @@ def expanding_check(matrix: IntMatrix) -> bool:
     if matrix.nrows != matrix.ncols or matrix.nrows < 1:
         raise ValueError("matrix must be square and nonempty")
     # chi_M read leading coefficient first is q read constant term first
-    q, _ = _charpoly_adjugate(matrix)
+    q, _ = matrix.charpoly_adjugate()
     if q[-1] == 0:
         raise SingularMatrixError("matrix is singular")
     while len(q) > 1:

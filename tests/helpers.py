@@ -2,7 +2,9 @@
 
 Everything here recomputes results by a route independent of the package:
 Gaussian elimination over exact fractions, gcd-of-minors invariant factors,
-and a dict-based polynomial rewriter working on exponent vectors.
+and a dict-based polynomial rewriter working on exponent vectors.  Power
+products as chains of single-generator ``multiply`` calls are a route apart
+from the package's closed form.
 """
 
 from __future__ import annotations
@@ -13,7 +15,7 @@ from itertools import combinations, product
 from math import gcd
 
 from bottforge.abelian import beta_on_coords
-from bottforge.gf2ring import BottMatrix
+from bottforge.gf2ring import BottMatrix, Gf2Poly, multiply
 from bottforge.odometer import act
 
 
@@ -210,6 +212,19 @@ def naive_reduce(y_support: tuple[int, ...], exponents) -> frozenset[int]:
                 key = tuple(child)
                 work[key] = work.get(key, 0) + 1
     return frozenset(done)
+
+
+def power_by_multiply(ctx, exponents, descending: bool = False) -> Gf2Poly:
+    """The power product prod x_i^{e_i} as a chain of ``multiply`` calls by
+    one generator at a time, in ascending or descending index order: a
+    route that does not pass through the closed form of
+    ``reduce_exponents``."""
+    power = Gf2Poly.from_masks([0])
+    order = range(len(exponents))
+    for i in reversed(order) if descending else order:
+        for _ in range(exponents[i]):
+            power = multiply(ctx, power, Gf2Poly.from_masks([1 << i]))
+    return power
 
 
 def naive_multiply(y_support, terms_a, terms_b) -> frozenset[int]:

@@ -27,6 +27,7 @@ from helpers import (
     det_fraction,
     minors_invariant_factors,
     random_stationary_system,
+    solve_integer,
     torsion_order_by_minors,
 )
 
@@ -64,15 +65,17 @@ def test_int_matrix_algebra():
 
 
 def test_det_against_fraction_elimination():
+    """Up to 8 x 8, where the exact divisions by k of the pass matter."""
     rng = random.Random(42)
     for _ in range(200):
-        n = rng.randint(1, 5)
+        n = rng.randint(1, 8)
         m = random_int_matrix(rng, n, n)
         assert m.det() == det_fraction(m.rows)
 
 
 def test_det_identity_and_diagonal():
     assert IntMatrix.identity(4).det() == 1
+    assert IntMatrix.identity(0).det() == 1
     assert IntMatrix.diagonal([2, 3, -5], 3, 3).det() == -30
 
 
@@ -195,6 +198,26 @@ def test_coords_kill_relations():
             col = m.col(j)
             assert g.contains_in_relations(col)
             assert all(c == 0 for c in g.coords(col))
+
+
+def test_contains_in_relations_against_solver():
+    """Random vectors, about half of them in the lattice by construction,
+    against rational elimination on square nonsingular relations."""
+    rng = random.Random(49)
+    inside = set()
+    for _ in range(200):
+        n = rng.randint(1, 4)
+        m = random_int_matrix(rng, n, n, -4, 4)
+        if det_fraction(m.rows) == 0:
+            continue
+        g = FgAbGroup(m)
+        vec = [rng.randint(-12, 12) for _ in range(n)]
+        if rng.random() < 0.5:
+            vec = m.mul_vec(vec)
+        want = solve_integer(m.rows, vec)
+        assert g.contains_in_relations(vec) is want
+        inside.add(want)
+    assert inside == {False, True}
 
 
 def test_element_from_coords_roundtrip():

@@ -49,7 +49,9 @@ from bottforge.search import (
 
 from helpers import (
     gf2_rank,
+    naive_reduce,
     pairing_rows_to_bits,
+    power_by_multiply,
     random_bott_matrix,
     random_stationary_system,
 )
@@ -149,11 +151,12 @@ def test_criterion_05_ring_property_suite():
         rng = random.Random(20260822)
         basis_counts_checked = set()
         # confluence draws whose power product is nonzero, and those of
-        # them with an exponent of 2 or more, which the two orders rewrite
+        # them with an exponent of 2 or more, which every route rewrites
         nonzero_powers = rewritten_powers = 0
         for _ in range(1000):
             d = rng.randint(1, 8)
-            ctx = make_context(random_bott_matrix(rng, d))
+            m = random_bott_matrix(rng, d)
+            ctx = make_context(m)
 
             # graded dimension: every degree has exactly C(d, k) basis
             # monomials, and reduced products stay inside that basis
@@ -171,13 +174,18 @@ def test_criterion_05_ring_property_suite():
             else:
                 assert all(t.bit_count() == deg for t in prod.terms)
 
-            # confluence: both rewrite orders agree, on power products of
-            # total degree at most d, which are not all 0 by degree alone
+            # confluence: the closed form agrees with products of single
+            # generators in ascending and in descending order, and with the
+            # naive rewriter, on power products of total degree at most d,
+            # which are not all 0 by degree alone
             exps = [0] * d
             for _ in range(rng.randint(1, d)):
                 exps[rng.randrange(d)] += 1
-            power = reduce_exponents(ctx, exps, "highest")
-            assert power == reduce_exponents(ctx, exps, "lowest")
+            power = reduce_exponents(ctx, exps)
+            assert power == power_by_multiply(ctx, exps)
+            assert power == power_by_multiply(ctx, exps, descending=True)
+            supports = tuple(m.column_support(j) for j in range(d))
+            assert power.terms == naive_reduce(supports, exps)
             nonzero_powers += bool(power)
             rewritten_powers += bool(power) and max(exps) > 1
 
