@@ -23,6 +23,15 @@ many at a time as a context stacks, and cross-checks w1 against the row
 sums for the whole stack in one comparison.  A report keeps w1, w3 and
 w3^2 of its slot and reads every flag off them.
 
+The search re-checks its hits, which are orientable, by a second route,
+:func:`criteria_by_blocks`, with the same reports.  For a d x d matrix A
+with all rows even, whose top-left (d-2) x (d-2) block is B, the last two
+y classes are linear forms on the generators of B, so every term of w3
+and of w3^2 lies in the ring of B, whose slots are a quarter the size;
+the row sums of every counter are checked in place of w1.  The checks
+and reproductions of single matrices keep the criterion above, which the
+tests hold the second route against.
+
 The search decides many candidates at once with a bit-sliced kernel of
 its own, :func:`w3_square_lanes`.  It rests on the same identity but
 shares no code with the ring context: it squares w3 on per-term lane
@@ -90,12 +99,12 @@ class SwReport(Record):
         return RingContext._lowest(self._w3sq)
 
 
-def _total_class(ctx: RingContext, top: int):
-    """Kernel value of prod (1 + y_i) in every slot, without the terms of
-    degree above ``top``: each column adds y_i times the part below
-    ``top``."""
+def _total_class(ctx: RingContext, top: int, extra: tuple = ()):
+    """Kernel value of prod (1 + y_i) in every slot, times (1 + f) for
+    each linear form f of ``extra``, without the terms of degree above
+    ``top``: each factor adds its form times the part below ``top``."""
     g = ctx._unit(0)
-    for form in ctx.y_form:
+    for form in ctx.y_form + extra:
         if form:
             g ^= ctx._mul_form(ctx._cut(g, 0, top - 1), form)
     return g
@@ -295,3 +304,40 @@ def _stack_reports(ctx: RingContext) -> list[SwReport]:
         raise AssertionError("w1 vanishing disagrees with row sums")
     return [SwReport(ctx.dim, w1, w3, w3sq) for w1, w3, w3sq in zip(
         ctx._unstack(w1), ctx._unstack(w3), ctx._unstack(ctx._square(w3)))]
+
+
+def criteria_by_blocks(dim: int, counters: list) -> list[SwReport]:
+    """:func:`criteria_of_counters` of orientable counters, computed in
+    the ring of the top-left (dim-2) x (dim-2) blocks B of their matrices
+    A, whose slots are a quarter the size.
+
+    With every row of A even, column dim-2 of A is a linear form U on the
+    generators of B and column dim-1 is w1(B) + U, so the total class of
+    A is w(B) (1 + U) (1 + w1 + U): w1(A) = 0 and
+    w3(A) = w3 + w1 w2 + w1 U (w1 + U), classes of B, which the ring of
+    A holds on the same monomials.  So does w3(A)^2, squared by B's
+    ladder, as every term of w3(A) lies on the generators of B.  Each
+    block takes products by linear forms only.  A counter with a row of
+    odd sum raises AssertionError: the row-sum check of every counter
+    stands in for the w1 cross-check.  No matrix below dimension 6
+    passes the criterion, and its counter would not fit the slots of its
+    block: a non-empty list there raises ValueError.
+    """
+    if not counters:
+        return []
+    if dim < 6:
+        raise ValueError(
+            f"block re-check needs dimension 6 or more, not {dim}")
+    step = RingContext.stack_limit(dim - 2)
+    reports = []
+    for at in range(0, len(counters), step):
+        ctx, last, odd = RingContext._top_left_blocks(
+            dim, counters[at:at + step])
+        if odd:
+            raise AssertionError("a re-checked counter has a row of odd sum")
+        g = _total_class(ctx, 3, last)
+        w3 = ctx._cut(g, 3, 3)
+        reports += [SwReport(dim, w1, w3, w3sq) for w1, w3, w3sq in zip(
+            ctx._unstack(ctx._cut(g, 1, 1), dim), ctx._unstack(w3, dim),
+            ctx._unstack(ctx._square(w3), dim))]
+    return reports

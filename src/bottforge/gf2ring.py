@@ -21,8 +21,10 @@ square is one ladder over the indices.  Both serialize through the same
 canonical (degree, mask) order.  A dense context stacks up to
 RECHECK_STACK counters of one dimension, each packed into its own slot
 of bits of one int, so that one big-int operation acts on all of them;
-the search re-checks its hits that way, and a single matrix is a stack
-of one.
+a single matrix is a stack of one.  The search re-checks its hits that
+way in the rings of their top-left (d-2) x (d-2) blocks, whose slots,
+a quarter the size of the hits' own, still hold the whole d x d
+counters.
 """
 
 from __future__ import annotations
@@ -35,10 +37,12 @@ from ._record import FrozenRecord
 
 MAX_DIM = 64
 DENSE_DIM_LIMIT = 12
-# Matrices in one stacked context at most.  Re-checking search hits, 2^8
-# is within 4% of the best size at d = 8 and 9, and 5-11% behind 2^7 at
-# d=10, which trails by 13-17% at d=8.  A d=12 value of 2^8 slots is 128 KB.
-RECHECK_STACK = 1 << 8
+# Matrices in one stacked context at most.  Re-checking search hits in
+# the rings of their (d-2)-blocks, per hit on one Xeon core: at d = 8,
+# 2^8/2^9/2^10 slots take 1.96/1.72/1.61 us; at d=9 2.64/2.42/2.37;
+# at d=10 4.28/4.24/4.54, and 2^9 is within 2% of the best at d = 11, 12.
+# A d=12 value of 2^9 slots is 256 KB.
+RECHECK_STACK = 1 << 9
 
 
 class InvalidMatrixError(ValueError):
@@ -258,14 +262,15 @@ class RingContext:
     up to RECHECK_STACK at most ``DENSE_DIM_LIMIT``, in a dense int-bitset
     polynomial kernel, and one above it, in a frozenset kernel; the public
     API is identical either way, and a single matrix is a stack of one
-    (see :func:`make_context`).  Counter k owns the k-th run of ``_width``
-    bits of ``entries``, the packed counters, and of every dense value,
-    its slot.  How values are stored stays in this class, whose
-    primitives answer the questions of other modules about them.  A
-    linear form is a tuple of pairs (m, sel): in the slots that the mask
-    ``sel`` covers, it holds x_m (the frozenset kernel ignores ``sel``).
-    ``y_form[l]`` is y_l of every slot's matrix.  With one slot,
-    ``y_support[l]`` is the mask of rows with a 1 in column l and
+    (see :func:`make_context`); :meth:`_top_left_blocks` builds the
+    context of the top-left blocks of larger matrices.  Counter k owns the
+    k-th run of ``_width`` bits of ``entries``, the packed counters, and
+    of every dense value, its slot.  How values are stored stays in this
+    class, whose primitives answer the questions of other modules about
+    them.  A linear form is a tuple of pairs (m, sel): in the slots that
+    the mask ``sel`` covers, it holds x_m (the frozenset kernel ignores
+    ``sel``).  ``y_form[l]`` is y_l of every slot's matrix.  With one
+    slot, ``y_support[l]`` is the mask of rows with a 1 in column l and
     ``yclass`` the y classes, both derived from ``y_form`` when read; a
     stack of more has neither (both None).
     """
@@ -278,6 +283,11 @@ class RingContext:
         has entry (m, l) are one shift and AND away, at the counter's bit
         for that entry, and spread over their slots they are the selector
         of x_m in y_l."""
+        self._load(dim, counters, dim)
+
+    def _load(self, dim: int, counters, d: int) -> None:
+        """Set up the context of the top-left dim x dim blocks of the
+        d x d matrices of ``counters``, each packed whole into its slot."""
         if not 1 <= dim <= MAX_DIM:
             raise ValueError(f"dimension {dim} outside 1..{MAX_DIM}")
         dense = dim <= DENSE_DIM_LIMIT
@@ -285,27 +295,47 @@ class RingContext:
         if not 1 <= len(counters) <= most:
             raise ValueError("a ring context needs at least one matrix "
                              f"counter, and at most {most} at dimension {dim}")
-        bits = dim * (dim - 1) // 2
+        bits = d * (d - 1) // 2
         if min(counters) < 0 or max(counters) >> bits:
             raise ValueError(
-                f"matrix counter outside 0..2^{bits}-1 at dimension {dim}")
+                f"matrix counter outside 0..2^{bits}-1 at dimension {d}")
         self.dim, self.slots, self._dense = dim, len(counters), dense
         # whole bytes with room for the counter, and for the monomials when
-        # dense, which is room for the counter too
+        # dense, which is room for the counter too when d = dim
         width = self._width = max(1 << dim, 8) if dense else bits + 8 & ~7
+        if width < bits:
+            raise ValueError(f"a counter of dimension {d} does not fit the "
+                             f"slots of dimension {dim}")
         self._free = (tuple(map(self._repeat, _free_slots(dim))) if dense
                       else None)
         n = width // 8
-        entries = self.entries = int.from_bytes(
+        self.entries = int.from_bytes(
             b"".join(c.to_bytes(n, "little") for c in counters), "little")
-        ones = self._repeat(1)
-        forms = [[] for _ in range(dim)]
-        for m, (off, _) in enumerate(_row_chunks(dim)):
-            for l in range(m + 1, dim):
-                # bit 0 of the slots whose matrix has entry (m, l)
-                if starts := entries >> off + l - m - 1 & ones:
-                    forms[l].append((m, (starts << width) - starts))
-        self.y_form = tuple(map(tuple, forms))
+        self.y_form = tuple(self._column_form(d, l) for l in range(dim))
+
+    @classmethod
+    def _top_left_blocks(cls, d: int, counters) -> tuple:
+        """(context, forms, odd) for the d x d matrices A of ``counters``:
+        the context of their top-left (d-2) x (d-2) blocks B, the forms of
+        y_{d-2} and y_{d-1} of each A on the generators of B, and
+        :meth:`_odd_row_slots` of the A.  Every counter sits whole in its
+        slot, read at A's chunk offsets, so no counter is split; a slot of
+        B's ring is a quarter of A's."""
+        ctx = cls.__new__(cls)
+        ctx._load(d - 2, counters, d)
+        return (ctx, (ctx._column_form(d, d - 2), ctx._column_form(d, d - 1)),
+                ctx._odd_row_slots(d))
+
+    def _column_form(self, d: int, l: int) -> tuple:
+        """Column l of the d x d matrices of the slots, rows below
+        ``dim`` only, as a linear form: bit 0 of the slots with entry
+        (m, l), spread over those slots, selects x_m."""
+        chunks, width, ones = _row_chunks(d), self._width, self._repeat(1)
+        form = []
+        for m in range(min(l, self.dim)):
+            if starts := self.entries >> chunks[m][0] + l - m - 1 & ones:
+                form.append((m, (starts << width) - starts))
+        return tuple(form)
 
     @classmethod
     def from_column_supports(cls, dim: int, supports) -> "RingContext":
@@ -393,25 +423,36 @@ class RingContext:
             rep |= rep >> span
         return rep & self._repeat(1)
 
-    def _odd_row_slots(self) -> int:
-        """Bit 0 of each slot set exactly where the matrix of the slot has
-        a row of odd sum: the prefix XOR of the packed counters at the last
-        entry of a row is the sum of the rows up to it."""
-        d, prefix, span = self.dim, self.entries, 1
+    def _odd_row_slots(self, d: int | None = None) -> int:
+        """Bit 0 of each slot set exactly where the d x d matrix of the
+        slot's counter (d = ``dim`` by default) has a row of odd sum: a
+        parity fold within rows leaves each row's sum at its last entry."""
+        d = d or self.dim
+        stages, ends = _row_fold(d)
+        fold = self.entries
+        for k, keep in stages:
+            fold ^= fold << k & self._repeat(keep)
+        span = 1
         while span < d * (d - 1) // 2:
-            prefix ^= prefix << span
             span <<= 1
-        ends = self._repeat(sum(1 << off + w - 1 for off, w in _row_chunks(d)))
-        return self._nonzero_slots(prefix & ends, span)
+        return self._nonzero_slots(fold & self._repeat(ends), span)
 
-    def _unstack(self, rep) -> list:
-        """The one-slot kernel values of the slots of ``rep``, in order."""
+    def _unstack(self, rep, dim: int | None = None) -> list:
+        """The one-slot kernel values of the slots of ``rep``, in order,
+        in the kernel of dimension ``dim`` (the context's own by
+        default); a zero value is zero in every slot."""
         if self.slots == 1:
-            return [rep]
-        n = self._width // 8
-        raw = rep.to_bytes(n * self.slots, "little")
-        return [int.from_bytes(raw[at:at + n], "little")
-                for at in range(0, len(raw), n)]
+            values = [rep]
+        elif not rep:
+            values = [0] * self.slots
+        else:
+            n = self._width // 8
+            raw = rep.to_bytes(n * self.slots, "little")
+            values = [int.from_bytes(raw[at:at + n], "little")
+                      for at in range(0, len(raw), n)]
+        if self._dense and (dim or self.dim) > DENSE_DIM_LIMIT:
+            return [frozenset(_bits(v)) for v in values]
+        return values
 
     def _cut(self, rep, lo: int, hi: int):
         """The terms of ``rep`` of degree lo..hi."""
@@ -492,9 +533,23 @@ def _degree_mask(dim: int, lo: int, hi: int) -> int:
     return sum(1 << s for s in range(1 << dim) if lo <= s.bit_count() <= hi)
 
 
+@lru_cache(maxsize=None)
+def _row_fold(d: int) -> tuple:
+    """The stages (k, keep) of a parity fold within the rows of a d x d
+    counter, and the mask of the rows' last entries.  Stage k, for
+    k = 1, 2, 4, ... below the widest row, XORs the bit k below into each
+    bit at least k entries into its row, so no stage crosses a row."""
+    chunks = _row_chunks(d)
+    stages = tuple(
+        (k, sum(((1 << width) - (1 << k)) << off
+                for off, width in chunks if width > k))
+        for k in (1 << i for i in range(max(d - 2, 0).bit_length())))
+    return stages, sum(1 << off + width - 1 for off, width in chunks)
+
+
 # Per dimension, the copies into RECHECK_STACK slots of the one-slot masks
 # that stacked contexts spread (free generators, unit, degree cuts, row
-# ends), by mask
+# ends, row-fold stages), by mask
 _SLOT_COPIES: dict = {}
 
 

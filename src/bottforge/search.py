@@ -14,14 +14,16 @@ are decided 2^LANE_BITS at a time by the bit-sliced kernel
 :func:`charclass.w3_square_lanes`: entry (i, j) of every candidate of a
 batch sits in one int, bit n for candidate n, so one big-int operation
 acts on the whole batch.  The hits of a batch leave in candidate order.
-Each is re-checked by the full criterion straight from its counter, a
-separate route: as many at a time as one ring context stacks, each
-counter in its own slot.  Below d = 6 the kernel finds no hit, since
-w3^2 lives in degree 6.  A hit stays plain ints until something reads
-it: it builds its matrix when read, its report keeps w1, w3 and w3^2 of
-its slot and reads its flags and witness off them, and the NDJSON line
-takes the row strings of each run of whole rows of the counter, and the
-witness, from bounded caches.
+Each is re-checked straight from its counter by a separate route,
+:func:`charclass.criteria_by_blocks`, whose reports are those of the full
+criterion: in the ring of the hit's top-left (d-2) x (d-2) block, as many
+at a time as one ring context stacks, each counter whole in its own slot,
+with the row sums of every counter checked.  Below d = 6 the kernel finds
+no hit, since w3^2 lives in degree 6.  A hit stays plain ints until
+something reads it: it builds its matrix when read, its report keeps w1,
+w3 and w3^2 of its slot and reads its flags and witness off them, and the
+NDJSON line takes the row strings of each run of whole rows of the
+counter, and the witness, from bounded caches.
 
 Exhaustive mode numbers the all-even counters by rank.  A rank drops
 entry (i, i+1) of every row, the parity of the rest of the row, so ranks
@@ -51,7 +53,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 from itertools import compress, islice
 
-from .charclass import SwReport, criteria_of_counters, w3_square_lanes
+from .charclass import SwReport, criteria_by_blocks, w3_square_lanes
 from .gf2ring import (BottMatrix, _counter_rows, _free_slots, _row_chunks,
                       _row_string, format_monomial, matrix_from_counter)
 # importable from here too: the counter codec's inverse, from gf2ring, and
@@ -474,7 +476,7 @@ def _enumerate_range(spec: SearchSpec, lo: int, hi: int, sink) -> SearchStats:
     def emit(indices: list, counters: list) -> None:
         """Re-check the hits of one kernel call, in order, and pass them
         to the sink."""
-        reports = criteria_of_counters(d, counters)
+        reports = criteria_by_blocks(d, counters)
         if not all(r.verdict for r in reports):
             raise AssertionError("fast path disagreed with full criterion")
         stats.hits += len(counters)

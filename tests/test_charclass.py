@@ -13,6 +13,7 @@ from bottforge.charclass import (
     _stack_reports,
     counterexample_criteria,
     counterexample_criterion,
+    criteria_by_blocks,
     criteria_of_counters,
     orientable_by_rowsums,
     stiefel_whitney,
@@ -750,3 +751,116 @@ def test_w3_square_lanes_zero_column():
         entries = _entry_lanes(matrices)
         assert not any(entries[j])
         assert w3_square_lanes(d, entries, 40) == _w3sq_mask(matrices)
+
+
+# ------------------------------------------------ re-check by (d-2)-blocks
+
+def _typed_fields(r):
+    """The classes of a report with their kernel types, and its flags."""
+    return (r.dim, type(r._w1), r._w1, type(r._w3), r._w3, type(r._w3sq),
+            r._w3sq, r.verdict, r.witness)
+
+
+def _orientable_counters(rng, d, count):
+    """The zero matrix, the full matrix made even, then seeded even-row
+    matrices of random density, as counters."""
+    full = BottMatrix(d, tuple((1 << d) - (2 << i) for i in range(d)))
+    matrices = [BottMatrix.zero(d), _even_rows(full)] + [
+        _even_rows(random_bott_matrix(rng, d, rng.random()))
+        for _ in range(count - 2)]
+    return [counter_from_matrix(m) for m in matrices]
+
+
+@pytest.mark.parametrize("d", range(6, 17))
+def test_block_recheck_matches_stacked_criterion(d):
+    """Seeded orientable counters, field for field with kernel types,
+    against the stacked criterion of the whole matrices: across the dense
+    limit of A (d = 13, 14) and of B (d = 15, 16), in a full block stack
+    followed by a short one, and in short stacks alone."""
+    rng = random.Random(2400 + d)
+    step = RingContext.stack_limit(d - 2)
+    counters = _orientable_counters(rng, d, step + 37 if step > 1 else 12)
+    expected = [_typed_fields(r) for r in criteria_of_counters(d, counters)]
+    assert [_typed_fields(r) for r in criteria_by_blocks(d, counters)] == \
+        expected
+    for size in (1, 2, 37):
+        assert [_typed_fields(r) for r in
+                criteria_by_blocks(d, counters[-size:])] == expected[-size:]
+    assert any(f[7] for f in expected) is (d >= 8)
+
+
+def test_block_recheck_matches_every_d8_shard_hit():
+    """Every hit of d=8 shard 870/2048, whose reports the search builds
+    by blocks, against the stacked criterion of its counter."""
+    from bottforge.search import SearchSpec, enumerate_space
+    hits = []
+    enumerate_space(SearchSpec(dim=8, partition=(870, 2048)), hits.append)
+    assert len(hits) == 6208
+    expected = criteria_of_counters(8, [h.counter for h in hits])
+    assert [_typed_fields(h.report) for h in hits] == \
+        [_typed_fields(r) for r in expected]
+
+
+@pytest.mark.parametrize("d", [6, 8, 9, DENSE_DIM_LIMIT, DENSE_DIM_LIMIT + 2,
+                               DENSE_DIM_LIMIT + 3])
+def test_block_recheck_refuses_each_odd_row(d):
+    """A counter whose only odd row is row m, for every m, the last row
+    of the block's ring (whose one entry lies outside it) included, in
+    the middle of a list of even counters that spans two block stacks
+    where the block ring stacks: the row-sum check of every counter
+    raises."""
+    rng = random.Random(2500 + d)
+    step = RingContext.stack_limit(d - 2)
+    even = _orientable_counters(rng, d, min(step + 5, 40))
+    criteria_by_blocks(d, even)
+    for m in range(d - 1):
+        for l in {m + 1, d - 1}:
+            odd = counter_from_matrix(
+                BottMatrix(d, tuple((i == m) << l for i in range(d))))
+            where = rng.randrange(len(even) + 1)
+            with pytest.raises(AssertionError, match="odd sum"):
+                criteria_by_blocks(d, even[:where] + [odd] + even[where:])
+
+
+def test_block_recheck_below_dimension_six():
+    """An empty list gives no report at any dimension; a non-empty one
+    below d = 6, where no matrix passes and a counter would not fit the
+    slots of its block, is refused."""
+    for d in range(1, 65):
+        assert criteria_by_blocks(d, []) == []
+    for d in range(1, 6):
+        with pytest.raises(ValueError, match="dimension 6"):
+            criteria_by_blocks(d, [0])
+    assert not criteria_by_blocks(6, [0])[0].verdict
+
+
+def test_block_recheck_rejects_out_of_range_counters():
+    for d in (6, 9, DENSE_DIM_LIMIT + 3):
+        for bad in (-1, 1 << d * (d - 1) // 2):
+            with pytest.raises(ValueError, match="outside"):
+                criteria_by_blocks(d, [0, bad])
+
+
+def test_d8_block_hits_are_0_32_or_64():
+    """ROADMAP item 1's anchor: for a 6 x 6 block B, w3(A)^2 of A = (B, u)
+    is affine in u with values in the one-dimensional H^6(M_B), so the
+    hits among the 64 orientable d=8 completions of B number 0, 32 or 64.
+    The lane kernel and the criterion count them alike, for 64 seeded
+    blocks, of which some have hits and some none."""
+    rng = random.Random(2600)
+    seen = set()
+    for _ in range(64):
+        b = random_bott_matrix(rng, 6, rng.uniform(0.3, 0.9))
+        completions = []
+        for u in range(64):
+            rows = [row | (u >> i & 1) << 6 for i, row in enumerate(b.rows)]
+            completions.append(BottMatrix(8, tuple(
+                row | (row.bit_count() & 1) << 7 for row in rows) + (0, 0)))
+        assert all(orientable_by_rowsums(m) for m in completions)
+        by_lanes = w3_square_lanes(8, _entry_lanes(completions), 64)
+        by_criterion = sum(r.verdict << n for n, r in
+                           enumerate(counterexample_criteria(completions)))
+        assert by_lanes == by_criterion
+        assert by_lanes.bit_count() in (0, 32, 64)
+        seen.add(by_lanes.bit_count())
+    assert {0, 32} <= seen

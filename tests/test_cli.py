@@ -748,16 +748,17 @@ def test_cli_import_builds_no_jump_table():
 
 def test_cli_import_builds_no_slot_masks():
     # the slot-repeated masks of stacked contexts are copied on first use,
-    # once per dimension, whatever the sizes of the stacks
+    # once per dimension, whatever the sizes of the stacks; the search
+    # re-checks in the rings of (d-2)-blocks
     code = ("import bottforge.cli\n"
             "from bottforge import gf2ring, search\n"
             "print(len(gf2ring._SLOT_COPIES))\n"
             "sizes = set()\n"
-            "init = gf2ring.RingContext.__init__\n"
-            "def spy(self, dim, counters):\n"
+            "load = gf2ring.RingContext._load\n"
+            "def spy(self, dim, counters, d):\n"
             "    sizes.add(len(counters))\n"
-            "    init(self, dim, counters)\n"
-            "gf2ring.RingContext.__init__ = spy\n"
+            "    load(self, dim, counters, d)\n"
+            "gf2ring.RingContext._load = spy\n"
             "for d, limit in ((9, 30000), (10, 60000), (11, 120000),\n"
             "                 (12, 240000)):\n"
             "    for seed in range(3):\n"
@@ -769,10 +770,11 @@ def test_cli_import_builds_no_slot_masks():
     empty, sizes, dims, extra = _fresh_python(code).splitlines()
     assert empty == "0"
     assert int(sizes) >= 8
-    assert dims == "9 10 11 12"
-    # beyond the d free-generator masks: the unit, the row ends and the
-    # degree cuts of the criterion
-    assert int(extra) <= 7
+    assert dims == "7 8 9 10"
+    # beyond the d free-generator masks: the unit, the row ends, the
+    # stages of the row-parity fold of d <= 12, and the degree cuts of the
+    # criterion
+    assert int(extra) <= 9
 
 
 def test_cli_import_builds_no_counter_table():

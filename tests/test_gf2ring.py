@@ -574,6 +574,48 @@ def _slot_values(ctx):
             ctx._mul_form(w1, ((ctx.dim - 1, -1),))]
 
 
+@pytest.mark.parametrize("d,size", [(6, 1), (6, RECHECK_STACK), (9, 37),
+                                    (DENSE_DIM_LIMIT + 2, RECHECK_STACK),
+                                    (DENSE_DIM_LIMIT + 3, 1), (40, 1)])
+def test_top_left_blocks_read_whole_counters(d, size):
+    """The block context of d x d counters: per slot, its y supports are
+    those of the top-left (d-2) x (d-2) block's own context, the two
+    forms are columns d-2 and d-1 above row d-2, and the odd-row slots
+    are the matrices failing the row-sum test, the last two rows
+    included."""
+    rng = random.Random(2700 + d + size)
+    counters = _mixed_counters(rng, d, size)
+    counters[-1] |= 1 << d * (d - 1) // 2 - 1  # entry (d-2, d-1) alone odd
+    ctx, last, odd = RingContext._top_left_blocks(d, counters)
+    assert (ctx.dim, ctx.slots) == (d - 2, size)
+    matrices = [matrix_from_counter(d, c) for c in counters]
+    n = d - 2
+    blocks = [counter_from_matrix(BottMatrix(n, tuple(
+        row & (1 << n) - 1 for row in m.rows[:n]))) for m in matrices]
+
+    def slot_supports(form):
+        out = [0] * size
+        for m, sel in form:
+            for k, v in enumerate(ctx._unstack(sel)):
+                out[k] |= bool(v) << m
+        return out
+    assert [tuple(s) for s in zip(*map(slot_supports, ctx.y_form))] == \
+        [RingContext(n, [b]).y_support for b in blocks]
+    for form, col in zip(last, (n, d - 1)):
+        assert slot_supports(form) == [
+            m.column_support(col) & (1 << n) - 1 for m in matrices]
+    assert [v & 1 for v in ctx._unstack(odd)] == \
+        [int(not orientable_by_rowsums(m)) for m in matrices]
+
+
+def test_top_left_blocks_refuse_counters_wider_than_a_slot():
+    """At d = 5 a counter has 10 bits and a slot of the 3 x 3 blocks' ring
+    only 8; from d = 6 on the counter fits."""
+    with pytest.raises(ValueError, match="does not fit"):
+        RingContext._top_left_blocks(5, [0])
+    assert RingContext._top_left_blocks(6, [(1 << 15) - 1])[0].slots == 1
+
+
 @pytest.mark.parametrize("d,size", [(9, 1), (9, 2), (9, 255), (9, 256),
                                     (DENSE_DIM_LIMIT, 256), (13, 1),
                                     (40, 1), (64, 1)])

@@ -214,15 +214,15 @@ def test_every_emitted_hit_passes_criterion():
 def test_flipped_recheck_verdict_raises(monkeypatch, spec):
     """One re-check report whose w3sq is 0, so that its verdict disagrees
     with the kernel, stops the run."""
-    real = search.criteria_of_counters
+    real = search.criteria_by_blocks
 
     def flip_one(dim, counters):
         reports = real(dim, counters)
         r = reports[len(reports) // 2]
         reports[len(reports) // 2] = SwReport(r.dim, r._w1, r._w3, 0)
         return reports
-    monkeypatch.setattr(search, "criteria_of_counters", flip_one)
-    with pytest.raises(AssertionError):
+    monkeypatch.setattr(search, "criteria_by_blocks", flip_one)
+    with pytest.raises(AssertionError, match="disagreed"):
         enumerate_space(spec)
 
 
@@ -833,15 +833,29 @@ def test_random_different_seeds_differ():
 
 # ------------------------------------------------------------- hit records
 
-def test_benchmark_trace_hooks_resolve():
-    # the traced benchmark runs (perfbench/workloads.py) patch these names
-    # in the search module; they must keep resolving there
+def test_benchmark_trace_hooks_resolve(monkeypatch):
+    """The traced benchmark runs (perfbench/workloads.py) patch these names
+    in the search module, and derive specs with dataclasses.replace; the
+    search calls none of the names, which must keep resolving there, and
+    runs as before with traced stand-ins in their place."""
+    from types import SimpleNamespace
+
     from bottforge import charclass, gf2ring
     assert search.RingContext is gf2ring.RingContext
     assert callable(search.RingContext.from_column_supports)
     assert search.stiefel_whitney is charclass.stiefel_whitney
     assert search.square is gf2ring.square
     assert search.counterexample_criterion is charclass.counterexample_criterion
+    spec = SearchSpec(dim=8, partition=(870, 2048))
+    assert replace(spec, limit=1) == SearchSpec(
+        dim=8, partition=(870, 2048), limit=1)
+    assert replace(spec, partition=(1, 2)).partition == (1, 2)
+    expected = enumerate_space(replace(spec, limit=1 << 16)).hits
+    for name in ("stiefel_whitney", "square", "counterexample_criterion"):
+        monkeypatch.setattr(search, name, getattr(search, name))
+    monkeypatch.setattr(search, "RingContext", SimpleNamespace(
+        from_column_supports=search.RingContext.from_column_supports))
+    assert enumerate_space(replace(spec, limit=1 << 16)).hits == expected > 0
 
 
 def test_hit_record_shape():
