@@ -21,15 +21,19 @@ square is one ladder over the indices.  Both serialize through the same
 canonical (degree, mask) order.  A dense context stacks up to
 RECHECK_STACK counters of one dimension, each packed into its own slot
 of bits of one int, so that one big-int operation acts on all of them;
-a single matrix is a stack of one.  The search re-checks its hits that
-way in the rings of their top-left (d-2) x (d-2) blocks, whose slots,
-a quarter the size of the hits' own, still hold the whole d x d
-counters.
+a single matrix is a stack of one.  Slots of whole 64-bit words are
+packed through one array of machine words, and slots of one or two
+words are split back into per-slot ints by a cast of the value's bytes
+to machine words, the low word first on any host.  The search
+re-checks its hits that way in the rings of their top-left
+(d-2) x (d-2) blocks, whose slots, a quarter the size of the hits' own,
+still hold the whole d x d counters: one word at d = 8, two at d = 9.
 """
 
 from __future__ import annotations
 
 import re
+import sys
 from functools import lru_cache
 from itertools import combinations
 
@@ -308,9 +312,12 @@ class RingContext:
                              f"slots of dimension {dim}")
         self._free = (tuple(map(self._repeat, _free_slots(dim))) if dense
                       else None)
-        n = width // 8
-        self.entries = int.from_bytes(
-            b"".join(c.to_bytes(n, "little") for c in counters), "little")
+        if width & 63 or len(counters) == 1:
+            n = width // 8
+            self.entries = int.from_bytes(
+                b"".join(c.to_bytes(n, "little") for c in counters), "little")
+        else:
+            self.entries = _pack_words(counters, width >> 6, bits)
         self.y_form = tuple(self._column_form(d, l) for l in range(dim))
 
     @classmethod
@@ -445,6 +452,15 @@ class RingContext:
             values = [rep]
         elif not rep:
             values = [0] * self.slots
+        elif self._width in (64, 128):
+            # machine words, low word first on any host; wider slots are
+            # faster sliced as bytes
+            raw = rep.to_bytes(self._width // 8 * self.slots, sys.byteorder)
+            words = memoryview(raw).cast("Q").tolist()
+            if sys.byteorder == "big":
+                words.reverse()
+            values = words if self._width == 64 else [
+                lo | hi << 64 for lo, hi in zip(words[::2], words[1::2])]
         else:
             n = self._width // 8
             raw = rep.to_bytes(n * self.slots, "little")
@@ -545,6 +561,23 @@ def _row_fold(d: int) -> tuple:
                 for off, width in chunks if width > k))
         for k in (1 << i for i in range(max(d - 2, 0).bit_length())))
     return stages, sum(1 << off + width - 1 for off, width in chunks)
+
+
+_WORD = (1 << 64) - 1
+
+
+def _pack_words(counters, words: int, bits: int) -> int:
+    """Counter k of ``counters``, each below 2^bits, in slot k of an int
+    of slots of ``words`` 64-bit words: word j of every counter is one
+    strided store into an array of machine words."""
+    from array import array  # here: a one-matrix context never needs it
+    packed = array("Q", bytes(len(counters) * words << 3))
+    for at in range(0, bits, 64):
+        packed[at >> 6::words] = array("Q", counters if bits <= 64 else
+                                       [c >> at & _WORD for c in counters])
+    if sys.byteorder == "big":
+        packed.byteswap()
+    return int.from_bytes(packed, "little")
 
 
 # Per dimension, the copies into RECHECK_STACK slots of the one-slot masks

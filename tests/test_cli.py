@@ -844,8 +844,9 @@ def _imports_of(args) -> set:
                          ["check", "limit-torsion", "odometer", "reproduce"])
 def test_one_shot_commands_skip_dataclasses(tmp_path, command):
     # dataclasses pulls in inspect, ast, dis and tokenize, which cost a
-    # fresh process more than these commands' work; compare with a bare
-    # interpreter, since site hooks may import either of them first
+    # fresh process more than these commands' work, and array, which only
+    # stacked ring contexts and the search need, costs 0.3 ms; compare
+    # with a bare interpreter, since site hooks may import any of them
     bare = _imports_of(["-c", "pass"])
     probe = _imports_of(["-c", "import dataclasses"]) - bare
     assert {"dataclasses", "inspect"} <= probe
@@ -863,7 +864,7 @@ def test_one_shot_commands_skip_dataclasses(tmp_path, command):
     }[command]
     added = _imports_of(["-m", "bottforge.cli", *argv]) - bare
     assert "bottforge._record" in added
-    assert not {"dataclasses", "inspect"} & added
+    assert not {"dataclasses", "inspect", "array"} & added
 
 
 PUBLIC_NAMES = [

@@ -37,6 +37,7 @@ from helpers import (
     pairing_rows_to_bits,
     power_by_multiply,
     random_bott_matrix,
+    unstack_by_bytes,
 )
 
 D9_ROWS = [
@@ -572,6 +573,32 @@ def _slot_values(ctx):
         w1 ^= ctx._mul_form(ctx._unit(0), form)
     return [w1, ctx._square(w1), ctx._mul_form(w1, ctx.y_form[-1]),
             ctx._mul_form(w1, ((ctx.dim - 1, -1),))]
+
+
+@pytest.mark.parametrize("size", [1, 2, RECHECK_STACK - 1, RECHECK_STACK])
+@pytest.mark.parametrize("d", range(6, 15))
+def test_slots_round_trip(d, size):
+    """The block contexts of d = 6..14, of dimension 4..12: the packed
+    counters unstack to the counters, the widest and, from d = 12 on,
+    those of 2^64 and more included; seeded stacked values unstack as
+    per-slot byte slices do, in slots of 2^(d-2) bits."""
+    rng = random.Random(2500 + d + size)
+    bits = d * (d - 1) // 2
+    counters = [(1 << bits) - 1] + [rng.getrandbits(bits)
+                                    for _ in range(size - 1)]
+    if size > 1:
+        counters[1] = 0
+    ctx = RingContext._top_left_blocks(d, counters)[0]
+    assert ctx._unstack(ctx.entries) == counters
+    if bits > 64:
+        assert max(counters) >> 64
+    width = 1 << d - 2
+    full = width * size
+    values = [rng.getrandbits(full) for _ in range(3)] + [
+        1 << full - 1, sum(1 << width * k for k in range(size)),
+        (1 << full) - 1]
+    for value in values:
+        assert ctx._unstack(value) == unstack_by_bytes(value, width, size)
 
 
 @pytest.mark.parametrize("d,size", [(6, 1), (6, RECHECK_STACK), (9, 37),

@@ -896,7 +896,9 @@ def test_hit_json_is_json_dumps_of_hit_record():
 def test_row_runs_cover_every_row_once():
     """The runs of each dimension are whole rows, in order, each row in
     one run, the last run ending with the empty last row; a run holds at
-    most RUN_BITS counter bits unless it is one row wider than that."""
+    most RUN_BITS counter bits unless it is one row wider than that.  No
+    run's table of strings grows past 2^RUN_BITS, also after 10^4 seeded
+    counters at d=20, whose top row alone is a run of 19 bits."""
     assert search.RUN_BITS == 12
     runs8 = search._row_runs(8)
     assert [(m.bit_length() - m.bit_count(), m.bit_count())
@@ -912,31 +914,42 @@ def test_row_runs_cover_every_row_once():
                                for off, w in chunks[first:end])
             assert mask.bit_count() <= search.RUN_BITS or end - first == 1
         assert sum(m for m, _, _ in runs) == (1 << free_bit_count(d)) - 1
-    assert search._run_string.cache_info().maxsize is not None
+    rng = random.Random(2020)
+    report = SwReport(20, 0, 0, frozenset())
+    for n in range(10 ** 4):
+        hit = search.SearchHit(20, rng.getrandbits(free_bit_count(20)),
+                               report, n)
+        line = hit_json(hit)
+    assert json.loads(line) == hit_record(hit)
+    sizes = [len(table) for *_, table in search._run_tables(20)]
+    assert max(sizes) <= 1 << search.RUN_BITS and sizes[0] > 0
 
 
 def test_hit_json_rows_match_the_row_renderer():
     """For d = 1..20, on seeded counters, 0 and all ones, the matrix of a
     hit line is the ``_row_string`` join of ``_counter_rows``, read cold
-    and again from the run cache, beside a report without a witness and
-    one whose witness is the top monomial, in the kernel of d."""
+    and again from the run cache, beside a report without a witness, one
+    whose witness is the top monomial and one with w1 = x1, in the kernel
+    of d."""
     rng = random.Random(1414)
     for d in range(1, 21):
         top = (1 << d) - 1
         reports = [SwReport(d, 0, 0, 0), SwReport(
-            d, 0, 0, 1 << top if d <= 12 else frozenset({top}))]
-        witnesses = [None, "".join(f"x{i + 1}" for i in range(d))]
+            d, 0, 0, 1 << top if d <= 12 else frozenset({top})), SwReport(
+            d, 1 << 1 if d <= 12 else frozenset({1}), 0, 0)]
+        witnesses = [None, "".join(f"x{i + 1}" for i in range(d)), None]
         bits = free_bit_count(d)
         for n, c in enumerate([0, (1 << bits) - 1] +
                               [rng.getrandbits(bits) for _ in range(20)]):
-            hit = search.SearchHit(d, c, reports[n & 1], c)
+            hit = search.SearchHit(d, c, reports[n % 3], c)
             want = '", "'.join(_row_string(d, row)
                                for row in _counter_rows(d, c))
             for line in (hit_json(hit), hit_json(hit)):
                 body = line.split('"matrix": ["', 1)[1]
                 assert body.split('"], "orientable"', 1)[0] == want
                 assert json.loads(line) == hit_record(hit)
-                assert hit_record(hit)["witness"] == witnesses[n & 1]
+                assert hit_record(hit)["witness"] == witnesses[n % 3]
+                assert hit_record(hit)["orientable"] == (n % 3 < 2)
 
 
 def test_hit_record_semantics():
