@@ -20,13 +20,13 @@ _EXPORTS = {
     "abelian": (
         "BudgetExceeded", "FgAbGroup", "HypothesisViolation", "IntMatrix",
         "SmithDecomposition", "StationarySystem", "check_beta_torsion_iso",
-        "direct_limit_torsion", "exponent_plus_one_identity",
-        "limit_torsion_bound", "smith_normal_form", "torsion_subgroup",
+        "direct_limit_torsion", "limit_torsion_bound", "smith_normal_form",
+        "torsion_subgroup",
     ),
     "charclass": (
         "SwReport", "counterexample_criteria", "counterexample_criterion",
-        "orientable_by_rowsums", "reproduce_reference", "stiefel_whitney",
-        "total_steenrod_square", "total_stiefel_whitney",
+        "reproduce_reference", "stiefel_whitney", "total_steenrod_square",
+        "total_stiefel_whitney",
     ),
     "gf2ring": (
         "BottMatrix", "Gf2Poly", "InvalidMatrixError", "RingContext",
@@ -41,8 +41,8 @@ _EXPORTS = {
     ),
     "search": (
         "SearchHit", "SearchSpec", "SearchStats", "SpecTooLargeError",
-        "collect_hits", "enumerate_space", "hit_record",
-        "minimal_dimension_survey", "run_partitioned",
+        "enumerate_space", "hit_record", "minimal_dimension_survey",
+        "run_partitioned",
     ),
 }
 _HOME = {name: module for module, names in _EXPORTS.items() for name in names}

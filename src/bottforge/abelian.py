@@ -372,9 +372,11 @@ def torsion_subgroup(group: FgAbGroup) -> list[int]:
 class StationarySystem(Record):
     """Constant-shape directed system over one group.
 
-    ``beta`` maps each stage into the next; ``alpha`` (optional) comes back
-    so that alpha . beta is multiplication by ``multiplier``.  In JSON form
-    the multiplier is the field "n".
+    ``beta`` maps each stage into the next; ``alpha`` comes back so that
+    alpha . beta is multiplication by ``multiplier``.  In JSON form the
+    multiplier is the field "n".  A system may be built without alpha, as
+    a file may lack it, but it then fails :meth:`validate`: the limit
+    torsion results rest on alpha.
     """
 
     __slots__ = ("group", "beta", "multiplier", "alpha")
@@ -387,7 +389,7 @@ class StationarySystem(Record):
         self.multiplier = multiplier
         self.alpha = alpha
 
-    def hypothesis_failures(self, require_alpha: bool = False) -> list[str]:
+    def hypothesis_failures(self) -> list[str]:
         g = self.group
         n = g.generators
         fails = []
@@ -400,8 +402,7 @@ class StationarySystem(Record):
         if self.multiplier < 1:
             fails.append(f"multiplier {self.multiplier} is not positive")
         if self.alpha is None:
-            if require_alpha:
-                fails.append("alpha is required but missing")
+            fails.append("alpha is required but missing")
         else:
             if self.alpha.nrows != n or self.alpha.ncols != n:
                 fails.append(f"alpha is {self.alpha.nrows}x{self.alpha.ncols}, "
@@ -425,15 +426,10 @@ class StationarySystem(Record):
                 f"multiplier {self.multiplier} is not 1 mod torsion exponent {e}")
         return fails
 
-    def validate(self, require_alpha: bool = False) -> None:
-        fails = self.hypothesis_failures(require_alpha=require_alpha)
+    def validate(self) -> None:
+        fails = self.hypothesis_failures()
         if fails:
             raise HypothesisViolation(fails)
-
-
-def beta_on_coords(group: FgAbGroup, beta: IntMatrix) -> IntMatrix:
-    """The matrix of ``beta`` in canonical coordinates: U . beta . U^-1."""
-    return group._u.mul(beta).mul(group._uinv)
 
 
 def check_beta_torsion_iso(system: StationarySystem) -> bool:
@@ -446,7 +442,7 @@ def check_beta_torsion_iso(system: StationarySystem) -> bool:
     x n, n = 1 on torsion) are verified first; violations raise
     :class:`HypothesisViolation`.
     """
-    system.validate(require_alpha=True)
+    system.validate()
     return True
 
 
@@ -457,67 +453,39 @@ def direct_limit_torsion(system: StationarySystem) -> list[int]:
     embedded by gamma |-> [gamma, 0], so the factors coincide with
     :func:`torsion_subgroup` of the stage group.
     """
-    system.validate(require_alpha=True)
+    system.validate()
     return torsion_subgroup(system.group)
 
 
-def _stage_composite(betas: list[IntMatrix], start: int, depth: int, n: int) -> IntMatrix:
-    """Product of ``depth`` maps leaving stage ``start``, first map applied first.
-
-    The list is read cyclically, so a singleton list models a constant
-    system with composite beta^depth.
-    """
-    comp = IntMatrix.identity(n)
-    for j in range(depth):
-        comp = betas[(start + j) % len(betas)].mul(comp)
-    return comp
-
-
-def limit_torsion_bound(group: FgAbGroup, betas, depth: int) -> tuple[int, list[int]]:
-    """Torsion bound check along finite stages of a directed system.
+def limit_torsion_bound(group: FgAbGroup, beta: IntMatrix,
+                        depth: int) -> tuple[int, list[int]]:
+    """Torsion bound check along the first stages of the stationary system
+    of ``beta`` over ``group``.
 
     For stage k the elements killed on the way into the limit form the
-    lattice { x : C x in relations } with C the composite of the next
-    ``depth`` maps; the stage image is Z^n modulo relations plus that
-    lattice.  Returns (|T(G)|, stage torsion orders for k = 0..depth) and
-    raises AssertionError if any stage exceeded the bound, which the
-    embedding [x] |-> [C x] of stage torsion into T(G) rules out.
+    lattice { x : C x in relations } with C = beta^depth, the composite of
+    the next ``depth`` maps; the stage image is Z^n modulo relations plus
+    that lattice.  Every stage composes the same maps, so all have one
+    torsion order.  Returns (|T(G)|, stage torsion orders for
+    k = 0..depth) and raises AssertionError if the stages exceed the
+    bound, which the embedding [x] |-> [C x] of stage torsion into T(G)
+    rules out.
     """
-    betas = list(betas)
-    if not betas:
-        raise ValueError("need at least one beta")
     if depth < 1:
         raise ValueError("depth must be positive")
+    if not group.is_endomorphism(beta):
+        raise HypothesisViolation(["beta does not preserve the relation lattice"])
     n = group.generators
-    for i, b in enumerate(betas):
-        if not group.is_endomorphism(b):
-            raise HypothesisViolation(
-                [f"beta[{i}] does not preserve the relation lattice"])
+    comp = beta
+    for _ in range(depth - 1):
+        comp = beta.mul(comp)
     bound = group.torsion_order()
     m = group.relations
-    orders = []
-    # stage k + len(betas) composes the same maps as stage k
-    for k in range(min(depth + 1, len(betas))):
-        comp = _stage_composite(betas, k, depth, n)
-        # kernel of [comp | -relations], x block: { x : comp x in relations }
-        stacked = comp.hstack(m.scale(-1))
-        kern = kernel_columns(stacked)
-        killed = IntMatrix(tuple(kern.rows[i] for i in range(n)))
-        quotient = FgAbGroup(m.hstack(killed))
-        order = quotient.torsion_order()
-        if order > bound:
-            raise AssertionError(
-                f"stage {k} torsion order {order} exceeds bound {bound}")
-        orders.append(order)
-    return bound, [orders[k % len(orders)] for k in range(depth + 1)]
-
-
-def exponent_plus_one_identity(factors, e: int) -> bool:
-    """Whether multiplication by e + 1 is the identity on the group with the
-    given invariant factors; true exactly when every factor divides e."""
-    if e < 1:
-        raise ValueError("e must be a positive integer")
-    factors = [int(f) for f in factors]
-    if any(f < 1 for f in factors):
-        raise ValueError("invariant factors must be positive")
-    return all(e % f == 0 for f in factors)
+    # kernel of [comp | -relations], x block: { x : comp x in relations }
+    kern = kernel_columns(comp.hstack(m.scale(-1)))
+    killed = IntMatrix(tuple(kern.rows[i] for i in range(n)))
+    order = FgAbGroup(m.hstack(killed)).torsion_order()
+    if order > bound:
+        raise AssertionError(
+            f"stage torsion order {order} exceeds bound {bound}")
+    return bound, [order] * (depth + 1)

@@ -202,11 +202,6 @@ def total_steenrod_square(ctx: RingContext, p: Gf2Poly) -> list[Gf2Poly]:
     return [ctx._wrap(c) for c in comps]
 
 
-def orientable_by_rowsums(matrix: BottMatrix) -> bool:
-    """Orientability test straight off the matrix: every row sum even."""
-    return all(r.bit_count() % 2 == 0 for r in matrix.rows)
-
-
 def counterexample_criterion(matrix: BottMatrix) -> SwReport:
     """Evaluate orientability and w_3^2 for one matrix.
 

@@ -81,7 +81,7 @@ def _read_matrix_file(path: str, parse_entry, expected: str) -> list[list]:
     try:
         with open(path, encoding="utf-8") as fh:
             lines = [ln.strip() for ln in fh if ln.strip()]
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise UsageError(f"cannot read {path}: {exc}") from exc
     if not lines:
         raise UsageError(f"{path}: empty matrix file")
@@ -145,7 +145,7 @@ def read_system_file(path: str) -> StationarySystem:
     try:
         with open(path, encoding="utf-8") as fh:
             data = json.load(fh)
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise UsageError(f"cannot read {path}: {exc}") from exc
     except json.JSONDecodeError as exc:
         raise UsageError(f"{path}: invalid JSON: {exc}") from exc
@@ -325,8 +325,7 @@ def cmd_limit_torsion(args) -> int:
         payload["limit_torsion"] = abelian.direct_limit_torsion(system)
     except abelian.HypothesisViolation as exc:
         raise UsageError(f"{args.system}: {exc}") from exc
-    bound, orders = abelian.limit_torsion_bound(
-        group, [system.beta], args.depth)
+    bound, orders = abelian.limit_torsion_bound(group, system.beta, args.depth)
     payload["stage_bound"] = bound
     payload["stage_torsion_orders"] = orders
     payload["depth"] = args.depth

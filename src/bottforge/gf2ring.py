@@ -88,7 +88,8 @@ class BottMatrix(FrozenRecord):
                     f"row {i + 1} has {len(row)} entries, expected {d}")
             mask = 0
             for j, e in enumerate(row):
-                if e not in (0, 1):
+                # True, 1.0 and 1+0j equal 1, but are not bits
+                if type(e) is not int or e not in (0, 1):
                     raise InvalidMatrixError(
                         f"entry ({i + 1}, {j + 1}) is {e!r}, expected 0 or 1")
                 if e:
@@ -101,8 +102,11 @@ class BottMatrix(FrozenRecord):
 
     @classmethod
     def from_row_strings(cls, rows) -> "BottMatrix":
-        """Build from strings of 0/1 characters, one per row."""
-        return cls.from_entries([[int(ch) for ch in r] for r in rows])
+        """Build from strings of 0/1 characters, one per row; any other
+        character is refused as an entry, even a digit that int() reads
+        as 0 or 1."""
+        return cls.from_entries(
+            [[int(ch) if ch in ("0", "1") else ch for ch in r] for r in rows])
 
     @classmethod
     def zero(cls, dim: int) -> "BottMatrix":

@@ -57,15 +57,13 @@ from itertools import compress, islice
 
 from .charclass import SwReport, criteria_by_blocks, w3_square_lanes
 from .gf2ring import (BottMatrix, _counter_rows, _free_slots, _row_chunks,
-                      _row_string, format_monomial, matrix_from_counter)
-# importable from here too: the counter codec's inverse, from gf2ring, and
-# the reference matrices, which live next to the criterion
+                      _row_fold, _row_string, format_monomial,
+                      matrix_from_counter)
+# importable from here for the benchmark only, which reads the counter
+# codec's inverse and the d=9 reference from this module and patches the
+# rest by name in its trace hooks; the search itself calls none of them
 from .gf2ring import counter_from_matrix  # noqa: F401
-from .charclass import (REFERENCE_D9, REFERENCE_D10_CHAIN,  # noqa: F401
-                        REFERENCE_D10_PADDED, REFERENCE_D9_WITNESS_MASK,
-                        REFERENCE_MATRICES, reproduce_reference)
-# importable from here for the benchmark's trace hooks, which patch them by
-# name; the search itself no longer calls them
+from .charclass import REFERENCE_D9  # noqa: F401
 from .charclass import counterexample_criterion, stiefel_whitney  # noqa: F401
 from .gf2ring import RingContext, square  # noqa: F401
 
@@ -322,23 +320,19 @@ def _draw_words(d: int) -> tuple:
     A draw takes one xorshift output per word, the first in the least
     significant bits, which the xorshift multiplier cut to the word's
     width gives alike.  Its rows are all even exactly when every row-end
-    bit is 0 after a parity fold within rows: stage ``(k, keep)``, for
-    k = 1, 2, 4, ... below the widest row part of the word, XORs the bit
-    k below into each bit at least k bits into its row's part, so no
-    stage leaves a row's part, nor the word's 64-bit lane.
+    bit is 0 after the parity fold within rows of :func:`_row_fold`, cut
+    to the word: stage ``(k, keep)`` keeps only the bits at least k into
+    the word as well, so that no stage leaves the word's 64-bit lane, and
+    a stage with nothing left to fold is dropped.
     """
+    whole, ends = _row_fold(d)
     bits = free_bit_count(d)
-    # how far each draw bit lies into its row; a 0 starts a row
-    depth = [j for _, width in _row_chunks(d) for j in range(width)] + [0]
     words = []
     for at in range(0, bits, 64):
         mask = (1 << min(64, bits - at)) - 1
-        # and into its row's part of this word
-        into = [min(depth[at + p], p) for p in range(mask.bit_length())]
-        stages = [(k, sum(1 << p for p, n in enumerate(into) if n >= k))
-                  for k in (1 << i for i in range(max(into).bit_length()))]
-        ends = sum(1 << p for p in range(len(into)) if not depth[at + p + 1])
-        words.append((mask, _XS_MULT & mask, ends, stages))
+        stages = [(k, cut) for k, keep in whole
+                  if (cut := keep >> at & mask & -(1 << k))]
+        words.append((mask, _XS_MULT & mask, ends >> at & mask, stages))
     return tuple(words)
 
 
@@ -524,10 +518,6 @@ def _range_worker(spec: SearchSpec, lo: int, hi: int
     hits: list[SearchHit] = []
     stats = _enumerate_range(spec, lo, hi, hits.append)
     return stats, hits
-
-
-def collect_hits(spec: SearchSpec) -> tuple[SearchStats, list[SearchHit]]:
-    return _range_worker(spec, *_spec_range(spec))
 
 
 # Random mode splits its draws into PARTS_PER_JOB equal parts per pool

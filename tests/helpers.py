@@ -14,7 +14,6 @@ from fractions import Fraction
 from itertools import combinations, product
 from math import gcd
 
-from bottforge.abelian import beta_on_coords
 from bottforge.gf2ring import BottMatrix, Gf2Poly, multiply
 from bottforge.odometer import act
 
@@ -293,6 +292,27 @@ def orbit_size(tower, i: int) -> int:
                     nxt.append(q)
         frontier = nxt
     return len(seen)
+
+
+def orientable_by_rowsums(matrix: BottMatrix) -> bool:
+    """Orientability test straight off the matrix: every row sum even."""
+    return all(r.bit_count() % 2 == 0 for r in matrix.rows)
+
+
+def exponent_plus_one_identity(factors, e: int) -> bool:
+    """Whether multiplication by e + 1 is the identity on the group with the
+    given invariant factors; true exactly when every factor divides e."""
+    if e < 1:
+        raise ValueError("e must be a positive integer")
+    factors = [int(f) for f in factors]
+    if any(f < 1 for f in factors):
+        raise ValueError("invariant factors must be positive")
+    return all(e % f == 0 for f in factors)
+
+
+def beta_on_coords(group, beta):
+    """The matrix of ``beta`` in canonical coordinates: U . beta . U^-1."""
+    return group._u.mul(beta).mul(group._uinv)
 
 
 def beta_torsion_bijective_scan(system) -> bool:

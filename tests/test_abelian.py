@@ -11,10 +11,8 @@ from bottforge.abelian import (
     HypothesisViolation,
     IntMatrix,
     StationarySystem,
-    beta_on_coords,
     check_beta_torsion_iso,
     direct_limit_torsion,
-    exponent_plus_one_identity,
     kernel_columns,
     limit_torsion_bound,
     smith_normal_form,
@@ -23,8 +21,10 @@ from bottforge.abelian import (
 )
 
 from helpers import (
+    beta_on_coords,
     beta_torsion_bijective_scan,
     det_fraction,
+    exponent_plus_one_identity,
     minors_invariant_factors,
     random_stationary_system,
     solve_integer,
@@ -241,8 +241,8 @@ def z_z4_times5():
 
 def test_hypotheses_pass_on_times5():
     sys_ = z_z4_times5()
-    assert sys_.hypothesis_failures(require_alpha=True) == []
-    sys_.validate(require_alpha=True)
+    assert sys_.hypothesis_failures() == []
+    sys_.validate()
 
 
 def test_hypothesis_failure_messages():
@@ -250,30 +250,29 @@ def test_hypothesis_failure_messages():
     bad_mult = StationarySystem(
         group=group, beta=IntMatrix.from_rows([[5, 0], [0, 5]]),
         multiplier=6, alpha=IntMatrix.identity(2))
-    msgs = bad_mult.hypothesis_failures(require_alpha=True)
+    msgs = bad_mult.hypothesis_failures()
     assert any("not 1 mod" in m for m in msgs)
     with pytest.raises(HypothesisViolation):
-        bad_mult.validate(require_alpha=True)
+        bad_mult.validate()
 
     not_endo = StationarySystem(
         group=FgAbGroup(IntMatrix.from_rows([[2], [0]])),
         beta=IntMatrix.from_rows([[1, 1], [1, 0]]),
         multiplier=3, alpha=None)
-    msgs = not_endo.hypothesis_failures(require_alpha=False)
+    msgs = not_endo.hypothesis_failures()
     assert any("lattice" in m for m in msgs)
 
     wrong_alpha = StationarySystem(
         group=group, beta=IntMatrix.from_rows([[5, 0], [0, 5]]),
         multiplier=5, alpha=IntMatrix.from_rows([[2, 0], [0, 1]]))
-    msgs = wrong_alpha.hypothesis_failures(require_alpha=True)
+    msgs = wrong_alpha.hypothesis_failures()
     assert any("differs from multiplication" in m for m in msgs)
 
     missing_alpha = StationarySystem(
         group=group, beta=IntMatrix.from_rows([[5, 0], [0, 5]]),
         multiplier=5, alpha=None)
-    assert any("alpha" in m for m in
-               missing_alpha.hypothesis_failures(require_alpha=True))
-    assert missing_alpha.hypothesis_failures(require_alpha=False) == []
+    assert missing_alpha.hypothesis_failures() == [
+        "alpha is required but missing"]
 
 
 def test_beta_torsion_bijective_times5():
@@ -285,7 +284,7 @@ def test_beta_torsion_trivial_on_free_group():
     sys_ = StationarySystem(
         group=group, beta=IntMatrix.from_rows([[2, 1], [1, 1]]),
         multiplier=3, alpha=IntMatrix.from_rows([[3, -3], [-3, 6]]))
-    assert sys_.hypothesis_failures(require_alpha=True) == []
+    assert sys_.hypothesis_failures() == []
     assert check_beta_torsion_iso(sys_) is True  # empty torsion, vacuous
     assert direct_limit_torsion(sys_) == []
 
@@ -335,7 +334,7 @@ def test_direct_limit_requires_alpha():
 
 def test_stage_bound_identity_betas():
     g = FgAbGroup(IntMatrix.from_rows([[2, 0], [0, 6], [0, 0]]))
-    bound, orders = limit_torsion_bound(g, [IntMatrix.identity(3)], 6)
+    bound, orders = limit_torsion_bound(g, IntMatrix.identity(3), 6)
     assert bound == 12
     assert orders == [12] * 7
 
@@ -343,7 +342,7 @@ def test_stage_bound_identity_betas():
 def test_stage_bound_collapsing_z4():
     g = FgAbGroup(IntMatrix.from_rows([[4]]))
     beta = IntMatrix.from_rows([[2]])
-    bound, orders = limit_torsion_bound(g, [beta], 3)
+    bound, orders = limit_torsion_bound(g, beta, 3)
     # each stage composite is x8, and 8x is divisible by 4 for every x,
     # so every class dies at every stage
     assert bound == 4
@@ -358,50 +357,12 @@ def test_stage_bound_never_exceeded_random():
         g = FgAbGroup(m)
         if g.torsion_order() > 1000:
             continue
-        betas = [random_int_matrix(rng, n, n, -3, 3)
-                 for _ in range(rng.randint(1, 3))]
-        betas = [b for b in betas if g.is_endomorphism(b)]
-        if not betas:
+        beta = random_int_matrix(rng, n, n, -3, 3)
+        if not g.is_endomorphism(beta):
             continue
-        bound, orders = limit_torsion_bound(g, betas, 6)
+        bound, orders = limit_torsion_bound(g, beta, 6)
         assert bound == g.torsion_order()
         assert all(o <= bound for o in orders)
-
-
-def test_stage_bound_cyclic_beta_indexing():
-    g = FgAbGroup(IntMatrix.from_rows([[8]]))
-    double = IntMatrix.from_rows([[2]])
-    ident = IntMatrix.identity(1)
-    bound, orders = limit_torsion_bound(g, [double, ident], 4)
-    # any window of four consecutive maps in the 2-cycle composes to x4,
-    # and {x : 4x in 8Z} = 2Z, so each stage leaves Z/2
-    assert bound == 8
-    assert orders == [2] * 5
-
-
-def test_stage_bound_stage_k_is_stage_0_of_rotated_betas():
-    # stage k composes betas[k], betas[k + 1], ... cyclically, which is
-    # stage 0 of the list rotated by k, computed here from scratch
-    rng = random.Random(50)
-    g = FgAbGroup(IntMatrix.from_rows([[8, 0], [0, 4], [0, 0]]))
-    cases = [(4, 1), (5, 2), (3, 4), (1, 3), (2, 5)]
-    cases += [(rng.randint(1, 5), rng.randint(1, 5)) for _ in range(10)]
-    for count, depth in cases:
-        betas = []
-        for _ in range(count):
-            b = [[rng.randint(-3, 3) for _ in range(3)] for _ in range(3)]
-            # keep 8Z + 4Z + 0 invariant: no torsion into the free part,
-            # and an even entry from Z/4 into Z/8
-            b[2][0] = b[2][1] = 0
-            b[0][1] *= 2
-            betas.append(IntMatrix.from_rows(b))
-        assert all(g.is_endomorphism(b) for b in betas)
-        _, orders = limit_torsion_bound(g, betas, depth)
-        assert len(orders) == depth + 1
-        for k in range(depth + 1):
-            j = k % count
-            rotated = betas[j:] + betas[:j]
-            assert orders[k] == limit_torsion_bound(g, rotated, depth)[1][0]
 
 
 # -------------------------------------------------------- exponent identity

@@ -16,14 +16,15 @@ from bottforge.abelian import (
     StationarySystem,
     check_beta_torsion_iso,
     direct_limit_torsion,
-    exponent_plus_one_identity,
     limit_torsion_bound,
     smith_normal_form,
     torsion_subgroup,
 )
 from bottforge.charclass import (
+    REFERENCE_D9,
+    REFERENCE_D10_CHAIN,
+    REFERENCE_D10_PADDED,
     counterexample_criterion,
-    orientable_by_rowsums,
     stiefel_whitney,
     total_steenrod_square,
 )
@@ -39,17 +40,13 @@ from bottforge.gf2ring import (
     square,
 )
 from bottforge.odometer import OdometerTower, act, escape_level, is_transitive, level_order
-from bottforge.search import (
-    REFERENCE_D9,
-    REFERENCE_D10_CHAIN,
-    REFERENCE_D10_PADDED,
-    SearchSpec,
-    collect_hits,
-)
+from bottforge.search import SearchSpec, run_partitioned
 
 from helpers import (
+    exponent_plus_one_identity,
     gf2_rank,
     naive_reduce,
+    orientable_by_rowsums,
     pairing_rows_to_bits,
     power_by_multiply,
     random_bott_matrix,
@@ -132,13 +129,16 @@ def test_criterion_04_exhaustive_degree_bound():
     with criterion(4, "exhaustive d=4,5 give 0 hits; d=6,7 match the golden "
                       "counts; d=7 single-threaded < 60 s"):
         for dim, span in ((4, 6), (5, 10)):
-            stats, hits = collect_hits(SearchSpec(dim=dim, mode="exhaustive"))
+            stats, hits = run_partitioned(
+                SearchSpec(dim=dim, mode="exhaustive"), 1)
             assert stats.candidates == 1 << span
             assert stats.hits == 0 and hits == []
-        stats6, hits6 = collect_hits(SearchSpec(dim=6, mode="exhaustive"))
+        stats6, hits6 = run_partitioned(
+            SearchSpec(dim=6, mode="exhaustive"), 1)
         assert stats6.candidates == 1 << 15
         assert stats6.hits == GOLDEN_N6 and len(hits6) == GOLDEN_N6
-        stats7, hits7 = collect_hits(SearchSpec(dim=7, mode="exhaustive"))
+        stats7, hits7 = run_partitioned(
+            SearchSpec(dim=7, mode="exhaustive"), 1)
         assert stats7.candidates == 1 << 21
         assert stats7.hits == GOLDEN_N7 and len(hits7) == GOLDEN_N7
         assert stats7.wall_time_s < 60.0
@@ -283,7 +283,7 @@ def test_criterion_09_stationary_torsion_limits():
                                       beta=IntMatrix.from_rows(beta),
                                       multiplier=n,
                                       alpha=IntMatrix.from_rows(alpha))
-            assert system.hypothesis_failures(require_alpha=True) == []
+            assert system.hypothesis_failures() == []
             assert group.torsion_order() <= 1000
             assert check_beta_torsion_iso(system) is True
             assert direct_limit_torsion(system) == torsion_subgroup(group)
@@ -293,7 +293,7 @@ def test_criterion_09_stationary_torsion_limits():
             rel, beta, _alpha, _n, _factors = random_stationary_system(rng)
             group = FgAbGroup(IntMatrix.from_rows(rel))
             bound, orders = limit_torsion_bound(
-                group, [IntMatrix.from_rows(beta)], 10)
+                group, IntMatrix.from_rows(beta), 10)
             assert bound == group.torsion_order()
             assert all(order <= bound for order in orders)
 

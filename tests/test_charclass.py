@@ -15,7 +15,6 @@ from bottforge.charclass import (
     counterexample_criterion,
     criteria_by_blocks,
     criteria_of_counters,
-    orientable_by_rowsums,
     stiefel_whitney,
     total_steenrod_square,
     total_stiefel_whitney,
@@ -38,9 +37,9 @@ from bottforge.gf2ring import (
     square,
 )
 
-from bottforge.search import REFERENCE_MATRICES
+from bottforge.charclass import REFERENCE_MATRICES
 
-from helpers import random_bott_matrix
+from helpers import orientable_by_rowsums, random_bott_matrix
 
 D9_ROWS = [
     "010000001",

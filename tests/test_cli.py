@@ -110,6 +110,18 @@ def test_check_missing_file(capsys, tmp_path):
     assert "cannot read" in err
 
 
+@pytest.mark.parametrize("command", [
+    ["check", "--matrix"],
+    ["odometer", "--dim", "2", "--levels", "1", "--matrix"],
+    ["limit-torsion", "--system"]])
+def test_input_not_utf8_names_the_file(capsys, tmp_path, command):
+    path = tmp_path / "latin1.txt"
+    path.write_bytes(b"2\n0 1\n0 0\xff\n")
+    rc, out, err = run_cli(capsys, [*command, str(path)])
+    assert (rc, out) == (1, "")
+    assert err.startswith(f"error: cannot read {path}: 'utf-8' codec ")
+
+
 def test_check_wrong_row_count(capsys, tmp_path):
     path = tmp_path / "short.txt"
     path.write_text("3\n0 1 0\n0 0 0\n")
@@ -873,12 +885,11 @@ PUBLIC_NAMES = [
     "OdometerTower", "RingContext", "SearchHit", "SearchSpec", "SearchStats",
     "SingularMatrixError", "SmithDecomposition", "SpecTooLargeError",
     "StationarySystem", "SwReport", "__version__", "act", "basis_masks",
-    "check_beta_torsion_iso", "collect_hits", "counterexample_criteria",
+    "check_beta_torsion_iso", "counterexample_criteria",
     "counterexample_criterion", "direct_limit_torsion", "enumerate_space",
-    "escape_level", "expanding_check", "exponent_plus_one_identity",
-    "format_monomial", "hit_record", "is_transitive", "level_order",
-    "limit_torsion_bound", "make_context", "minimal_dimension_survey",
-    "multiply", "orientable_by_rowsums", "pairing_matrix", "parse_monomial",
+    "escape_level", "expanding_check", "format_monomial", "hit_record",
+    "is_transitive", "level_order", "limit_torsion_bound", "make_context",
+    "minimal_dimension_survey", "multiply", "pairing_matrix", "parse_monomial",
     "project", "reduce_exponents", "relation_strings", "reproduce_reference",
     "run_partitioned", "smith_normal_form", "square", "stiefel_whitney",
     "torsion_subgroup", "total_steenrod_square", "total_stiefel_whitney",

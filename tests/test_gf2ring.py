@@ -1,6 +1,7 @@
 """Polynomial layer: matrix validation, ring axioms, reduction, pairing."""
 
 import random
+import re
 from itertools import combinations
 from math import comb
 
@@ -8,8 +9,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from bottforge.charclass import (orientable_by_rowsums, stiefel_whitney,
-                                 total_steenrod_square, total_stiefel_whitney)
+from bottforge.charclass import (stiefel_whitney, total_steenrod_square,
+                                 total_stiefel_whitney)
 from bottforge.gf2ring import (
     DENSE_DIM_LIMIT,
     RECHECK_STACK,
@@ -34,6 +35,7 @@ from helpers import (
     gf2_rank,
     naive_multiply,
     naive_reduce,
+    orientable_by_rowsums,
     pairing_rows_to_bits,
     power_by_multiply,
     random_bott_matrix,
@@ -68,6 +70,21 @@ def test_from_entries_accepts_strict_upper_triangular():
 def test_from_entries_rejects_nonbinary_entry():
     with pytest.raises(InvalidMatrixError, match=r"entry \(1, 3\) is 2"):
         BottMatrix.from_entries([[0, 0, 2], [0, 0, 0], [0, 0, 0]])
+
+
+@pytest.mark.parametrize("entry", [True, False, 1.0, 1 + 0j])
+def test_from_entries_rejects_entries_equal_to_a_bit(entry):
+    # each compares equal to 0 or 1, but only the ints 0 and 1 are bits
+    with pytest.raises(InvalidMatrixError,
+                       match=rf"entry \(1, 2\) is {re.escape(repr(entry))}"):
+        BottMatrix.from_entries([[0, entry], [0, 0]])
+
+
+@pytest.mark.parametrize("row", ["0\u0661", "0 ", "0+"])
+def test_from_row_strings_takes_only_0_and_1(row):
+    # U+0661, ARABIC-INDIC DIGIT ONE, is a digit that int() reads as 1
+    with pytest.raises(InvalidMatrixError):
+        BottMatrix.from_row_strings([row, "00"])
 
 
 def test_from_entries_rejects_lower_triangle():

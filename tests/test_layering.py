@@ -3,6 +3,9 @@ values.  ``charclass`` and ``search`` ask the context's primitives; they
 read none of its layout (which kernel it uses, slot widths, the packed
 counters, the per-slot copies) and neither of the constants that size it.
 Import guard: no module of the package imports a name it never uses.
+Re-export guard: each name a module imports only to pass on is read
+through that module by another module of the package or by the
+benchmark; a test is no reader.
 """
 
 import ast
@@ -101,10 +104,13 @@ def unused_imports(source: str) -> list[str]:
     return found
 
 
-@pytest.mark.parametrize("module", sorted(
-    path.name for path in Path(bottforge.__file__).parent.glob("*.py")))
+PACKAGE = Path(bottforge.__file__).parent
+MODULES = sorted(path.name for path in PACKAGE.glob("*.py"))
+
+
+@pytest.mark.parametrize("module", MODULES)
 def test_module_imports_only_what_it_uses(module):
-    source = (Path(bottforge.__file__).parent / module).read_text()
+    source = (PACKAGE / module).read_text()
     assert unused_imports(source) == []
 
 
@@ -126,3 +132,73 @@ def test_import_guard_sees_each_kind_of_import():
     ])
     assert unused_imports(source) == [
         "2: os", "3: os", "4: js", "8: chain"]
+
+
+def reexports(source: str) -> list[str]:
+    """The names bound by each import of ``source`` whose first line
+    carries REEXPORT."""
+    lines = source.splitlines()
+    return [alias.asname or alias.name
+            for node in ast.walk(ast.parse(source))
+            if isinstance(node, (ast.Import, ast.ImportFrom))
+            and REEXPORT in lines[node.lineno - 1]
+            for alias in node.names]
+
+
+def reads_through(source: str, module: str) -> set[str]:
+    """The names that ``source`` reads off the package module ``module``:
+    each name of a relative or absolute from-import of it, and each
+    attribute of a name that a from-import of the package binds to it."""
+    tree = ast.parse(source)
+    names, bound = set(), set()
+    for node in ast.walk(tree):
+        if not isinstance(node, ast.ImportFrom):
+            continue
+        home = (node.module, node.level)
+        if home in ((module, 1), (f"bottforge.{module}", 0)):
+            names |= {alias.name for alias in node.names}
+        elif home in ((None, 1), ("bottforge", 0)):
+            bound |= {alias.asname or alias.name for alias in node.names
+                      if alias.name == module}
+    return names | {node.attr for node in ast.walk(tree)
+                    if isinstance(node, ast.Attribute)
+                    and isinstance(node.value, ast.Name)
+                    and node.value.id in bound}
+
+
+# the benchmark lives beside the tests and reads the package from outside
+PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
+
+
+@pytest.mark.parametrize("module", MODULES)
+def test_reexports_have_a_reader(module):
+    assert PERFBENCH.is_dir()
+    readers = [path for path in [*PACKAGE.glob("*.py"),
+                                 *PERFBENCH.glob("*.py")]
+               if path != PACKAGE / module
+               and not path.name.startswith("test_")]
+    read = set().union(*(reads_through(path.read_text(), module[:-3])
+                         for path in readers))
+    source = (PACKAGE / module).read_text()
+    assert sorted(set(reexports(source)) - read) == []
+
+
+def test_reexport_guard_sees_each_kind_of_read():
+    """The guard is not vacuous: a relative or an absolute from-import of
+    the module reads a name through it, and so does an attribute of the
+    module bound by a from-import of the package, aliased or not; a read
+    through another module, an attribute of an unbound name and a name
+    imported without REEXPORT do not count."""
+    reader = "\n".join([
+        "from .search import a",
+        "from bottforge.search import b",
+        "from . import search",
+        "from bottforge import search as s",
+        "from .charclass import e",
+        "x = search.c, s.d, charclass.f",
+    ])
+    assert reads_through(reader, "search") == {"a", "b", "c", "d"}
+    assert reexports("\n".join([
+        "from .gf2ring import a, b as c  " + REEXPORT,
+        "from .gf2ring import d",
+    ])) == ["a", "c"]

@@ -11,21 +11,18 @@ from itertools import islice, product
 import pytest
 
 from bottforge import search
-from bottforge.charclass import (SwReport, counterexample_criterion,
-                                 orientable_by_rowsums)
+from bottforge.charclass import (REFERENCE_D9_WITNESS_MASK,
+                                 REFERENCE_D10_CHAIN, REFERENCE_D10_PADDED,
+                                 REFERENCE_MATRICES, SwReport,
+                                 counterexample_criterion, reproduce_reference)
 from bottforge.gf2ring import (BottMatrix, _counter_rows, _row_chunks,
                                _row_string)
 from bottforge.search import (
     MAX_EXHAUSTIVE_SPAN,
     REFERENCE_D9,
-    REFERENCE_D9_WITNESS_MASK,
-    REFERENCE_D10_CHAIN,
-    REFERENCE_D10_PADDED,
-    REFERENCE_MATRICES,
     SearchSpec,
     SearchStats,
     SpecTooLargeError,
-    collect_hits,
     counter_from_matrix,
     enumerate_space,
     free_bit_count,
@@ -33,13 +30,13 @@ from bottforge.search import (
     hit_record,
     matrix_from_counter,
     minimal_dimension_survey,
-    reproduce_reference,
     run_partitioned,
 )
 
 from helpers import (
     draw_counter,
     even_parity_counters_scan,
+    orientable_by_rowsums,
     random_bott_matrix,
     xorshift_stream,
 )
@@ -102,7 +99,7 @@ def test_counter_order_is_row_major():
 
 def test_exhaustive_counts_small():
     for d in (1, 2, 3, 4, 5):
-        stats, hits = collect_hits(SearchSpec(dim=d))
+        stats, hits = run_partitioned(SearchSpec(dim=d), 1)
         assert stats.candidates == 1 << free_bit_count(d)
         assert stats.hits == len(hits) == GOLDEN_HITS[d]
 
@@ -113,7 +110,7 @@ def test_span_cap():
     with pytest.raises(SpecTooLargeError):
         enumerate_space(SearchSpec(dim=10), None)
     # same dimension is fine once a limit caps the range
-    stats, hits = collect_hits(SearchSpec(dim=10, limit=64))
+    stats, hits = run_partitioned(SearchSpec(dim=10, limit=64), 1)
     assert stats.candidates == 64
     # and a sufficiently fine partition also fits under the cap
     spec = SearchSpec(dim=10, partition=(0, 1 << 30))
@@ -145,7 +142,7 @@ def test_spec_validation():
 def test_random_seed_64_bit_range_accepted():
     for seed in (0, (1 << 64) - 1):
         spec = SearchSpec(dim=9, mode="random", limit=3000, seed=seed)
-        stats, hits = collect_hits(spec)
+        stats, hits = run_partitioned(spec, 1)
         _, brute = _brute_random(9, xorshift_stream(seed), spec.limit)
         assert [h.candidate_index for h in hits] == brute
 
@@ -153,13 +150,13 @@ def test_random_seed_64_bit_range_accepted():
 # ----------------------------------------------------------------- golden
 
 def test_golden_counts_d6():
-    stats, hits = collect_hits(SearchSpec(dim=6))
+    stats, hits = run_partitioned(SearchSpec(dim=6), 1)
     assert stats.candidates == 1 << 15
     assert stats.hits == GOLDEN_HITS[6]
 
 
 def test_golden_counts_d7():
-    stats, hits = collect_hits(SearchSpec(dim=7))
+    stats, hits = run_partitioned(SearchSpec(dim=7), 1)
     assert stats.candidates == 1 << 21
     assert stats.tested == 1 << 15
     assert stats.hits == GOLDEN_HITS[7]
@@ -200,8 +197,8 @@ def test_golden_d8_first_hit_matrix():
 
 
 def test_every_emitted_hit_passes_criterion():
-    stats, hits = collect_hits(
-        SearchSpec(dim=8, mode="random", limit=30000, seed=99))
+    stats, hits = run_partitioned(
+        SearchSpec(dim=8, mode="random", limit=30000, seed=99), 1)
     assert hits, "expected at least one hit at this draw budget"
     for h in hits:
         assert h.report.verdict
@@ -373,7 +370,8 @@ def test_exhaustive_hits_match_brute_criterion_d8():
     parts = 131072
     for k in (55692, 55948, 70000):
         lo, hi = k * total // parts, (k + 1) * total // parts
-        stats, hits = collect_hits(SearchSpec(dim=8, partition=(k, parts)))
+        stats, hits = run_partitioned(
+            SearchSpec(dim=8, partition=(k, parts)), 1)
         brute = [c for c in range(lo, hi)
                  if counterexample_criterion(matrix_from_counter(8, c)).verdict]
         assert [h.candidate_index for h in hits] == brute
@@ -385,7 +383,7 @@ def test_random_hits_match_brute_criterion():
         # about 24 orientable draws: all d - 1 rows of a draw are even
         # with probability 2^-(d-1)
         spec = SearchSpec(dim=d, mode="random", limit=24 << (d - 1), seed=d)
-        stats, hits = collect_hits(spec)
+        stats, hits = run_partitioned(spec, 1)
         stream = xorshift_stream(spec.seed)
         brute = []
         for index in range(spec.limit):
@@ -401,12 +399,12 @@ def test_random_hits_match_brute_criterion():
 # -------------------------------------------------------------- partitions
 
 def test_exhaustive_partition_union():
-    full, full_hits = collect_hits(SearchSpec(dim=6))
+    full, full_hits = run_partitioned(SearchSpec(dim=6), 1)
     for parts in (2, 4, 8):
         cand = tested = pruned = 0
         ordinals = []
         for k in range(parts):
-            s, h = collect_hits(SearchSpec(dim=6, partition=(k, parts)))
+            s, h = run_partitioned(SearchSpec(dim=6, partition=(k, parts)), 1)
             cand += s.candidates
             tested += s.tested
             pruned += s.pruned
@@ -418,17 +416,17 @@ def test_exhaustive_partition_union():
 
 
 def test_random_partition_union():
-    full = collect_hits(SearchSpec(dim=9, mode="random", limit=4000, seed=7))
+    spec = SearchSpec(dim=9, mode="random", limit=4000, seed=7)
+    full = run_partitioned(spec, 1)
     ordinals = []
     for k in range(4):
-        _, h = collect_hits(
-            SearchSpec(dim=9, mode="random", limit=4000, seed=7, partition=(k, 4)))
+        _, h = run_partitioned(replace(spec, partition=(k, 4)), 1)
         ordinals.extend(hh.candidate_index for hh in h)
     assert sorted(ordinals) == [h.candidate_index for h in full[1]]
 
 
 def test_run_partitioned_merges_like_serial():
-    serial, serial_hits = collect_hits(SearchSpec(dim=6))
+    serial, serial_hits = run_partitioned(SearchSpec(dim=6), 1)
     merged, merged_hits = run_partitioned(SearchSpec(dim=6), 4)
     assert (merged.candidates, merged.tested, merged.pruned, merged.hits) == \
         (serial.candidates, serial.tested, serial.pruned, serial.hits)
@@ -458,7 +456,7 @@ def test_run_partitioned_streams_to_sink():
     # the pool also splits the range of a partition, here into 4 parts
     spec = SearchSpec(dim=8, partition=(219, 512))
     assert len(search._part_bounds(spec, *search._spec_range(spec), 2)) == 5
-    serial, serial_hits = collect_hits(spec)
+    serial, serial_hits = run_partitioned(spec, 1)
     streamed = []
     merged, returned = run_partitioned(spec, 2, streamed.append)
     assert returned == []
@@ -475,7 +473,7 @@ def test_pooled_hit_pickles_as_plain_values():
     its report carries the kernel values, not polynomial objects."""
     spec = SearchSpec(dim=9, mode="random", limit=6000, seed=42)
     _, hits = run_partitioned(spec, 2)
-    assert hits == collect_hits(spec)[1]
+    assert hits == run_partitioned(spec, 1)[1]
     for hit in hits[:20]:
         assert pickle.loads(pickle.dumps(hit)) == hit
         assert {type(hit.report._w1), type(hit.report._w3sq)} == {int}
@@ -545,7 +543,7 @@ def test_run_partitioned_runs_one_block_without_a_pool(monkeypatch):
     monkeypatch.setattr(multiprocessing, "Pool", no_pool)
     spec = SearchSpec(dim=8, partition=(1740, 4096))
     merged, hits = run_partitioned(spec, 2)
-    serial, serial_hits = collect_hits(spec)
+    serial, serial_hits = run_partitioned(spec, 1)
     assert merged.hits == serial.hits == len(hits) > 0
     assert [h.candidate_index for h in hits] == \
         [h.candidate_index for h in serial_hits]
@@ -556,7 +554,7 @@ def test_run_partitioned_runs_one_block_without_a_pool(monkeypatch):
 def test_run_partitioned_exhaustive_limit_matches_serial(d, limit):
     # the pool splits the serial run's range, not each part's own limit
     spec = SearchSpec(dim=d, limit=limit)
-    serial, serial_hits = collect_hits(spec)
+    serial, serial_hits = run_partitioned(spec, 1)
     merged, merged_hits = run_partitioned(spec, 2)
     assert (merged.candidates, merged.tested, merged.pruned, merged.hits) == \
         (serial.candidates, serial.tested, serial.pruned, serial.hits)
@@ -569,7 +567,7 @@ def test_run_partitioned_exhaustive_limit_matches_serial(d, limit):
 
 def test_run_partitioned_random_merges_like_serial():
     spec = SearchSpec(dim=9, mode="random", limit=20000, seed=42)
-    serial, serial_hits = collect_hits(spec)
+    serial, serial_hits = run_partitioned(spec, 1)
     merged, merged_hits = run_partitioned(spec, 2)
     assert (merged.candidates, merged.tested, merged.pruned, merged.hits) == \
         (serial.candidates, serial.tested, serial.pruned, serial.hits)
@@ -584,7 +582,7 @@ def test_run_partitioned_random_merges_like_serial():
 def test_run_partitioned_random_without_steps_matches_serial(spec):
     # no part makes a jump: a d = 1 draw has no free bits, and partition 0
     # of 4 over 3 draws is empty
-    serial, serial_hits = collect_hits(spec)
+    serial, serial_hits = run_partitioned(spec, 1)
     merged, merged_hits = run_partitioned(spec, 2)
     assert (merged.candidates, merged.tested, merged.pruned, merged.hits) == \
         (serial.candidates, serial.tested, serial.pruned, serial.hits)
@@ -635,7 +633,7 @@ def test_far_random_partition_starts_at_once():
     parts = 10**9
     spec = SearchSpec(dim=9, mode="random", limit=10**12,
                       partition=(parts - 1, parts))
-    stats, hits = collect_hits(spec)
+    stats, hits = run_partitioned(spec, 1)
     assert stats.wall_time_s < 1
     lo = (parts - 1) * spec.limit // parts
     stream = xorshift_stream(search._xs_jump(search._xs_seed_state(0), lo))
@@ -653,8 +651,9 @@ def test_random_partitions_match_brute_criterion(d, two_words):
     spec = SearchSpec(dim=d, mode="random", limit=16 << (d - 1), seed=d)
     orientable, brute = _brute_random(d, xorshift_stream(d), spec.limit)
     expected = (spec.limit, orientable, spec.limit - orientable, len(brute))
-    full, full_hits = collect_hits(spec)
-    parts = [collect_hits(replace(spec, partition=(k, 3))) for k in range(3)]
+    full, full_hits = run_partitioned(spec, 1)
+    parts = [run_partitioned(replace(spec, partition=(k, 3)), 1)
+             for k in range(3)]
     assert (full.candidates, full.tested, full.pruned, full.hits) == expected
     assert tuple(sum(getattr(st, f) for st, _ in parts) for f in (
         "candidates", "tested", "pruned", "hits")) == expected
@@ -793,7 +792,7 @@ def test_random_batches_emit_in_index_order(monkeypatch, lane_bits):
     monkeypatch.setattr(search, "LANE_BITS", lane_bits)
     d, seed = 9, 5
     spec = SearchSpec(dim=d, mode="random", limit=64 << (d - 1), seed=seed)
-    stats, hits = collect_hits(spec)
+    stats, hits = run_partitioned(spec, 1)
     orientable, brute = _brute_random(d, xorshift_stream(seed), spec.limit)
     assert (stats.tested, stats.hits) == (orientable, len(brute))
     assert [h.candidate_index for h in hits] == brute
@@ -803,22 +802,23 @@ def test_random_batches_emit_in_index_order(monkeypatch, lane_bits):
 # ------------------------------------------------------------- random mode
 
 def test_random_mode_deterministic():
-    a = collect_hits(SearchSpec(dim=9, mode="random", limit=2000, seed=42))
-    b = collect_hits(SearchSpec(dim=9, mode="random", limit=2000, seed=42))
+    spec = SearchSpec(dim=9, mode="random", limit=2000, seed=42)
+    a, b = run_partitioned(spec, 1), run_partitioned(spec, 1)
     assert [h.candidate_index for h in a[1]] == [h.candidate_index for h in b[1]]
     assert a[0].tested == b[0].tested
 
 
 def test_random_mode_frozen_seed42_sequence():
-    stats, hits = collect_hits(SearchSpec(dim=9, mode="random", limit=10000, seed=42))
+    stats, hits = run_partitioned(
+        SearchSpec(dim=9, mode="random", limit=10000, seed=42), 1)
     assert [h.candidate_index for h in hits[:8]] == GOLDEN_D9_RANDOM_PREFIX
     for h in hits:
         assert h.report.verdict
 
 
 def test_random_mode_million_draw_capture():
-    stats, hits = collect_hits(
-        SearchSpec(dim=9, mode="random", limit=1_000_000, seed=42))
+    stats, hits = run_partitioned(
+        SearchSpec(dim=9, mode="random", limit=1_000_000, seed=42), 1)
     assert stats.candidates == 1_000_000
     assert stats.hits == 1216
     assert [h.candidate_index for h in hits[:8]] == GOLDEN_D9_RANDOM_PREFIX
@@ -826,8 +826,9 @@ def test_random_mode_million_draw_capture():
 
 
 def test_random_different_seeds_differ():
-    a = collect_hits(SearchSpec(dim=9, mode="random", limit=3000, seed=1))
-    b = collect_hits(SearchSpec(dim=9, mode="random", limit=3000, seed=2))
+    spec = SearchSpec(dim=9, mode="random", limit=3000, seed=1)
+    a = run_partitioned(spec, 1)
+    b = run_partitioned(replace(spec, seed=2), 1)
     assert [h.candidate_index for h in a[1]] != [h.candidate_index for h in b[1]]
 
 
@@ -859,7 +860,8 @@ def test_benchmark_trace_hooks_resolve(monkeypatch):
 
 
 def test_hit_record_shape():
-    _, hits = collect_hits(SearchSpec(dim=9, mode="random", limit=2000, seed=42))
+    _, hits = run_partitioned(
+        SearchSpec(dim=9, mode="random", limit=2000, seed=42), 1)
     rec = hit_record(hits[0])
     assert set(rec) == {"dim", "matrix", "orientable", "w3sq_nonzero",
                         "witness", "candidate_index"}
@@ -881,7 +883,7 @@ def test_hit_json_is_json_dumps_of_hit_record():
                          (12, 200000)]]
     hits = []
     for spec in runs:
-        run_hits = collect_hits(spec)[1]
+        run_hits = run_partitioned(spec, 1)[1]
         assert run_hits
         hits += run_hits
     zero = BottMatrix.zero(9)
@@ -958,7 +960,7 @@ def test_hit_record_semantics():
     shows the report's repr without its kernel values, and ``replace``
     and a pickle round trip give equal hits of the same class."""
     spec = SearchSpec(dim=9, mode="random", limit=3000, seed=42)
-    first, second = collect_hits(spec)[1], collect_hits(spec)[1]
+    first, second = run_partitioned(spec, 1)[1], run_partitioned(spec, 1)[1]
     assert first == second and first[0] is not second[0]
     assert [hash(h) for h in first] == [hash(h) for h in second]
     assert len(set(first + second)) == len(first) > 1
@@ -983,7 +985,7 @@ def test_hits_build_their_matrix_when_read():
     and pickle to the same payload of plain ints, when one of them has had
     its matrix read; the matrix maps back to the counter."""
     spec = SearchSpec(dim=9, mode="random", limit=30000, seed=7)
-    first, second = collect_hits(spec)[1], collect_hits(spec)[1]
+    first, second = run_partitioned(spec, 1)[1], run_partitioned(spec, 1)[1]
     assert first and first == second
     for h in first:
         assert counter_from_matrix(h.matrix) == h.counter
@@ -998,7 +1000,7 @@ def test_hits_build_their_matrix_when_read():
     assert not hasattr(first[0], "__dict__")
     assert first[0].__slots__ == ("dim", "counter", "report",
                                   "candidate_index")
-    _, hits = collect_hits(SearchSpec(dim=8, partition=(870, 2048)))
+    _, hits = run_partitioned(SearchSpec(dim=8, partition=(870, 2048)), 1)
     assert all(counter_from_matrix(h.matrix) == h.counter == h.candidate_index
                for h in hits[::97])
 
