@@ -476,9 +476,9 @@ def limit_torsion_bound(group: FgAbGroup, beta: IntMatrix,
     if not group.is_endomorphism(beta):
         raise HypothesisViolation(["beta does not preserve the relation lattice"])
     n = group.generators
-    comp = beta
-    for _ in range(depth - 1):
-        comp = beta.mul(comp)
+    comp = beta  # beta^depth, squaring along the bits of depth
+    for bit in bin(depth)[3:]:
+        comp = beta.mul(comp.mul(comp)) if bit == "1" else comp.mul(comp)
     bound = group.torsion_order()
     m = group.relations
     # kernel of [comp | -relations], x block: { x : comp x in relations }

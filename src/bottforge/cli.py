@@ -137,9 +137,9 @@ def format_matrix_file(matrix: BottMatrix) -> str:
 def read_system_file(path: str) -> StationarySystem:
     """Parse a stationary system JSON file.
 
-    Expected keys: "generators" (int), "relations" (list of relation
-    vectors, each of length generators), "beta" (matrix as rows), "n"
-    (multiplier), optionally "alpha".
+    Keys: "generators" (int), "beta" (rows), "n" (multiplier), optionally
+    "relations" (vectors of length generators) and "alpha"; any other key
+    is refused, so that a misspelt one cannot drop a field.
     """
     from .abelian import FgAbGroup, IntMatrix, StationarySystem
     try:
@@ -149,6 +149,9 @@ def read_system_file(path: str) -> StationarySystem:
         raise UsageError(f"cannot read {path}: {exc}") from exc
     except json.JSONDecodeError as exc:
         raise UsageError(f"{path}: invalid JSON: {exc}") from exc
+    if isinstance(data, dict) and (unknown := sorted(
+            set(data) - {"generators", "relations", "beta", "n", "alpha"})):
+        raise UsageError(f"{path}: unknown field {', '.join(map(repr, unknown))}")
     try:
         gens = data["generators"]
         relations = data.get("relations", [])

@@ -6,23 +6,22 @@ Omega_i = Z^d / M^i Z^d.  Z^d acts on each level by translation, levels
 are connected by the canonical projections, and a nonzero vector leaves
 M^i Z^d at some finite level (the escape level).
 
-Each level is the abelian group Z^d / M^i Z^d, an :class:`FgAbGroup` with
-relation matrix M^i, whose coordinates give cosets canonical residues; its
-order is |det M|^i by theorem.  The characteristic polynomial and the
-adjugate of M come from :meth:`IntMatrix.charpoly_adjugate` in exact
-integers: the polynomial decides expansion by a Schur-Cohn reduction, and
-the adjugate finds escape levels, and so membership in M^i Z^d, without a
-Smith form per level.  Every level is one orbit by theorem.
+A tower keeps M, det M and adj M = det M * M^-1 from one exact pass of
+:meth:`IntMatrix.charpoly_adjugate`, whose polynomial also decides
+expansion by a Schur-Cohn reduction.  As M^i adj(M)^i = det^i I, v lies in
+M^i Z^d exactly when adj(M)^i v = 0 mod det^i: the label adj(M)^i v mod
+|det|^i names the coset of v, and the labels of a level form a group
+isomorphic to it, of order |det|^i.  Translation adds labels, projection
+is w |-> M w / det, and the first inexact division by det is the escape
+level.  Every level is one orbit by theorem.
 """
 
 from __future__ import annotations
 
-import threading
-
 from ._record import FrozenRecord
-from .abelian import BudgetExceeded, FgAbGroup, IntMatrix
+from .abelian import BudgetExceeded, IntMatrix
 # importable from here for the benchmark's trace hooks, which patch it by
-# name; the tower itself no longer calls it
+# name; the tower itself builds no Smith form
 from .abelian import _snf_full  # noqa: F401
 
 
@@ -31,7 +30,7 @@ class SingularMatrixError(ValueError):
 
 
 class LevelPoint(FrozenRecord):
-    """A coset of M^level Z^d in canonical residue coordinates."""
+    """A coset of M^level Z^d by its label adj(M)^level v mod |det M|^level."""
 
     __slots__ = ("level", "coords")
 
@@ -41,11 +40,9 @@ class LevelPoint(FrozenRecord):
 
 
 class OdometerTower:
-    """Lazy tower of quotients Z^d / M^i Z^d for one matrix M.
-
-    Levels are computed on demand and cached; access is serialized by a
-    lock so towers can be shared between threads.
-    """
+    """The tower of quotients Z^d / M^i Z^d for one matrix M, labelling
+    the coset of v at level i by adj(M)^i v mod |det|^i; it keeps nothing
+    per level, so threads may share it."""
 
     def __init__(self, matrix: IntMatrix):
         if matrix.nrows != matrix.ncols or matrix.nrows < 1:
@@ -61,30 +58,17 @@ class OdometerTower:
         self.matrix = matrix
         self.det = det
         self.adjugate = adjugate  # det * M^-1
-        self._levels: dict[int, FgAbGroup] = {}
-        self._powers: dict[int, IntMatrix] = {0: IntMatrix.identity(self.dim)}
-        self._lock = threading.Lock()
-
-    def _power(self, i: int) -> IntMatrix:
-        top = max(self._powers)
-        while top < i:
-            self._powers[top + 1] = self.matrix.mul(self._powers[top])
-            top += 1
-        return self._powers[i]
-
-    def level(self, i: int) -> FgAbGroup:
-        """The level group Z^d / M^i Z^d, relation matrix M^i."""
-        if i < 0:
-            raise ValueError("level must be non-negative")
-        with self._lock:
-            group = self._levels.get(i)
-            if group is None:
-                group = self._levels[i] = FgAbGroup(self._power(i))
-            return group
 
     def reduce(self, i: int, vec) -> LevelPoint:
-        """Canonical coordinates of the coset of ``vec`` at level i."""
-        return LevelPoint(i, self.level(i).coords(vec))
+        """The label adj(M)^i vec mod |det|^i of the coset of ``vec``."""
+        if i < 0:
+            raise ValueError("level must be non-negative")
+        if len(vec := tuple(vec)) != self.dim:
+            raise ValueError("vector length mismatch")
+        modulus = abs(self.det) ** i
+        for _ in range(i):
+            vec = tuple(x % modulus for x in self.adjugate.mul_vec(vec))
+        return LevelPoint(i, tuple(x % modulus for x in vec))
 
     def zero_point(self, i: int) -> LevelPoint:
         return LevelPoint(i, (0,) * self.dim)
@@ -107,18 +91,26 @@ def level_order(tower: OdometerTower, i: int) -> int:
 
 
 def act(tower: OdometerTower, gamma, point: LevelPoint) -> LevelPoint:
-    """Translate a level point by the ambient vector ``gamma``."""
-    vec = tower.level(point.level).element_from_coords(point.coords)
-    return tower.reduce(point.level,
-                        [x + g for x, g in zip(vec, gamma, strict=True)])
+    """Translate a level point by the ambient vector ``gamma``: labels add."""
+    modulus = abs(tower.det) ** point.level
+    shift = tower.reduce(point.level, gamma).coords
+    return LevelPoint(point.level, tuple(
+        (w + s) % modulus for w, s in zip(point.coords, shift)))
 
 
 def project(tower: OdometerTower, point: LevelPoint) -> LevelPoint:
-    """The canonical map from level i + 1 to level i (i >= 0)."""
+    """The canonical map from level i + 1 to level i (i >= 0): the label w
+    goes to M w / det mod |det|^i, as M adj(M)^(i+1) = det adj(M)^i; a
+    tuple w with M w not divisible by det labels no coset."""
     if point.level < 1:
         raise ValueError("already at the bottom level")
-    vec = tower.level(point.level).element_from_coords(point.coords)
-    return tower.reduce(point.level - 1, vec)
+    scaled = tower.matrix.mul_vec(point.coords)
+    if any(x % tower.det for x in scaled):
+        raise ValueError(f"{point.coords} labels no coset at level "
+                         f"{point.level}")
+    modulus = abs(tower.det) ** (point.level - 1)
+    return LevelPoint(point.level - 1, tuple(
+        x // tower.det % modulus for x in scaled))
 
 
 def is_transitive(tower: OdometerTower, i: int, budget: int = 1_000_000) -> bool:

@@ -365,6 +365,39 @@ def test_stage_bound_never_exceeded_random():
         assert all(o <= bound for o in orders)
 
 
+def stage_order_by_product_chain(group, beta, depth):
+    """The stage torsion order with C = beta^depth formed by depth - 1
+    products, one factor at a time: the reference for the squaring."""
+    comp = beta
+    for _ in range(depth - 1):
+        comp = beta.mul(comp)
+    m = group.relations
+    kern = kernel_columns(comp.hstack(m.scale(-1)))
+    killed = IntMatrix(kern.rows[:group.generators])
+    return FgAbGroup(m.hstack(killed)).torsion_order()
+
+
+def test_stage_bound_power_matches_product_chain():
+    # stationary systems keep every stage at the bound; the random
+    # endomorphisms collapse torsion, so their order depends on the power
+    rng = random.Random(50)
+    cases = []
+    while len(cases) < 12:
+        rel, beta, _alpha, _n, _factors = random_stationary_system(rng)
+        cases.append((FgAbGroup(IntMatrix.from_rows(rel)),
+                      IntMatrix.from_rows(beta)))
+    while len(cases) < 24:
+        g = FgAbGroup(IntMatrix.from_rows([[rng.choice((8, 12, 64))]]))
+        beta = IntMatrix.from_rows([[rng.choice((2, 3, 6))]])
+        if g.is_endomorphism(beta):
+            cases.append((g, beta))
+    for group, beta in cases:
+        for depth in range(1, 41):
+            _, orders = limit_torsion_bound(group, beta, depth)
+            assert orders == [stage_order_by_product_chain(
+                group, beta, depth)] * (depth + 1)
+
+
 # -------------------------------------------------------- exponent identity
 
 def test_exponent_identity_examples():

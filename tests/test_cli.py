@@ -130,6 +130,20 @@ def test_check_wrong_row_count(capsys, tmp_path):
     assert "expected 3 matrix rows, got 2" in err
 
 
+@pytest.mark.parametrize("text, message", [
+    ("", "empty matrix file"),
+    ("two\n0 1\n0 0\n", "first line must be the dimension, got 'two'"),
+    ("2\n0 1 0\n0 0\n", "row 1 has 3 entries, expected 2"),
+], ids=["empty", "non-integer-dimension", "wide-row"])
+def test_check_rejects_malformed_matrix_file(capsys, tmp_path, text,
+                                             message):
+    path = tmp_path / "m.txt"
+    path.write_text(text)
+    rc, out, err = run_cli(capsys, ["check", "--matrix", str(path)])
+    assert (rc, out) == (1, "")
+    assert err.strip() == f"error: {path}: {message}"
+
+
 @pytest.mark.parametrize("dim", [0, -1])
 @pytest.mark.parametrize("command", [
     ["check"], ["odometer", "--dim", "1", "--levels", "1"]])
@@ -253,6 +267,12 @@ def test_search_bad_partition(capsys):
                                   "--partition", "eight"])
     assert rc == 1
     assert "must look like k/K" in err
+
+
+def test_search_negative_limit(capsys):
+    rc, out, err = run_cli(capsys, ["search", "--dim", "8", "--limit", "-1"])
+    assert (rc, out) == (1, "")
+    assert err.strip() == "error: limit must be non-negative"
 
 
 def test_search_dimension_too_large_without_limit(capsys):
@@ -474,6 +494,26 @@ def test_limit_torsion_rejects_malformed_fields(capsys, tmp_path, field,
     assert rc == 1
     assert out == ""
     assert message in err
+
+
+@pytest.mark.parametrize("change, message", [
+    ({"beta": None}, "missing or malformed field: 'beta'"),
+    ({"generators": 0, "relations": []}, "generators must be positive"),
+    # a misspelt key must not read as an absent optional one: without
+    # "relations" the system would be Z^2, with no torsion
+    ({"relations": None, "relation": [[0, 4]]}, "unknown field 'relation'"),
+    ({"Alpha": 1, "depth": 2}, "unknown field 'Alpha', 'depth'"),
+], ids=["missing-beta", "zero-generators", "misspelt-relations",
+        "two-unknown"])
+def test_limit_torsion_rejects_bad_keys(capsys, tmp_path, change, message):
+    payload = {"generators": 2, "relations": [[0, 4]],
+               "beta": [[5, 0], [0, 5]], "n": 5, "alpha": [[1, 0], [0, 1]]}
+    payload.update(change)
+    payload = {k: v for k, v in payload.items() if v is not None}
+    path = write_system(tmp_path, payload)
+    rc, out, err = run_cli(capsys, ["limit-torsion", "--system", path])
+    assert (rc, out) == (1, "")
+    assert err.strip() == f"error: {path}: {message}"
 
 
 # ---------------------------------------------------------------- odometer

@@ -6,6 +6,8 @@ Import guard: no module of the package imports a name it never uses.
 Re-export guard: each name a module imports only to pass on is read
 through that module by another module of the package or by the
 benchmark; a test is no reader.
+Tower guard: ``odometer`` labels cosets through the adjugate, so it calls
+no Smith-form routine and, keeping no cache, imports no ``threading``.
 """
 
 import ast
@@ -202,3 +204,57 @@ def test_reexport_guard_sees_each_kind_of_read():
         "from .gf2ring import a, b as c  " + REEXPORT,
         "from .gf2ring import d",
     ])) == ["a", "c"]
+
+
+SMITH_CALLS = {"FgAbGroup", "smith_normal_form", "kernel_columns",
+               "_snf_full"}
+
+
+def smith_machinery(source: str) -> list[str]:
+    """Each call in ``source`` of a routine in SMITH_CALLS, by name or as
+    an attribute, and each import of ``threading``, as ``line: name``.
+    Importing a Smith-form routine without calling it, as a re-export
+    does, is no use."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Call):
+            func = node.func
+            name = func.attr if isinstance(func, ast.Attribute) \
+                else getattr(func, "id", None)
+            bad = name in SMITH_CALLS
+        elif isinstance(node, ast.Import):
+            name = "threading"
+            bad = any(alias.name.split(".")[0] == name
+                      for alias in node.names)
+        elif isinstance(node, ast.ImportFrom):
+            name = "threading"
+            bad = (node.module or "").split(".")[0] == name
+        else:
+            continue
+        if bad:
+            found.append(f"{node.lineno}: {name}")
+    return found
+
+
+def test_odometer_builds_no_smith_form():
+    assert smith_machinery((PACKAGE / "odometer.py").read_text()) == []
+
+
+def test_tower_guard_sees_each_kind_of_use():
+    """The guard is not vacuous: it flags each routine called by name or
+    as an attribute and each form of ``threading`` import, and passes a
+    marked re-export, a module import and a call of another routine."""
+    source = "\n".join([
+        "import threading",
+        "import os, threading.local as tl",
+        "from threading import Lock",
+        "from .abelian import _snf_full  " + REEXPORT,
+        "from . import abelian",
+        "def f(m):",
+        "    a = FgAbGroup(m), abelian.smith_normal_form(m)",
+        "    b = kernel_columns(m), abelian._snf_full(m)",
+        "    return m.charpoly_adjugate()",
+    ])
+    assert sorted(smith_machinery(source)) == [
+        "1: threading", "2: threading", "3: threading", "7: FgAbGroup",
+        "7: smith_normal_form", "8: _snf_full", "8: kernel_columns"]

@@ -6,7 +6,7 @@ import threading
 
 import pytest
 
-from bottforge.abelian import BudgetExceeded, IntMatrix
+from bottforge.abelian import BudgetExceeded, FgAbGroup, IntMatrix
 from bottforge.odometer import (
     LevelPoint,
     OdometerTower,
@@ -36,6 +36,15 @@ def scaled_identity(d: int, m: int) -> OdometerTower:
     return OdometerTower(IntMatrix.diagonal([m] * d))
 
 
+def random_expanding(rng, d_max: int) -> IntMatrix:
+    while True:
+        d = rng.randint(1, d_max)
+        m = IntMatrix.from_rows(
+            [[rng.randint(-4, 4) for _ in range(d)] for _ in range(d)])
+        if m.det() != 0 and expanding_check(m):
+            return m
+
+
 # ------------------------------------------------------------ construction
 
 def test_rejects_bad_matrices():
@@ -52,7 +61,9 @@ def test_rejects_bad_matrices():
 def test_level_validation():
     t = tower1(2)
     with pytest.raises(ValueError):
-        t.level(-1)
+        t.reduce(-1, (0,))
+    with pytest.raises(ValueError):
+        t.reduce(1, (0, 0))
     with pytest.raises(ValueError):
         level_order(t, -1)
 
@@ -80,22 +91,15 @@ def test_orders_generic_matrix():
 
 
 def test_level_order_matches_smith_residue_count():
-    # level_order takes |det M|^i by theorem; the Smith form of M^i counts
-    # the residues of Z^d / M^i Z^d independently and is the reference
+    # level_order takes |det M|^i by theorem; the Smith form of M^i, built
+    # here, counts the residues of Z^d / M^i Z^d independently
     rng = random.Random(16)
-    trials = 0
-    while trials < 40:
-        d = rng.randint(1, 3)
-        m = IntMatrix.from_rows(
-            [[rng.randint(-4, 4) for _ in range(d)] for _ in range(d)])
-        if m.det() == 0 or not expanding_check(m):
-            continue
-        trials += 1
+    for _ in range(40):
+        m = random_expanding(rng, 3)
         t = OdometerTower(m)
-        power = IntMatrix.identity(d)
+        power = IntMatrix.identity(t.dim)
         for i in range(5):
-            assert t.level(i).relations == power
-            assert level_order(t, i) == t.level(i).torsion_order()
+            assert level_order(t, i) == FgAbGroup(power).torsion_order()
             power = m.mul(power)
 
 
@@ -168,17 +172,56 @@ def test_project_bottom_level_rejected():
 
 
 def test_projection_fibers_have_det_size():
+    # det^i Z^d lies in M^i Z^d, so the box [0, |det|^i)^d meets every coset
     for rows in ([[2]], [[2, 0], [0, 2]], [[2, 1], [0, 3]]):
         t = OdometerTower(IntMatrix.from_rows(rows))
         for i in (1, 2, 3):
-            diag = t.level(i)._diag
+            box = range(abs(t.det) ** i)
+            points = {t.reduce(i, v)
+                      for v in itertools.product(box, repeat=t.dim)}
+            assert len(points) == level_order(t, i)
             fibers = {}
-            for coords in itertools.product(*(range(dd) for dd in diag)):
-                down = project(t, LevelPoint(i, coords))
+            for point in points:
+                down = project(t, point)
                 fibers.setdefault(down.coords, 0)
                 fibers[down.coords] += 1
             assert len(fibers) == level_order(t, i - 1)
             assert set(fibers.values()) == {abs(t.det)}
+
+
+def test_labels_agree_with_smith_coordinates():
+    # adj(M)^i v mod |det|^i against the Smith form of M^i built here: two
+    # vectors share a label exactly when their Smith coordinates agree
+    rng = random.Random(17)
+    for _ in range(60):
+        m = random_expanding(rng, 3)
+        t = OdometerTower(m)
+        power = IntMatrix.identity(t.dim)
+        for i in range(4):
+            group = FgAbGroup(power)
+            vecs = [tuple(rng.randint(-30, 30) for _ in range(t.dim))
+                    for _ in range(12)]
+            # pairs that differ by a lattice vector share a coset
+            vecs += [tuple(a + b for a, b in zip(v, power.mul_vec(x)))
+                     for v, x in zip(vecs, vecs[::-1])]
+            points = [t.reduce(i, v) for v in vecs]
+            coords = [group.coords(v) for v in vecs]
+            for a, b in itertools.product(range(len(vecs)), repeat=2):
+                assert ((points[a] == points[b])
+                        == (coords[a] == coords[b]))
+            for p in points:
+                assert all(0 <= x < level_order(t, i) for x in p.coords)
+                g = vecs[rng.randrange(len(vecs))]
+                if i:
+                    assert project(t, act(t, g, p)) == act(t, g, project(t, p))
+            power = m.mul(power)
+
+
+def test_project_rejects_a_tuple_that_labels_no_coset():
+    t = OdometerTower(IntMatrix.from_rows([[2, 1], [0, 2]]))  # det 4
+    with pytest.raises(ValueError, match="labels no coset"):
+        project(t, LevelPoint(1, (1, 0)))  # M w = (2, 0)
+    assert project(t, LevelPoint(1, (2, 0))) == t.zero_point(0)
 
 
 # -------------------------------------------------------------- stabilizer
@@ -262,9 +305,12 @@ def test_escape_cross_checked_by_rational_solve():
         assert e is not None and 1 <= e <= 64
         # the adjugate walk must agree with the Smith-form membership test,
         # and both with solving M^i x = gamma over the rationals
+        power = IntMatrix.identity(d)
         for i in range(1, e + 1):
-            power = t.level(i).relations
-            assert t.contains(i, gamma) == solve_integer(power.rows, gamma)
+            power = m.mul(power)
+            inside = FgAbGroup(power).contains_in_relations(gamma)
+            assert t.contains(i, gamma) == inside
+            assert inside == solve_integer(power.rows, gamma)
         assert not t.contains(e, gamma)
         if e > 1:
             assert t.contains(e - 1, gamma)
@@ -334,18 +380,26 @@ def test_charpoly_adjugate_identities():
 
 # ------------------------------------------------------------- concurrency
 
-def test_concurrent_level_construction():
+def test_concurrent_labels_match_serial():
+    # a tower keeps no per-level state, so threads share it freely
     t = OdometerTower(IntMatrix.from_rows([[2, 1], [0, 2]]))
-    errors = []
+
+    def answers(seed):
+        rng = random.Random(seed)
+        out = []
+        for _ in range(30):
+            i = rng.randint(1, 8)
+            p = t.reduce(i, [rng.randint(-99, 99) for _ in range(2)])
+            g = [rng.randint(-99, 99) for _ in range(2)]
+            out.append((p, act(t, g, p), project(t, p)))
+        return out
+
+    serial = [answers(s) for s in range(8)]
+    results, errors = [None] * 8, []
 
     def worker(seed):
-        rng = random.Random(seed)
         try:
-            for _ in range(30):
-                i = rng.randint(0, 8)
-                order = t.level(i).torsion_order()
-                if order != 4 ** i:
-                    errors.append((i, order))
+            results[seed] = answers(seed)
         except Exception as exc:  # pragma: no cover - failure reporting
             errors.append(exc)
 
@@ -355,5 +409,4 @@ def test_concurrent_level_construction():
     for th in threads:
         th.join()
     assert errors == []
-    # cached levels are shared objects
-    assert t.level(5) is t.level(5)
+    assert results == serial
