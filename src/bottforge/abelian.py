@@ -170,46 +170,42 @@ def _snf_full(m: IntMatrix):
 
     Pivoting picks the smallest nonzero absolute value in the remaining
     block; a divisibility fix-up folds offending rows into the pivot row
-    until the diagonal forms a chain.  All four matrices are tracked through
-    the same elementary operations, so the inverse comes out exact.
+    until the diagonal forms a chain.  Every elementary operation is one
+    row operation on each tracked object: D and U share their rows as
+    ``[D | U]``, and V and Uinv are kept transposed, so a column operation
+    on V and the inverse of a row operation on U act on rows too.  The
+    inverse comes out exact.
     """
     r, c = m.nrows, m.ncols
-    d = [list(row) for row in m.rows]
-    u = [list(row) for row in IntMatrix.identity(r).rows]
-    uinv = [list(row) for row in IntMatrix.identity(r).rows]
-    v = [list(row) for row in IntMatrix.identity(c).rows]
+    d = [list(row + e)  # [D | U]
+         for row, e in zip(m.rows, IntMatrix.identity(r).rows)]
+    uinv_t = [list(row) for row in IntMatrix.identity(r).rows]
+    v_t = [list(row) for row in IntMatrix.identity(c).rows]
 
     def row_swap(a, b):
         d[a], d[b] = d[b], d[a]
-        u[a], u[b] = u[b], u[a]
-        for row in uinv:
-            row[a], row[b] = row[b], row[a]
+        uinv_t[a], uinv_t[b] = uinv_t[b], uinv_t[a]
 
     def row_addmul(dst, src, q):
-        # row dst += q * row src; inverse op adjusts column src of uinv
+        # row dst += q * row src; the inverse op takes column src of uinv
+        # down by q * column dst
         d[dst] = [x + q * y for x, y in zip(d[dst], d[src])]
-        u[dst] = [x + q * y for x, y in zip(u[dst], u[src])]
-        for row in uinv:
-            row[src] -= q * row[dst]
+        uinv_t[src] = [x - q * y for x, y in zip(uinv_t[src], uinv_t[dst])]
 
     def row_negate(a):
         d[a] = [-x for x in d[a]]
-        u[a] = [-x for x in u[a]]
-        for row in uinv:
-            row[a] = -row[a]
+        uinv_t[a] = [-x for x in uinv_t[a]]
 
     def col_swap(a, b):
         for row in d:
             row[a], row[b] = row[b], row[a]
-        for row in v:
-            row[a], row[b] = row[b], row[a]
+        v_t[a], v_t[b] = v_t[b], v_t[a]
 
     def col_addmul(dst, src, q):
         # column dst += q * column src
         for row in d:
             row[dst] += q * row[src]
-        for row in v:
-            row[dst] += q * row[src]
+        v_t[dst] = [x + q * y for x, y in zip(v_t[dst], v_t[src])]
 
     steps = min(r, c)
     for t in range(steps):
@@ -255,11 +251,10 @@ def _snf_full(m: IntMatrix):
                 break
             row_addmul(t, offender, 1)
 
-    def freeze(rows):
-        # direct construction: a zero-column factor is a legal 0 x 0 matrix
-        return IntMatrix(tuple(tuple(row) for row in rows))
-
-    return freeze(u), freeze(d), freeze(v), freeze(uinv)
+    # direct construction: a zero-column factor is a legal 0 x 0 matrix
+    return (IntMatrix(tuple(tuple(row[c:]) for row in d)),
+            IntMatrix(tuple(tuple(row[:c]) for row in d)),
+            IntMatrix(tuple(zip(*v_t))), IntMatrix(tuple(zip(*uinv_t))))
 
 
 def smith_normal_form(m: IntMatrix) -> SmithDecomposition:

@@ -149,15 +149,17 @@ def read_system_file(path: str) -> StationarySystem:
         raise UsageError(f"cannot read {path}: {exc}") from exc
     except json.JSONDecodeError as exc:
         raise UsageError(f"{path}: invalid JSON: {exc}") from exc
-    if isinstance(data, dict) and (unknown := sorted(
-            set(data) - {"generators", "relations", "beta", "n", "alpha"})):
+    if not isinstance(data, dict):
+        raise UsageError(f"{path}: the top level must be a JSON object")
+    if unknown := sorted(
+            set(data) - {"generators", "relations", "beta", "n", "alpha"}):
         raise UsageError(f"{path}: unknown field {', '.join(map(repr, unknown))}")
     try:
         gens = data["generators"]
         relations = data.get("relations", [])
         beta_rows = data["beta"]
         multiplier = data["n"]
-    except (KeyError, TypeError) as exc:
+    except KeyError as exc:
         raise UsageError(f"{path}: missing or malformed field: {exc}") from exc
     for key, value in (("generators", gens), ("n", multiplier)):
         # bool is a subclass of int, and JSON true must not read as 1

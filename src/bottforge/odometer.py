@@ -11,9 +11,11 @@ A tower keeps M, det M and adj M = det M * M^-1 from one exact pass of
 expansion by a Schur-Cohn reduction.  As M^i adj(M)^i = det^i I, v lies in
 M^i Z^d exactly when adj(M)^i v = 0 mod det^i: the label adj(M)^i v mod
 |det|^i names the coset of v, and the labels of a level form a group
-isomorphic to it, of order |det|^i.  Translation adds labels, projection
-is w |-> M w / det, and the first inexact division by det is the escape
-level.  Every level is one orbit by theorem.
+isomorphic to it, of order |det|^i.  A tuple w is a label exactly when
+det^i divides M^i w, and M^i w / det^i is then a representative of its
+coset; translation and projection label that representative, which adds
+labels and maps w to M w / det.  The first inexact division by det is the
+escape level.  Every level is one orbit by theorem.
 """
 
 from __future__ import annotations
@@ -90,27 +92,37 @@ def level_order(tower: OdometerTower, i: int) -> int:
     return abs(tower.det) ** i
 
 
+def _representative(tower: OdometerTower, point: LevelPoint) -> tuple[int, ...]:
+    """A vector v whose coset has the label w = ``point.coords``: v =
+    M^i w / det^i, as adj(M)^i M^i = det^i I.  Such a v exists exactly when
+    det^i divides M^i w; any other tuple labels no coset."""
+    vec = point.coords
+    for _ in range(point.level):
+        vec = tower.matrix.mul_vec(vec)
+    scale = tower.det ** point.level
+    if any(x % scale for x in vec):
+        raise ValueError(f"{point.coords} labels no coset at level "
+                         f"{point.level}")
+    return tuple(x // scale for x in vec)
+
+
 def act(tower: OdometerTower, gamma, point: LevelPoint) -> LevelPoint:
-    """Translate a level point by the ambient vector ``gamma``: labels add."""
-    modulus = abs(tower.det) ** point.level
-    shift = tower.reduce(point.level, gamma).coords
-    return LevelPoint(point.level, tuple(
-        (w + s) % modulus for w, s in zip(point.coords, shift)))
+    """Translate a level point by the ambient vector ``gamma``: the label
+    of v + gamma for the representative v of the point (labels add); a
+    tuple that labels no coset raises ``ValueError``."""
+    vec = _representative(tower, point)
+    return tower.reduce(point.level,
+                        [x + g for x, g in zip(vec, gamma, strict=True)])
 
 
 def project(tower: OdometerTower, point: LevelPoint) -> LevelPoint:
-    """The canonical map from level i + 1 to level i (i >= 0): the label w
-    goes to M w / det mod |det|^i, as M adj(M)^(i+1) = det adj(M)^i; a
-    tuple w with M w not divisible by det labels no coset."""
+    """The canonical map from level i + 1 to level i (i >= 0): the label at
+    level i of the representative of the point, which is M w / det mod
+    |det|^i for the label w; a tuple that labels no coset raises
+    ``ValueError``."""
     if point.level < 1:
         raise ValueError("already at the bottom level")
-    scaled = tower.matrix.mul_vec(point.coords)
-    if any(x % tower.det for x in scaled):
-        raise ValueError(f"{point.coords} labels no coset at level "
-                         f"{point.level}")
-    modulus = abs(tower.det) ** (point.level - 1)
-    return LevelPoint(point.level - 1, tuple(
-        x // tower.det % modulus for x in scaled))
+    return tower.reduce(point.level - 1, _representative(tower, point))
 
 
 def is_transitive(tower: OdometerTower, i: int, budget: int = 1_000_000) -> bool:

@@ -85,6 +85,19 @@ def test_hstack():
     assert a.hstack(b).rows == ((1, 3, 4), (2, 5, 6))
 
 
+def test_shape_errors():
+    a = IntMatrix.from_rows([[1, 2], [3, 4]])
+    b = IntMatrix.from_rows([[1, 2, 3]])
+    for call, message in ((lambda: a.mul(b), "shape mismatch 2x2 @ 1x3"),
+                          (lambda: a.mul_vec((1,)), "vector length mismatch"),
+                          (lambda: a.hstack(b), "row count mismatch"),
+                          (b.charpoly_adjugate,
+                           "determinant of a non-square matrix")):
+        with pytest.raises(ValueError) as info:
+            call()
+        assert str(info.value) == message
+
+
 # --------------------------------------------------------------------- SNF
 
 def test_snf_identity():
@@ -99,9 +112,15 @@ def test_snf_already_diagonal():
 
 def test_snf_random_suite():
     rng = random.Random(43)
-    for _ in range(1000):
-        nr, nc = rng.randint(1, 6), rng.randint(1, 6)
-        m = random_int_matrix(rng, nr, nc)
+    cases = [random_int_matrix(rng, rng.randint(1, 6), rng.randint(1, 6))
+             for _ in range(1000)]
+    # the zero-column presentations FgAbGroup.free builds, and shapes
+    # above 6
+    cases += [IntMatrix.zero(nr, 0) for nr in range(1, 7)]
+    cases += [random_int_matrix(rng, nr, nc)
+              for nr, nc in ((10, 12), (12, 10)) * 3]
+    for m in cases:
+        nr, nc = m.nrows, m.ncols
         u, d, v, uinv = _snf_full(m)
         assert u @ m @ v == d
         assert abs(u.det()) == 1 and abs(v.det()) == 1
@@ -165,6 +184,16 @@ def test_from_invariant_factors():
     assert g.invariant_factors() == (2, 6, 0)
     assert g.torsion_order() == 12
     assert g.exponent() == 6
+
+
+def test_groups_need_a_generator():
+    with pytest.raises(ValueError) as info:
+        FgAbGroup(IntMatrix(()))
+    assert str(info.value) == "need at least one generator"
+    with pytest.raises(ValueError) as info:
+        FgAbGroup.from_invariant_factors([])
+    assert str(info.value) == (
+        "trivial presentation needs at least one generator")
 
 
 def test_torsion_against_minors_oracle():
@@ -331,6 +360,17 @@ def test_direct_limit_requires_alpha():
 
 
 # ------------------------------------------------------- limit stage bound
+
+def test_stage_bound_refusals():
+    g = FgAbGroup(IntMatrix.from_rows([[0], [4]]))
+    with pytest.raises(ValueError) as info:
+        limit_torsion_bound(g, IntMatrix.identity(2), 0)
+    assert str(info.value) == "depth must be positive"
+    with pytest.raises(HypothesisViolation) as info:  # (0, 4) -> (4, 4)
+        limit_torsion_bound(g, IntMatrix.from_rows([[1, 1], [0, 1]]), 1)
+    assert info.value.failures == [
+        "beta does not preserve the relation lattice"]
+
 
 def test_stage_bound_identity_betas():
     g = FgAbGroup(IntMatrix.from_rows([[2, 0], [0, 6], [0, 0]]))

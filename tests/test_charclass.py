@@ -468,6 +468,13 @@ def test_stacked_criteria_reject_mixed_dimensions():
     assert counterexample_criteria([]) == []
 
 
+def test_criteria_reject_a_non_matrix():
+    with pytest.raises(TypeError) as info:
+        counterexample_criteria([BottMatrix.zero(8), [[0]]])
+    assert str(info.value) == (
+        "counterexample_criteria expects BottMatrix values")
+
+
 @pytest.mark.parametrize("d", [4, 9, DENSE_DIM_LIMIT + 1])
 def test_criteria_of_counters_reject_out_of_range_counters(d):
     """A counter with a bit above the d(d-1)/2 entries, or a negative one,

@@ -281,6 +281,25 @@ def test_search_dimension_too_large_without_limit(capsys):
     assert "error:" in err
 
 
+def test_search_reader_that_closes_early(tmp_path):
+    # the d=8 listing is about 27 MB, far more than a pipe holds, so the
+    # search is still writing when the reader goes: a closed pipe is a
+    # normal end, exit 0 with nothing on stderr
+    env = _fresh_env()
+    env.pop("BOTT_THREADS", None)
+    err_path = tmp_path / "stderr.txt"
+    with open(err_path, "wb") as err:
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "bottforge.cli", "search", "--dim", "8"],
+            stdout=subprocess.PIPE, stderr=err, env=env)
+        first = proc.stdout.readline()
+        proc.stdout.close()
+        rc = proc.wait(timeout=120)
+    assert json.loads(first)["dim"] == 8
+    assert rc == 0
+    assert err_path.read_bytes() == b""
+
+
 def test_search_threads_env_uses_partitioned_path(capsys, monkeypatch):
     calls = []
     real = search.run_partitioned
@@ -503,8 +522,16 @@ def test_limit_torsion_rejects_malformed_fields(capsys, tmp_path, field,
     # "relations" the system would be Z^2, with no torsion
     ({"relations": None, "relation": [[0, 4]]}, "unknown field 'relation'"),
     ({"Alpha": 1, "depth": 2}, "unknown field 'Alpha', 'depth'"),
+    # the hypothesis failures, found after the file is read
+    ({"beta": [[5, 0]]}, "beta is 1x2, expected 2x2"),
+    ({"n": 0}, "multiplier 0 is not positive; alpha.beta differs from "
+               "multiplication by 0 on generator 1"),
+    ({"alpha": [[1, 0]]}, "alpha is 1x2, expected 2x2"),
+    ({"alpha": [[1, 1], [0, 1]]},
+     "alpha does not preserve the relation lattice"),
 ], ids=["missing-beta", "zero-generators", "misspelt-relations",
-        "two-unknown"])
+        "two-unknown", "beta-shape", "zero-n", "alpha-shape",
+        "alpha-not-endomorphism"])
 def test_limit_torsion_rejects_bad_keys(capsys, tmp_path, change, message):
     payload = {"generators": 2, "relations": [[0, 4]],
                "beta": [[5, 0], [0, 5]], "n": 5, "alpha": [[1, 0], [0, 1]]}
@@ -514,6 +541,15 @@ def test_limit_torsion_rejects_bad_keys(capsys, tmp_path, change, message):
     rc, out, err = run_cli(capsys, ["limit-torsion", "--system", path])
     assert (rc, out) == (1, "")
     assert err.strip() == f"error: {path}: {message}"
+
+
+@pytest.mark.parametrize("payload", [[1, 2], None, 3],
+                         ids=["array", "null", "number"])
+def test_limit_torsion_rejects_a_non_object_file(capsys, tmp_path, payload):
+    path = write_system(tmp_path, payload)
+    rc, out, err = run_cli(capsys, ["limit-torsion", "--system", path])
+    assert (rc, out) == (1, "")
+    assert err == f"error: {path}: the top level must be a JSON object\n"
 
 
 # ---------------------------------------------------------------- odometer

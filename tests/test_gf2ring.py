@@ -146,6 +146,23 @@ def test_parse_monomial_rejects_garbage():
             parse_monomial(bad)
 
 
+def test_refusal_messages():
+    ctx = d9_context()
+    for call, error, message in (
+            (lambda: parse_monomial("x65"), ValueError,
+             "variable index 65 outside 1..64 in 'x65'"),
+            (lambda: reduce_exponents(ctx, (1,) * 8), ValueError,
+             "expected 9 exponents, got 8"),
+            (lambda: reduce_exponents(ctx, (1,) * 8 + (-1,)), ValueError,
+             "exponents must be non-negative"),
+            (lambda: basis_masks(9, 10), ValueError, "degree 10 outside 0..9"),
+            (lambda: make_context([[0]]), TypeError,
+             "make_context expects a BottMatrix")):
+        with pytest.raises(error) as info:
+            call()
+        assert str(info.value) == message
+
+
 def test_poly_string_canonical_order():
     p = Gf2Poly.from_masks([0b110, 0b1, 0b11])
     assert str(p) == "x1 + x1x2 + x2x3"

@@ -68,6 +68,17 @@ def test_level_validation():
         level_order(t, -1)
 
 
+def test_contains_validation():
+    t = tower1(2)
+    for call, message in ((lambda: t.contains(-1, (0,)),
+                           "level must be non-negative"),
+                          (lambda: t.contains(1, (0, 0)),
+                           "vector length mismatch")):
+        with pytest.raises(ValueError) as info:
+            call()
+        assert str(info.value) == message
+
+
 # ------------------------------------------------------------ level orders
 
 def test_orders_doubling():
@@ -222,6 +233,35 @@ def test_project_rejects_a_tuple_that_labels_no_coset():
     with pytest.raises(ValueError, match="labels no coset"):
         project(t, LevelPoint(1, (1, 0)))  # M w = (2, 0)
     assert project(t, LevelPoint(1, (2, 0))) == t.zero_point(0)
+
+
+def test_act_and_project_accept_exactly_the_labels():
+    # the labels of a level are the images of reduce over the box
+    # [0, |det|^i)^d, which meets every coset; every other tuple of the box
+    # labels no coset and is refused by both
+    for rows in ([[2, 1], [0, 2]], [[0, 2], [1, 0]], [[3, 1], [1, -2]],
+                 [[1, 1, 0], [0, 1, 1], [1, 0, 2]]):
+        t = OdometerTower(IntMatrix.from_rows(rows))
+        gamma = (1,) * t.dim
+        for i in (1, 2):
+            box = list(itertools.product(range(abs(t.det) ** i),
+                                         repeat=t.dim))
+            labels = {}
+            for v in box:
+                labels.setdefault(t.reduce(i, v).coords, v)
+            assert len(labels) == level_order(t, i)
+            for w in box:
+                point = LevelPoint(i, w)
+                if w in labels:
+                    v = labels[w]
+                    assert act(t, gamma, point) == t.reduce(
+                        i, [a + b for a, b in zip(v, gamma)])
+                    assert project(t, point) == t.reduce(i - 1, v)
+                    continue
+                with pytest.raises(ValueError, match="labels no coset"):
+                    act(t, gamma, point)
+                with pytest.raises(ValueError, match="labels no coset"):
+                    project(t, point)
 
 
 # -------------------------------------------------------------- stabilizer
