@@ -111,8 +111,9 @@ def act(tower: OdometerTower, gamma, point: LevelPoint) -> LevelPoint:
     of v + gamma for the representative v of the point (labels add); a
     tuple that labels no coset raises ``ValueError``."""
     vec = _representative(tower, point)
-    return tower.reduce(point.level,
-                        [x + g for x, g in zip(vec, gamma, strict=True)])
+    if len(gamma := tuple(gamma)) != tower.dim:
+        raise ValueError("vector length mismatch")
+    return tower.reduce(point.level, [x + g for x, g in zip(vec, gamma)])
 
 
 def project(tower: OdometerTower, point: LevelPoint) -> LevelPoint:

@@ -64,6 +64,8 @@ def test_level_validation():
         t.reduce(-1, (0,))
     with pytest.raises(ValueError):
         t.reduce(1, (0, 0))
+    with pytest.raises(ValueError, match="^vector length mismatch$"):
+        act(t, (1, 1), t.zero_point(1))
     with pytest.raises(ValueError):
         level_order(t, -1)
 
