@@ -24,9 +24,8 @@ _EXPORTS = {
         "torsion_subgroup",
     ),
     "charclass": (
-        "SwReport", "counterexample_criteria", "counterexample_criterion",
-        "reproduce_reference", "stiefel_whitney", "total_steenrod_square",
-        "total_stiefel_whitney",
+        "SwReport", "counterexample_criterion", "reproduce_reference",
+        "stiefel_whitney", "total_steenrod_square", "total_stiefel_whitney",
     ),
     "gf2ring": (
         "BottMatrix", "Gf2Poly", "InvalidMatrixError", "RingContext",

@@ -17,20 +17,20 @@ orientable and w_3^2 is nonzero; dimensions below 6 never pass because
 w_3^2 lives in degree 6.  Squaring is a ring map in characteristic 2, so
 w_3^2 sums x_S^2 = x_S * prod_{k in S} y_k over the terms x_S of w3, by
 the ring context's ladder over the indices k, the one that
-:func:`~bottforge.gf2ring.square` runs.  The criterion evaluates matrices of
-one dimension from their counters, one per slot of a ring context, as
-many at a time as a context stacks, and cross-checks w1 against the row
-sums for the whole stack in one comparison.  A report keeps w1, w3 and
-w3^2 of its slot and reads every flag off them.
+:func:`~bottforge.gf2ring.square` runs.  The criterion evaluates one
+matrix in its own ring context and cross-checks w1 against the row sums
+of that matrix.  A report keeps w1, w3 and w3^2 of the matrix and reads
+every flag off them.
 
 The search re-checks its hits, which are orientable, by a second route,
 :func:`criteria_by_blocks`, with the same reports.  For a d x d matrix A
 with all rows even, whose top-left (d-2) x (d-2) block is B, the last two
 y classes are linear forms on the generators of B, so every term of w3
-and of w3^2 lies in the ring of B, whose slots are a quarter the size;
-the row sums of every counter are checked in place of w1.  The checks
-and reproductions of single matrices keep the criterion above, which the
-tests hold the second route against.
+and of w3^2 lies in the smaller ring of B.  The hits are stacked there,
+one per slot, and the row sums of every counter are checked in place of
+w1.  The stacks are the re-check's alone: the checks and reproductions
+of single matrices keep the criterion above, which the tests hold the
+second route against.
 
 The search decides many candidates at once with a bit-sliced kernel of
 its own, :func:`w3_square_lanes`.  It rests on the same identity but
@@ -47,14 +47,14 @@ from .gf2ring import (
     Gf2Poly,
     RingContext,
     _bits,
-    _one_matrix,
-    counter_from_matrix,
+    _in_ring,
+    make_context,
 )
 
 
 class SwReport(Record):
     """Outcome of the criterion evaluation for one matrix: its dimension
-    and the kernel values of w1, w3 and w3sq in its ring context slot.
+    and the kernel values of w1, w3 and w3sq in its ring context.
     ``w1``, ``w3`` and ``w3sq`` build the :class:`Gf2Poly` when read, and
     every flag is read off the classes: ``orientable`` is w1 = 0,
     ``verdict`` is orientable with w3sq nonzero, and ``witness`` the
@@ -169,7 +169,6 @@ def w3_square_lanes(dim: int, entries, lanes: int) -> int:
 
 def stiefel_whitney(ctx: RingContext, m: int) -> Gf2Poly:
     """w_m of the manifold of ``ctx``: e_m(y_1, ..., y_d), reduced."""
-    _one_matrix(ctx, "stiefel_whitney")
     if not 0 <= m <= ctx.dim:
         raise ValueError(f"degree {m} outside 0..{ctx.dim}")
     return ctx._wrap(ctx._cut(_total_class(ctx, m), m, m))
@@ -177,7 +176,6 @@ def stiefel_whitney(ctx: RingContext, m: int) -> Gf2Poly:
 
 def total_stiefel_whitney(ctx: RingContext) -> list[Gf2Poly]:
     """All graded parts [w_0, w_1, ..., w_d]."""
-    _one_matrix(ctx, "total_stiefel_whitney")
     total = _total_class(ctx, ctx.dim)
     return [ctx._wrap(ctx._cut(total, k, k)) for k in range(ctx.dim + 1)]
 
@@ -190,7 +188,7 @@ def total_steenrod_square(ctx: RingContext, p: Gf2Poly) -> list[Gf2Poly]:
     Sq^m vanishes for m above the degree.  x_S * x_T is x_S times y_k for
     each k in T, so the products are built up one index of S at a time.
     """
-    _one_matrix(ctx, "total_steenrod_square", p)
+    _in_ring(ctx, "total_steenrod_square", p)
     comps = [ctx._rep(()) for _ in range(ctx.dim + 1)]
     for s in p.terms:
         parts = {0: ctx._unit(s)}
@@ -208,22 +206,9 @@ def counterexample_criterion(matrix: BottMatrix) -> SwReport:
     The verdict is true exactly when w_1 = 0 and w_3^2 != 0.  The w_1
     computation is cross-checked against the row-sum test.
     """
-    return counterexample_criteria([matrix])[0]
-
-
-def counterexample_criteria(matrices) -> list[SwReport]:
-    """:func:`counterexample_criterion` of each of ``matrices``, which must
-    share one dimension, in input order."""
-    matrices = list(matrices)
-    if any(not isinstance(m, BottMatrix) for m in matrices):
-        raise TypeError("counterexample_criteria expects BottMatrix values")
-    if len({m.dim for m in matrices}) > 1:
-        raise ValueError("counterexample_criteria needs matrices of one "
-                         "dimension")
-    if not matrices:
-        return []
-    return criteria_of_counters(matrices[0].dim,
-                                [counter_from_matrix(m) for m in matrices])
+    if not isinstance(matrix, BottMatrix):
+        raise TypeError("counterexample_criterion expects a BottMatrix")
+    return _report(make_context(matrix))
 
 
 # Reference matrices with known verdicts: the 9 x 9 witness and the two
@@ -279,32 +264,22 @@ def reproduce_reference() -> list[SwReport]:
     return [counterexample_criterion(m) for m in REFERENCE_MATRICES]
 
 
-def criteria_of_counters(dim: int, counters: list) -> list[SwReport]:
-    """:func:`counterexample_criterion` of the matrix of each of
-    ``counters``, in input order, as many at a time as one ring context
-    stacks (:meth:`RingContext.stack_limit`), one slot each."""
-    step = RingContext.stack_limit(dim)
-    return [report for at in range(0, len(counters), step)
-            for report in _stack_reports(
-                RingContext(dim, counters[at:at + step]))]
-
-
-def _stack_reports(ctx: RingContext) -> list[SwReport]:
-    """The reports of the matrices in the slots of ``ctx``, in slot order,
-    once w1 vanishes exactly in the slots whose rows all have even sum:
-    the x_m term of w1 = y_1 + ... + y_d is the sum of row m."""
+def _report(ctx: RingContext) -> SwReport:
+    """The report of the matrix of ``ctx``, once w1 vanishes exactly when
+    its rows all have even sum: the x_m term of w1 = y_1 + ... + y_d is
+    the sum of row m."""
     g = _total_class(ctx, 3)
     w1, w3 = ctx._cut(g, 1, 1), ctx._cut(g, 3, 3)
-    if ctx._nonzero_slots(w1) != ctx._odd_row_slots():
+    if bool(w1) != bool(ctx._odd_row_slots()):
         raise AssertionError("w1 vanishing disagrees with row sums")
-    return [SwReport(ctx.dim, w1, w3, w3sq) for w1, w3, w3sq in zip(
-        ctx._unstack(w1), ctx._unstack(w3), ctx._unstack(ctx._square(w3)))]
+    return SwReport(ctx.dim, w1, w3, ctx._square(w3))
 
 
 def criteria_by_blocks(dim: int, counters: list) -> list[SwReport]:
-    """:func:`criteria_of_counters` of orientable counters, computed in
-    the ring of the top-left (dim-2) x (dim-2) blocks B of their matrices
-    A, whose slots are a quarter the size.
+    """:func:`counterexample_criterion` of the matrices A of orientable
+    counters, in input order, computed in the ring of their top-left
+    (dim-2) x (dim-2) blocks B, as many at a time as one block context
+    stacks (:meth:`RingContext.stack_limit`), one slot each.
 
     With every row of A even, column dim-2 of A is a linear form U on the
     generators of B and column dim-1 is w1(B) + U, so the total class of
@@ -315,8 +290,7 @@ def criteria_by_blocks(dim: int, counters: list) -> list[SwReport]:
     block takes products by linear forms only.  A counter with a row of
     odd sum raises AssertionError: the row-sum check of every counter
     stands in for the w1 cross-check.  No matrix below dimension 6
-    passes the criterion, and its counter would not fit the slots of its
-    block: a non-empty list there raises ValueError.
+    passes the criterion, and a non-empty list there raises ValueError.
     """
     if not counters:
         return []

@@ -12,22 +12,20 @@ x_{i+1}.  Polynomials are finite sets of masks and addition is symmetric
 difference.  Code is 0-based throughout; 1-based names appear only in
 rendered strings such as ``"x1x2x4"`` and in diagnostics.
 
-A ring context is built from matrix counters, the packed free entries
-of the matrices, and holds a polynomial in one of two equivalent forms:
+A ring context is built from the counter of one matrix, its packed
+free entries, and holds a polynomial in one of two equivalent forms:
 for dim <= 12 a single int whose bit at position ``mask`` marks the
 monomial (dense), and for larger dim a frozenset of masks; products
 rewrite whole sets of terms at once, with no tables, and the Frobenius
 square is one ladder over the indices.  Both serialize through the same
-canonical (degree, mask) order.  A dense context stacks up to
-RECHECK_STACK counters of one dimension, each packed into its own slot
-of bits of one int, so that one big-int operation acts on all of them;
-a single matrix is a stack of one.  Slots of whole 64-bit words are
-packed through one array of machine words, and slots of one or two
-words are split back into per-slot ints by a cast of the value's bytes
-to machine words, the low word first on any host.  The search
-re-checks its hits that way in the rings of their top-left
-(d-2) x (d-2) blocks, whose slots, a quarter the size of the hits' own,
-still hold the whole d x d counters: one word at d = 8, two at d = 9.
+canonical (degree, mask) order.  Only the search's re-check stacks
+matrices: :meth:`RingContext._top_left_blocks` packs up to RECHECK_STACK
+counters of one dimension, each into its own slot of whole 64-bit words
+of one int, through one array of machine words, so that one big-int
+operation acts on all of them in the dense ring of their top-left
+(d-2) x (d-2) blocks.  Slots of one word are split back into per-slot
+ints by a cast of the value's bytes to machine words, the low word
+first on any host, and wider slots by byte slices.
 """
 
 from __future__ import annotations
@@ -41,7 +39,7 @@ from ._record import FrozenRecord
 
 MAX_DIM = 64
 DENSE_DIM_LIMIT = 12
-# Matrices in one stacked context at most.  Re-checking search hits in
+# Matrices in one block context at most.  Re-checking search hits in
 # the rings of their (d-2)-blocks, per hit on one Xeon core: at d = 8,
 # 2^8/2^9/2^10 slots take 1.96/1.72/1.61 us; at d=9 2.64/2.42/2.37;
 # at d=10 4.28/4.24/4.54, and 2^9 is within 2% of the best at d = 11, 12.
@@ -262,66 +260,60 @@ def parse_monomial(s: str) -> int:
 
 
 class RingContext:
-    """Reduction data for a stack of matrices of one dimension, from their
-    counters (see :func:`matrix_from_counter`): their y classes as linear
-    forms, and no memo or tables.
+    """Reduction data for one matrix, from its counter (see
+    :func:`matrix_from_counter`): its y classes as linear forms, and no
+    memo or tables.
 
-    ``RingContext(dim, counters)`` takes 1..:meth:`stack_limit` counters:
-    up to RECHECK_STACK at most ``DENSE_DIM_LIMIT``, in a dense int-bitset
-    polynomial kernel, and one above it, in a frozenset kernel; the public
-    API is identical either way, and a single matrix is a stack of one
-    (see :func:`make_context`); :meth:`_top_left_blocks` builds the
-    context of the top-left blocks of larger matrices.  Counter k owns the
-    k-th run of ``_width`` bits of ``entries``, the packed counters, and
-    of every dense value, its slot.  How values are stored stays in this
-    class, whose primitives answer the questions of other modules about
-    them.  A linear form is a tuple of pairs (m, sel): in the slots that
-    the mask ``sel`` covers, it holds x_m (the frozenset kernel ignores
-    ``sel``).  ``y_form[l]`` is y_l of every slot's matrix.  With one
-    slot, ``y_support[l]`` is the mask of rows with a 1 in column l and
-    ``yclass`` the y classes, both derived from ``y_form`` when read; a
-    stack of more has neither (both None).
+    ``RingContext(dim, counter)`` takes one int counter, and holds the
+    matrix in a dense int-bitset polynomial kernel up to
+    ``DENSE_DIM_LIMIT`` and in a frozenset kernel above it; the public API
+    is identical either way (see :func:`make_context`).  The search's
+    re-check alone stacks matrices: :meth:`_top_left_blocks` builds the
+    dense context of the top-left blocks of up to :meth:`stack_limit`
+    larger matrices, where counter k owns the k-th run of ``_width`` bits,
+    whole 64-bit words, of ``entries``, the packed counters, and of every
+    value, its slot; a context of one matrix is one slot, and ``entries``
+    is its counter.  How values are stored stays in this class, whose
+    primitives answer the questions of other modules about them.  A
+    linear form is a tuple of pairs (m, sel): in the slots that the mask
+    ``sel`` covers, it holds x_m (the frozenset kernel ignores ``sel``).
+    ``y_form[l]`` is y_l of every slot's matrix.  ``y_support[l]`` is the
+    mask of rows with a 1 in column l and ``yclass`` the y classes, both
+    derived from ``y_form`` when read.
     """
 
     __slots__ = ("dim", "y_form", "slots", "entries",
                  "_dense", "_free", "_width")
 
-    def __init__(self, dim: int, counters):
-        """Pack counter k into slot k of one int: the slots whose matrix
-        has entry (m, l) are one shift and AND away, at the counter's bit
-        for that entry, and spread over their slots they are the selector
-        of x_m in y_l."""
-        self._load(dim, counters, dim)
+    def __init__(self, dim: int, counter: int):
+        """The matrix has entry (m, l) where ``counter`` has that entry's
+        bit, which is the selector of x_m in y_l."""
+        if type(counter) is not int:
+            raise TypeError("RingContext expects a single int counter, "
+                            f"not {type(counter).__name__}")
+        self._load(dim, (counter,), dim)
 
     def _load(self, dim: int, counters, d: int) -> None:
         """Set up the context of the top-left dim x dim blocks of the
-        d x d matrices of ``counters``, each packed whole into its slot."""
+        d x d matrices of ``counters``, each packed whole into its slot:
+        the slots whose matrix has entry (m, l) are one shift and AND
+        away, at the counter's bit for that entry, and spread over their
+        slots they are the selector of x_m in y_l."""
         if not 1 <= dim <= MAX_DIM:
             raise ValueError(f"dimension {dim} outside 1..{MAX_DIM}")
-        dense = dim <= DENSE_DIM_LIMIT
-        most = self.stack_limit(dim)
-        if not 1 <= len(counters) <= most:
-            raise ValueError("a ring context needs at least one matrix "
-                             f"counter, and at most {most} at dimension {dim}")
         bits = d * (d - 1) // 2
         if min(counters) < 0 or max(counters) >> bits:
             raise ValueError(
                 f"matrix counter outside 0..2^{bits}-1 at dimension {d}")
+        dense = dim <= DENSE_DIM_LIMIT
         self.dim, self.slots, self._dense = dim, len(counters), dense
-        # whole bytes with room for the counter, and for the monomials when
-        # dense, which is room for the counter too when d = dim
-        width = self._width = max(1 << dim, 8) if dense else bits + 8 & ~7
-        if width < bits:
-            raise ValueError(f"a counter of dimension {d} does not fit the "
-                             f"slots of dimension {dim}")
+        # whole words with room for the counter, and for the monomials when
+        # dense: 64 >= d(d-1)/2 up to d = 11, 2^(d-2) >= d(d-1)/2 from 6 on
+        width = self._width = max(1 << dim, 64) if dense else bits + 63 & ~63
         self._free = (tuple(map(self._repeat, _free_slots(dim))) if dense
                       else None)
-        if width & 63 or len(counters) == 1:
-            n = width // 8
-            self.entries = int.from_bytes(
-                b"".join(c.to_bytes(n, "little") for c in counters), "little")
-        else:
-            self.entries = _pack_words(counters, width >> 6, bits)
+        self.entries = (counters[0] if len(counters) == 1 else
+                        _pack_words(counters, width >> 6, bits))
         self.y_form = tuple(self._column_form(d, l) for l in range(dim))
 
     @classmethod
@@ -330,8 +322,8 @@ class RingContext:
         the context of their top-left (d-2) x (d-2) blocks B, the forms of
         y_{d-2} and y_{d-1} of each A on the generators of B, and
         :meth:`_odd_row_slots` of the A.  Every counter sits whole in its
-        slot, read at A's chunk offsets, so no counter is split; a slot of
-        B's ring is a quarter of A's."""
+        slot, read at A's chunk offsets, so no counter is split; from
+        d = 8 on a slot of B's ring is a quarter of A's."""
         ctx = cls.__new__(cls)
         ctx._load(d - 2, counters, d)
         return (ctx, (ctx._column_form(d, d - 2), ctx._column_form(d, d - 1)),
@@ -357,25 +349,25 @@ class RingContext:
             raise InvalidMatrixError(f"expected {dim} column supports, each "
                                      "with no bit on or below the diagonal")
         chunks = _row_chunks(dim)
-        return cls(dim, [sum(1 << chunks[i][0] + j - i - 1
-                             for j, sup in enumerate(supports)
-                             for i in _bits(sup))])
+        return cls(dim, sum(1 << chunks[i][0] + j - i - 1
+                            for j, sup in enumerate(supports)
+                            for i in _bits(sup)))
 
     @staticmethod
     def stack_limit(dim: int) -> int:
-        """How many counters one context of dimension ``dim`` stacks at
-        most: RECHECK_STACK in the dense kernel, one in the sparse one."""
+        """How many counters one block context of dimension ``dim``
+        stacks at most: RECHECK_STACK in the dense kernel, one in the
+        sparse one."""
         return RECHECK_STACK if dim <= DENSE_DIM_LIMIT else 1
 
     @property
-    def y_support(self) -> tuple | None:
-        return (tuple(sum(1 << m for m, _ in form) for form in self.y_form)
-                if self.slots == 1 else None)
+    def y_support(self) -> tuple:
+        return tuple(sum(1 << m for m, _ in form) for form in self.y_form)
 
     @property
-    def yclass(self) -> tuple | None:
-        return (tuple(Gf2Poly(frozenset(1 << m for m, _ in form))
-                      for form in self.y_form) if self.slots == 1 else None)
+    def yclass(self) -> tuple:
+        return tuple(Gf2Poly(frozenset(1 << m for m, _ in form))
+                     for form in self.y_form)
 
     # kernel primitives: a kernel value is an int bitset over monomial masks
     # when dense, one run of bits per slot, otherwise a frozenset of masks;
@@ -423,30 +415,23 @@ class RingContext:
         return (int(mask in rep) if isinstance(rep, frozenset)
                 else rep >> mask & 1)
 
-    def _nonzero_slots(self, rep, span: int = 0) -> int:
-        """Bit 0 of each slot set exactly where ``rep`` is nonzero in the
-        slot, or in its low ``span`` bits when a power of 2 is given."""
-        if not self._dense:
-            return int(bool(rep))
-        span = span or self._width
-        while span > 1:  # OR the span into its bit 0 by halving it
-            span >>= 1
-            rep |= rep >> span
-        return rep & self._repeat(1)
-
     def _odd_row_slots(self, d: int | None = None) -> int:
         """Bit 0 of each slot set exactly where the d x d matrix of the
         slot's counter (d = ``dim`` by default) has a row of odd sum: a
-        parity fold within rows leaves each row's sum at its last entry."""
+        parity fold within rows leaves each row's sum at its last entry,
+        and the row ends of a slot, which all lie below the power of 2
+        ``span``, are ORed into its bit 0 by halving the span."""
         d = d or self.dim
         stages, ends = _row_fold(d)
         fold = self.entries
         for k, keep in stages:
             fold ^= fold << k & self._repeat(keep)
-        span = 1
-        while span < d * (d - 1) // 2:
-            span <<= 1
-        return self._nonzero_slots(fold & self._repeat(ends), span)
+        fold &= self._repeat(ends)
+        span = 1 << (d * (d - 1) // 2 - 1).bit_length()
+        while span > 1:
+            span >>= 1
+            fold |= fold >> span
+        return fold & self._repeat(1)
 
     def _unstack(self, rep, dim: int | None = None) -> list:
         """The one-slot kernel values of the slots of ``rep``, in order,
@@ -456,15 +441,12 @@ class RingContext:
             values = [rep]
         elif not rep:
             values = [0] * self.slots
-        elif self._width in (64, 128):
-            # machine words, low word first on any host; wider slots are
-            # faster sliced as bytes
-            raw = rep.to_bytes(self._width // 8 * self.slots, sys.byteorder)
-            words = memoryview(raw).cast("Q").tolist()
+        elif self._width == 64:
+            # machine words, low word first on any host
+            raw = rep.to_bytes(8 * self.slots, sys.byteorder)
+            values = memoryview(raw).cast("Q").tolist()
             if sys.byteorder == "big":
-                words.reverse()
-            values = words if self._width == 64 else [
-                lo | hi << 64 for lo, hi in zip(words[::2], words[1::2])]
+                values.reverse()
         else:
             n = self._width // 8
             raw = rep.to_bytes(n * self.slots, "little")
@@ -574,7 +556,7 @@ def _pack_words(counters, words: int, bits: int) -> int:
     """Counter k of ``counters``, each below 2^bits, in slot k of an int
     of slots of ``words`` 64-bit words: word j of every counter is one
     strided store into an array of machine words."""
-    from array import array  # here: a one-matrix context never needs it
+    from array import array  # here: only the search's re-check needs it
     packed = array("Q", bytes(len(counters) * words << 3))
     for at in range(0, bits, 64):
         packed[at >> 6::words] = array("Q", counters if bits <= 64 else
@@ -585,7 +567,7 @@ def _pack_words(counters, words: int, bits: int) -> int:
 
 
 # Per dimension, the copies into RECHECK_STACK slots of the one-slot masks
-# that stacked contexts spread (free generators, unit, degree cuts, row
+# that block contexts spread (free generators, unit, degree cuts, row
 # ends, row-fold stages), by mask
 _SLOT_COPIES: dict = {}
 
@@ -594,14 +576,11 @@ def make_context(matrix: BottMatrix) -> RingContext:
     """The ring context of ``matrix``, checked to be a BottMatrix."""
     if not isinstance(matrix, BottMatrix):
         raise TypeError("make_context expects a BottMatrix")
-    return RingContext(matrix.dim, [counter_from_matrix(matrix)])
+    return RingContext(matrix.dim, counter_from_matrix(matrix))
 
 
-def _one_matrix(ctx: RingContext, name: str, *polys: Gf2Poly) -> None:
-    """Refuse a stack of matrices where the answer is for one matrix, and a
-    monomial of ``polys`` on a generator that the ring lacks."""
-    if ctx.slots != 1:
-        raise ValueError(f"{name} takes one matrix, not a stack of {ctx.slots}")
+def _in_ring(ctx: RingContext, name: str, *polys: Gf2Poly) -> None:
+    """Refuse a monomial of ``polys`` on a generator that the ring lacks."""
     for p in polys:
         if foreign := [m for m in p.terms if m >> ctx.dim]:
             raise ValueError(f"{name}: monomial {format_monomial(min(foreign))}"
@@ -619,7 +598,7 @@ def _times_y(ctx: RingContext, rep, ks):
 def multiply(ctx: RingContext, p: Gf2Poly, q: Gf2Poly) -> Gf2Poly:
     """Reduced product of two normal-form polynomials: all of q times x_a
     for each term a of p, one generator of a at a time."""
-    _one_matrix(ctx, "multiply", p, q)
+    _in_ring(ctx, "multiply", p, q)
     qrep = ctx._rep(q.terms)
     rep = ctx._rep(())
     for a in p.terms:
@@ -633,7 +612,7 @@ def multiply(ctx: RingContext, p: Gf2Poly, q: Gf2Poly) -> Gf2Poly:
 def square(ctx: RingContext, p: Gf2Poly) -> Gf2Poly:
     """Frobenius square: (sum m_i)^2 = sum m_i^2 in characteristic 2, by
     the ladder of :meth:`RingContext._square`."""
-    _one_matrix(ctx, "square", p)
+    _in_ring(ctx, "square", p)
     return ctx._wrap(ctx._square(ctx._rep(p.terms)))
 
 
@@ -647,7 +626,6 @@ def reduce_exponents(ctx: RingContext, exponents) -> Gf2Poly:
     ring is commutative and the basis unique, so any order gives the
     same answer.
     """
-    _one_matrix(ctx, "reduce_exponents")
     exps = tuple(int(e) for e in exponents)
     if len(exps) != ctx.dim:
         raise ValueError(f"expected {ctx.dim} exponents, got {len(exps)}")
@@ -674,7 +652,6 @@ def pairing_matrix(ctx: RingContext, k: int) -> list[list[int]]:
     reduced product x_S * x_T, with rows over degree-k masks and columns
     over degree-(d-k) masks, both in :func:`basis_masks` order.
     """
-    _one_matrix(ctx, "pairing_matrix")
     d = ctx.dim
     row_masks = basis_masks(d, k)
     col_masks = basis_masks(d, d - k)
@@ -698,6 +675,5 @@ def pairing_matrix(ctx: RingContext, k: int) -> list[list[int]]:
 
 def relation_strings(ctx: RingContext) -> list[str]:
     """Canonical rendering of x_j^2 = x_j y_j, one relation per generator."""
-    _one_matrix(ctx, "relation_strings")
     return [f"x{j + 1}^2 = {ctx._wrap(_times_y(ctx, ctx._unit(1 << j), (j,)))}"
             for j in range(ctx.dim)]

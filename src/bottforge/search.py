@@ -521,23 +521,28 @@ def _range_worker(spec: SearchSpec, lo: int, hi: int
 
 
 # Random mode splits its draws into PARTS_PER_JOB equal parts per pool
-# worker; exhaustive parts are aligned rank blocks and do not use it.  The
-# parts go out in order as workers free up, at most two per worker at once,
-# so a worker slowed by other load takes fewer of them, and the parent
-# holds the hits of a few parts at a time, not of the whole range.
+# worker, or into parts of one kernel batch of orientable draws if more;
+# exhaustive parts are aligned rank blocks and do not use it.  The parts
+# go out in order as workers free up, at most two per worker at once, so
+# a worker slowed by other load takes fewer of them, and the parent holds
+# the hits of a few parts at a time and a worker those of one, however
+# long the range.
 PARTS_PER_JOB = 8
 
 
 def _part_bounds(spec: SearchSpec, lo: int, hi: int, jobs: int) -> list[int]:
     """Bounds of the contiguous parts of [lo, hi) for a pool of ``jobs``:
-    ``PARTS_PER_JOB * jobs`` equal draw ranges in random mode.  Exhaustive
-    parts are the aligned lane blocks of ranks that the range meets, so
-    that each part is one kernel call (equal counter ranges would leave
-    most parts without an orientable counter) and its hits stay few at
-    any dimension."""
+    in random mode ``PARTS_PER_JOB * jobs`` equal draw ranges, or more
+    where a part would hold over 2^(LANE_BITS + d - 1) draws, about one
+    kernel batch of orientable ones, and none empty unless the range is.
+    Exhaustive parts are the aligned lane blocks of ranks that the range
+    meets, so that each part is one kernel call (equal counter ranges
+    would leave most parts without an orientable counter) and its hits
+    stay few at any dimension."""
     if spec.mode == "random":
-        parts = PARTS_PER_JOB * jobs
-        return [lo + k * (hi - lo) // parts for k in range(parts + 1)]
+        span, batch = hi - lo, 1 << LANE_BITS + spec.dim - 1
+        parts = min(span, max(PARTS_PER_JOB * jobs, -(-span // batch))) or 1
+        return [lo + k * span // parts for k in range(parts + 1)]
     d = spec.dim
     width = 1 << LANE_BITS
     cuts = range(_even_rank(d, lo) // width + 1,
@@ -573,7 +578,7 @@ def run_partitioned(spec: SearchSpec, jobs: int, sink=None
         # no jump of a part passes draw hi; built here, the tables reach
         # the workers at fork instead of being built in each of them
         steps = hi * len(_draw_words(spec.dim))
-        if steps:  # 0 at d = 1, whose draws are empty, or an empty range
+        if steps:  # 0 at d = 1, whose draws are empty
             _step_power(steps.bit_length() - 1)
 
     merged = SearchStats(dim=spec.dim, mode=spec.mode, candidates=hi - lo)

@@ -10,11 +10,10 @@ import pytest
 from bottforge import charclass
 from bottforge.charclass import (
     SwReport,
-    _stack_reports,
-    counterexample_criteria,
+    _report,
+    _total_class,
     counterexample_criterion,
     criteria_by_blocks,
-    criteria_of_counters,
     stiefel_whitney,
     total_steenrod_square,
     total_stiefel_whitney,
@@ -332,35 +331,41 @@ def _mixed_stack(rng, d, count):
     return stack
 
 
+def _blocks(matrices):
+    """The block re-check of ``matrices``, which share one dimension."""
+    return criteria_by_blocks(matrices[0].dim,
+                              [counter_from_matrix(m) for m in matrices])
+
+
 @pytest.mark.parametrize("d", range(6, DENSE_DIM_LIMIT + 3))
 def test_stacked_criteria_match_square_route(d):
-    """Each slot of a stack against gf2ring.square on its own context, in
+    """Each matrix of a mixed list against gf2ring.square on its own
+    context, and each slot of a block stack of its orientable matrices, in
     input order: the whole stack, a permutation of it, a stack of one;
     from d=13 on, one sparse context per matrix."""
     rng = random.Random(700 + d)
     stack = _mixed_stack(rng, d, 40 if d <= DENSE_DIM_LIMIT else 6)
     expected = [_criterion_by_square(m) for m in stack]
-    assert [_report_tuple(r) for r in counterexample_criteria(stack)] == \
+    assert [_report_tuple(counterexample_criterion(m)) for m in stack] == \
         expected
-    order = list(range(len(stack)))
-    rng.shuffle(order)
-    assert [_report_tuple(r) for r in counterexample_criteria(
-        [stack[n] for n in order])] == [expected[n] for n in order]
-    for n in (0, len(stack) - 1):
-        assert _report_tuple(counterexample_criteria([stack[n]])[0]) == \
-            _report_tuple(counterexample_criterion(stack[n])) == expected[n]
+    even = [n for n, m in enumerate(stack) if orientable_by_rowsums(m)]
+    rng.shuffle(order := list(even))
+    for part in (even, order, even[:1], even[-1:]):
+        assert [_report_tuple(r) for r in _blocks(
+            [stack[n] for n in part])] == [expected[n] for n in part]
     if d >= 8:
         assert any(e[4] for e in expected) and not all(e[0] for e in expected)
 
 
 def test_stacked_criteria_reference_matrices():
-    """The reference matrices, alone and stacked with copies of themselves
-    and the zero matrix, against gf2ring.square."""
+    """The reference matrices, alone and in a block stack with copies of
+    themselves and the zero matrix, against gf2ring.square."""
     for m in REFERENCE_MATRICES:
         expected = _criterion_by_square(m)
         assert expected[4]
+        assert _report_tuple(counterexample_criterion(m)) == expected
         stack = [m, BottMatrix.zero(m.dim), m]
-        got = [_report_tuple(r) for r in counterexample_criteria(stack)]
+        got = [_report_tuple(r) for r in _blocks(stack)]
         assert got[0] == got[2] == expected
         assert got[1] == _criterion_by_square(BottMatrix.zero(m.dim))
 
@@ -368,14 +373,17 @@ def test_stacked_criteria_reference_matrices():
 @pytest.mark.parametrize("d", [6, 9, DENSE_DIM_LIMIT, DENSE_DIM_LIMIT + 1,
                                DENSE_DIM_LIMIT + 2])
 def test_stacked_reports_build_polynomials_when_read(d):
-    """A report keeps the kernel values of its slot, ints in the dense
+    """A report keeps the kernel values of its matrix, ints in the dense
     kernel and frozensets in the sparse one, and builds w1, w3 and w3sq
     as polynomials when they are read; they, the witness and
-    ``w3sq_nonzero`` agree with gf2ring.square."""
+    ``w3sq_nonzero`` agree with gf2ring.square.  The block re-check keeps
+    the kernel of the whole matrix, whatever the kernel of its blocks."""
     rng = random.Random(800 + d)
     stack = _mixed_stack(rng, d, 40 if d <= DENSE_DIM_LIMIT else 6)
     kind = int if d <= DENSE_DIM_LIMIT else frozenset
-    for m, r in zip(stack, counterexample_criteria(stack)):
+    even = [m for m in stack if orientable_by_rowsums(m)]
+    for m, r in [(m, counterexample_criterion(m)) for m in stack] + \
+            list(zip(even, _blocks(even))):
         assert {type(r._w1), type(r._w3), type(r._w3sq)} == {kind}
         assert all(isinstance(p, Gf2Poly) for p in (r.w1, r.w3, r.w3sq))
         expected = _criterion_by_square(m)
@@ -451,7 +459,7 @@ def test_report_flags_follow_their_definitions(d):
     full = BottMatrix(d, tuple((1 << d) - (2 << i) for i in range(d)))
     stack = _mixed_stack(rng, d, 40 if d <= DENSE_DIM_LIMIT else 8)
     stack += [full, _even_rows(full)]
-    reports = counterexample_criteria(stack)
+    reports = [counterexample_criterion(m) for m in stack]
     for m, r in zip(stack, reports):
         assert r.orientable is (not r.w1) is orientable_by_rowsums(m)
         assert r.w3sq_nonzero is bool(r.w3sq)
@@ -462,70 +470,82 @@ def test_report_flags_follow_their_definitions(d):
     assert not all(r.orientable for r in reports)
 
 
-def test_stacked_criteria_reject_mixed_dimensions():
-    with pytest.raises(ValueError):
-        counterexample_criteria([BottMatrix.zero(8), BottMatrix.zero(9)])
-    assert counterexample_criteria([]) == []
-
-
-def test_criteria_reject_a_non_matrix():
-    with pytest.raises(TypeError) as info:
-        counterexample_criteria([BottMatrix.zero(8), [[0]]])
-    assert str(info.value) == (
-        "counterexample_criteria expects BottMatrix values")
-
-
 @pytest.mark.parametrize("d", [4, 9, DENSE_DIM_LIMIT + 1])
 def test_criteria_of_counters_reject_out_of_range_counters(d):
     """A counter with a bit above the d(d-1)/2 entries, or a negative one,
-    is refused, where it was truncated to another matrix's report or
-    overflowed; a stack with one such counter is refused whole."""
+    is refused where a criterion is taken from counters, by the ring
+    context and, from d = 6 on, by the block re-check, where it was
+    truncated to another matrix's report or overflowed; a stack with one
+    such counter is refused whole.  The widest orientable counter
+    passes."""
     bits = d * (d - 1) // 2
+    top = counter_from_matrix(_even_rows(BottMatrix(d, tuple(
+        (1 << d) - (2 << i) for i in range(d)))))
     for bad in (1 << bits, -1, (1 << bits) | 5):
-        for counters in ([bad], [0, bad], [5, 0, bad, 3]):
+        with pytest.raises(ValueError, match="outside"):
+            RingContext(d, bad)
+        stacks = ([bad], [0, bad], [5, 0, bad, 3]) if d >= 6 else ()
+        for counters in stacks:
             with pytest.raises(ValueError, match="outside"):
-                criteria_of_counters(d, counters)
-    assert criteria_of_counters(d, []) == []
-    top = (1 << bits) - 1
-    assert criteria_of_counters(d, [top])[0] == \
+                criteria_by_blocks(d, counters)
+    assert _report(RingContext(d, top)) == \
         counterexample_criterion(matrix_from_counter(d, top))
+    if d >= 6:
+        assert criteria_by_blocks(d, [top]) == \
+            [counterexample_criterion(matrix_from_counter(d, top))]
+
+
+def test_criteria_reject_a_non_matrix():
+    for value in ([[0]], None, counter_from_matrix(BottMatrix.zero(8))):
+        with pytest.raises(TypeError) as info:
+            counterexample_criterion(value)
+        assert str(info.value) == \
+            "counterexample_criterion expects a BottMatrix"
 
 
 # ------------------------------------------ square ladder against (1 + y_i)^2
 
-def _w3sq_by_square_product(ctx):
+def _w3sq_by_square_product(ctx, extra=(), dim=None):
     """w3^2 in each slot of ``ctx`` by the route before the index ladder:
-    the degree-6 part of prod (1 + y_i^2), built up to degree 4 and then
-    times y_i twice, per column."""
+    the degree-6 part of prod (1 + z^2) over the y forms and the linear
+    forms z of ``extra``, built up to degree 4 and then times z twice, in
+    the kernel of dimension ``dim`` (the context's own by default)."""
     h = ctx._unit(0)
-    for form in ctx.y_form:
+    for form in ctx.y_form + extra:
         if form:
             h ^= ctx._mul_form(ctx._mul_form(ctx._cut(h, 0, 4), form), form)
-    return ctx._unstack(ctx._cut(h, 6, 6))
+    return ctx._unstack(ctx._cut(h, 6, 6), dim)
 
 
 @pytest.mark.parametrize("d", range(6, DENSE_DIM_LIMIT + 1))
 def test_square_ladder_matches_square_product_stacked(d):
-    """Slot by slot, stacks of 1, 37, RECHECK_STACK - 1 and RECHECK_STACK
+    """Slot by slot in block stacks, the ladder's square of w3 of the d x d
+    matrices, from the block's y forms and the two forms of the last
+    columns: stacks of 1, 2, 37, RECHECK_STACK - 1 and RECHECK_STACK
     seeded counters from both ends of a mixed stack (the zero matrix,
     non-orientable slots, zero columns), and a stack whose column j is
-    zero in every slot."""
+    zero in every slot.  On the orientable stacks the block re-check
+    reports the same squares."""
     rng = random.Random(1000 + d)
     stack = _mixed_stack(rng, d, RECHECK_STACK)
     counters = [counter_from_matrix(m) for m in stack]
-    stacks = [part for size in (1, 37, RECHECK_STACK - 1, RECHECK_STACK)
+    stacks = [part for size in (1, 2, 37, RECHECK_STACK - 1, RECHECK_STACK)
               for part in (counters[:size], counters[-size:])]
-    j = rng.randrange(1, d)
+    j = rng.randrange(1, d - 2)
     stacks.append([counter_from_matrix(BottMatrix(
         d, tuple(r & ~(1 << j) for r in m.rows))) for m in stack[:37]])
-    nonzero = 0
+    nonzero = orientable = 0
     for part in stacks:
-        ctx = RingContext(d, part)
-        got = [r._w3sq for r in _stack_reports(ctx)]
-        assert got == _w3sq_by_square_product(ctx)
+        ctx, last, odd = RingContext._top_left_blocks(d, part)
+        w3 = ctx._cut(_total_class(ctx, 3, last), 3, 3)
+        got = ctx._unstack(ctx._square(w3), d)
+        assert got == _w3sq_by_square_product(ctx, last, d)
+        if not odd:
+            orientable += 1
+            assert [r._w3sq for r in criteria_by_blocks(d, part)] == got
         nonzero += sum(map(bool, got))
     assert not ctx.y_form[j]
-    assert nonzero or d < 8
+    assert orientable and (nonzero or d < 8)
 
 
 @pytest.mark.parametrize("d", range(DENSE_DIM_LIMIT + 1, 17))
@@ -537,7 +557,7 @@ def test_square_ladder_matches_square_product_sparse(d):
     nonzero = 0
     for m in _mixed_stack(rng, d, 6) + [full, _even_rows(full)]:
         ctx = make_context(m)
-        got = [r._w3sq for r in _stack_reports(ctx)]
+        got = [_report(ctx)._w3sq]
         assert type(got[0]) is frozenset
         assert got == _w3sq_by_square_product(ctx)
         nonzero += bool(got[0])
@@ -596,8 +616,8 @@ def test_relabelled_matrices_keep_the_criterion(d):
         # validated: A' is strictly upper triangular again
         pairs.append((m, pi, BottMatrix.from_row_strings(
             BottMatrix(d, tuple(rows)).to_row_strings())))
-    reports = counterexample_criteria([m for m, _, _ in pairs])
-    images = counterexample_criteria([r for _, _, r in pairs])
+    reports = [counterexample_criterion(m) for m, _, _ in pairs]
+    images = [counterexample_criterion(r) for _, _, r in pairs]
     for (m, pi, _), report, image in zip(pairs, reports, images):
         assert (image.orientable, image.verdict) == \
             (report.orientable, report.verdict)
@@ -609,7 +629,7 @@ def test_relabelled_matrices_keep_the_criterion(d):
     assert any(r.verdict for r in reports) or d < 8
 
 
-# ------------------------------------------------- stacks built from counters
+# -------------------------------------------- block stacks built from counters
 
 def _kernel_fields(r):
     return (r.dim, r.orientable, r._w1, r._w3, r._w3sq, r.verdict, r.witness)
@@ -624,75 +644,88 @@ def _slot_windows(ctx, value):
 
 @pytest.mark.parametrize("d", range(6, DENSE_DIM_LIMIT + 1))
 def test_counter_stacks_match_one_matrix_contexts(d):
-    """Stacks of 1, 2, 37, RECHECK_STACK - 1 and RECHECK_STACK seeded
-    counters, every other one with all rows even: each selector covers
-    whole slots, the slots' supports are the y supports of the matrices
-    of the counters, the reports are those of one-matrix contexts, and
-    the slot-repeated masks, sliced from the copies kept per dimension,
-    are those repeated afresh."""
+    """Block stacks of 1, 2, 37, RECHECK_STACK - 1 and RECHECK_STACK
+    seeded d x d counters, every other one with all rows even, in slots of
+    one word up to d = 8, two at d = 9 and more above: each selector
+    covers whole slots, the slots' supports are the y supports of the
+    counters' top-left (d-2) x (d-2) blocks, the block's classes in each
+    slot are the report of the block's own one-matrix context, the block
+    re-check of the orientable counters gives the reports of their
+    matrices' one-matrix contexts, and the slot-repeated masks, sliced
+    from the copies kept per dimension, are those repeated afresh."""
     rng = random.Random(900 + d)
+    n = d - 2
     matrices = [random_bott_matrix(rng, d, rng.random())
                 for _ in range(RECHECK_STACK)]
     matrices[1::2] = [_even_rows(m) for m in matrices[1::2]]
     counters = [counter_from_matrix(m) for m in matrices]
     assert [matrix_from_counter(d, c) for c in counters] == matrices
-    alone = [_kernel_fields(r) for m in matrices
-             for r in _stack_reports(make_context(m))]
+    blocks = [BottMatrix(n, tuple(r & (1 << n) - 1 for r in m.rows[:n]))
+              for m in matrices]
+    alone = [_kernel_fields(_report(make_context(b))) for b in blocks]
     assert any(f[1] for f in alone) and not all(f[1] for f in alone)
-    assert any(f[5] for f in alone) is (d >= 8)
+    whole = [_kernel_fields(counterexample_criterion(m)) for m in matrices]
+    assert any(f[5] for f in whole) is (d >= 8)
     for size in (1, 2, 37, RECHECK_STACK - 1, RECHECK_STACK):
-        ctx = RingContext(d, counters[:size])
+        ctx = RingContext._top_left_blocks(d, counters[:size])[0]
         assert ctx.slots == size
+        assert ctx._width == max(1 << n, 64)
         full, empty = b"\xff" * (ctx._width // 8), bytes(ctx._width // 8)
-        supports = [[0] * d for _ in range(size)]
+        supports = [[0] * n for _ in range(size)]
         for l, form in enumerate(ctx.y_form):
             for m, sel in form:
                 for k, window in enumerate(_slot_windows(ctx, sel)):
                     assert window in (full, empty)
                     supports[k][l] |= (window == full) << m
         assert [tuple(s) for s in supports] == \
-            [make_context(m).y_support for m in matrices[:size]]
-        assert [_kernel_fields(r) for r in _stack_reports(ctx)] == \
-            alone[:size]
+            [make_context(b).y_support for b in blocks[:size]]
+        g = _total_class(ctx, 3)
+        w3 = ctx._cut(g, 3, 3)
+        assert [(n, not w1, w1, w3, w3sq) for w1, w3, w3sq in zip(
+            ctx._unstack(ctx._cut(g, 1, 1)), ctx._unstack(w3),
+            ctx._unstack(ctx._square(w3)))] == [f[:5] for f in alone[:size]]
+        even = counters[1:size:2]
+        assert [_kernel_fields(r) for r in criteria_by_blocks(d, even)] == \
+            whole[1:size:2]
 
         def fresh(mask):
             return int.from_bytes(
                 mask.to_bytes(ctx._width // 8, "little") * size, "little")
-        assert ctx._free == tuple(fresh(f) for f in _free_slots(d))
+        assert ctx._free == tuple(fresh(f) for f in _free_slots(n))
         assert ctx._repeat(1) == fresh(1)
-        for lo, hi in ((0, 2), (0, 4), (1, 1), (3, 3), (6, 6)):
-            assert ctx._cut(-1, lo, hi) == fresh(_degree_mask(d, lo, hi))
+        for lo, hi in ((0, 2), (0, 4), (1, 1), (3, 3), (4, 4)):
+            assert ctx._cut(-1, lo, hi) == fresh(_degree_mask(n, lo, hi))
 
 
 @pytest.mark.parametrize("d", [2, 3, 6, 9, DENSE_DIM_LIMIT,
                                DENSE_DIM_LIMIT + 1])
 def test_rowsum_cross_check_sees_every_row(d):
-    """A matrix whose only odd row is row m, for every m, between two zero
-    matrices: its w1 is x_m, and the stack-wide cross-check agrees that
-    it alone is not orientable."""
-    zero = BottMatrix.zero(d)
+    """A matrix whose only odd row is row m, for every m, with its one
+    entry next to the diagonal or in the last column: its w1 is x_m, and
+    the cross-check of its criterion agrees that it is not orientable,
+    as the zero matrix is, in the dense kernel and the sparse one."""
+    assert counterexample_criterion(BottMatrix.zero(d)).orientable
     for m in range(d - 1):
         for l in {m + 1, d - 1}:
-            odd = BottMatrix(d, tuple((i == m) << l for i in range(d)))
-            reports = counterexample_criteria([zero, odd, zero])
-            assert [r.orientable for r in reports] == [True, False, True]
-            assert reports[1].w1 == Gf2Poly.variable(m)
+            report = counterexample_criterion(
+                BottMatrix(d, tuple((i == m) << l for i in range(d))))
+            assert not report.orientable
+            assert report.w1 == Gf2Poly.variable(m)
 
 
 @pytest.mark.parametrize("d", [8, DENSE_DIM_LIMIT + 1])
 def test_disagreeing_w1_fails_the_rowsum_cross_check(monkeypatch, d):
-    """A w1 that gains an x_1 term in one slot disagrees with that slot's
-    even rows, and the stack-wide cross-check raises."""
+    """A w1 that gains an x_1 term disagrees with the even rows of the
+    zero matrix, and the criterion's cross-check raises, in the dense
+    kernel and the sparse one."""
     real = charclass._total_class
 
     def corrupt(ctx, top):
         g = real(ctx, top)
-        if not ctx._dense:
-            return g ^ frozenset((1,))
-        return g ^ 2 << (ctx.slots // 2) * ctx._width
+        return g ^ (frozenset((1,)) if isinstance(g, frozenset) else 2)
     monkeypatch.setattr(charclass, "_total_class", corrupt)
     with pytest.raises(AssertionError, match="row sums"):
-        counterexample_criteria([BottMatrix.zero(d)] * 5)
+        counterexample_criterion(BottMatrix.zero(d))
 
 
 # ------------------------------------------------------------ lane kernel
@@ -780,13 +813,14 @@ def _orientable_counters(rng, d, count):
 @pytest.mark.parametrize("d", range(6, 17))
 def test_block_recheck_matches_stacked_criterion(d):
     """Seeded orientable counters, field for field with kernel types,
-    against the stacked criterion of the whole matrices: across the dense
-    limit of A (d = 13, 14) and of B (d = 15, 16), in a full block stack
-    followed by a short one, and in short stacks alone."""
+    against the criterion of each whole matrix: across the dense limit of
+    A (d = 13, 14) and of B (d = 15, 16), in a full block stack followed
+    by a short one, and in short stacks alone."""
     rng = random.Random(2400 + d)
     step = RingContext.stack_limit(d - 2)
     counters = _orientable_counters(rng, d, step + 37 if step > 1 else 12)
-    expected = [_typed_fields(r) for r in criteria_of_counters(d, counters)]
+    expected = [_typed_fields(counterexample_criterion(
+        matrix_from_counter(d, c))) for c in counters]
     assert [_typed_fields(r) for r in criteria_by_blocks(d, counters)] == \
         expected
     for size in (1, 2, 37):
@@ -797,14 +831,13 @@ def test_block_recheck_matches_stacked_criterion(d):
 
 def test_block_recheck_matches_every_d8_shard_hit():
     """Every hit of d=8 shard 870/2048, whose reports the search builds
-    by blocks, against the stacked criterion of its counter."""
+    by blocks, against the criterion of its matrix."""
     from bottforge.search import SearchSpec, enumerate_space
     hits = []
     enumerate_space(SearchSpec(dim=8, partition=(870, 2048)), hits.append)
     assert len(hits) == 6208
-    expected = criteria_of_counters(8, [h.counter for h in hits])
     assert [_typed_fields(h.report) for h in hits] == \
-        [_typed_fields(r) for r in expected]
+        [_typed_fields(counterexample_criterion(h.matrix)) for h in hits]
 
 
 @pytest.mark.parametrize("d", [6, 8, 9, DENSE_DIM_LIMIT, DENSE_DIM_LIMIT + 2,
@@ -830,8 +863,7 @@ def test_block_recheck_refuses_each_odd_row(d):
 
 def test_block_recheck_below_dimension_six():
     """An empty list gives no report at any dimension; a non-empty one
-    below d = 6, where no matrix passes and a counter would not fit the
-    slots of its block, is refused."""
+    below d = 6, where no matrix passes, is refused."""
     for d in range(1, 65):
         assert criteria_by_blocks(d, []) == []
     for d in range(1, 6):
@@ -864,8 +896,8 @@ def test_d8_block_hits_are_0_32_or_64():
                 row | (row.bit_count() & 1) << 7 for row in rows) + (0, 0)))
         assert all(orientable_by_rowsums(m) for m in completions)
         by_lanes = w3_square_lanes(8, _entry_lanes(completions), 64)
-        by_criterion = sum(r.verdict << n for n, r in
-                           enumerate(counterexample_criteria(completions)))
+        by_criterion = sum(counterexample_criterion(m).verdict << n
+                           for n, m in enumerate(completions))
         assert by_lanes == by_criterion
         assert by_lanes.bit_count() in (0, 32, 64)
         seen.add(by_lanes.bit_count())

@@ -9,8 +9,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from bottforge.charclass import (stiefel_whitney, total_steenrod_square,
-                                 total_stiefel_whitney)
+from bottforge.charclass import (criteria_by_blocks, stiefel_whitney,
+                                 total_steenrod_square, total_stiefel_whitney)
 from bottforge.gf2ring import (
     DENSE_DIM_LIMIT,
     RECHECK_STACK,
@@ -257,7 +257,7 @@ def test_reduce_against_naive_rewriter():
 def test_all_cubes_vanish_at_d14():
     """prod x_i^3 has degree 42, above the top degree 14, so it is 0 in
     every ring of dimension 14; the product of the x_i alone is not."""
-    full = RingContext(14, [(1 << 91) - 1])
+    full = RingContext(14, (1 << 91) - 1)
     assert reduce_exponents(full, (3,) * 14) == Gf2Poly.zero()
     top = Gf2Poly.from_masks([(1 << 14) - 1])
     assert reduce_exponents(full, (1,) * 14) == top
@@ -549,25 +549,37 @@ def test_products_preserve_grading():
 
 
 def test_stacked_rejects_an_empty_stack():
-    with pytest.raises(ValueError, match="at least one matrix"):
-        RingContext(8, [])
+    """A ring context holds one matrix: the constructor takes one int
+    counter and refuses a stack of any size, the empty one and the one of
+    a single counter included, and a value that only equals an int."""
+    for counter in ([], [0], (5,), [0, 1], 0.0, True, None, "0"):
+        with pytest.raises(TypeError, match="single int counter"):
+            RingContext(8, counter)
+    assert RingContext(8, 5).slots == 1
 
 
-def test_stacked_takes_at_most_a_full_dense_stack():
-    with pytest.raises(ValueError, match="at most"):
-        RingContext(8, [0] * (RECHECK_STACK + 1))
-    # above the dense kernel a context holds one matrix
-    with pytest.raises(ValueError, match="at most 1 "):
-        RingContext(DENSE_DIM_LIMIT + 1, [0, 0])
+def test_stacked_takes_at_most_a_full_dense_stack(monkeypatch):
+    """Only the block re-check stacks matrices, RECHECK_STACK at most in
+    the dense kernel and one in the frozenset kernel, block dimension by
+    block dimension: a list one longer than a full stack is re-checked in
+    a full stack and a stack of one."""
     for dim in (0, 65):
         with pytest.raises(ValueError, match="outside"):
-            RingContext(dim, [0])
-    for dim in (1, 8, DENSE_DIM_LIMIT, DENSE_DIM_LIMIT + 1, 64):
+            RingContext(dim, 0)
+    sizes = []
+    real = RingContext._top_left_blocks.__func__
+
+    def spy(cls, d, counters):
+        sizes.append(len(counters))
+        return real(cls, d, counters)
+    monkeypatch.setattr(RingContext, "_top_left_blocks", classmethod(spy))
+    for dim in (4, 8, DENSE_DIM_LIMIT, DENSE_DIM_LIMIT + 1):
         most = RingContext.stack_limit(dim)
         assert most == (RECHECK_STACK if dim <= DENSE_DIM_LIMIT else 1)
-        assert RingContext(dim, [0] * most).slots == most
-        with pytest.raises(ValueError, match=f"at most {most} "):
-            RingContext(dim, [0] * (most + 1))
+        sizes.clear()
+        assert len(criteria_by_blocks(dim + 2, [0] * (most + 1))) == most + 1
+        assert sizes == [most, 1]
+    assert RingContext.stack_limit(64) == 1
 
 
 @pytest.mark.parametrize("d", [1, 4, 8, DENSE_DIM_LIMIT + 1, 64])
@@ -575,14 +587,14 @@ def test_context_rejects_out_of_range_counters(d):
     """Counters outside 0..2^(d(d-1)/2)-1 are refused, not truncated;
     both ends of the range are accepted."""
     top = (1 << d * (d - 1) // 2) - 1
-    assert RingContext(d, [0]).entries == 0
-    assert RingContext(d, [top]).entries == top
+    assert RingContext(d, 0).entries == 0
+    assert RingContext(d, top).entries == top
     for bad in (top + 1, -1, -top - 1, top + 1 << 3):
         with pytest.raises(ValueError, match="outside"):
-            RingContext(d, [bad])
-        if d <= DENSE_DIM_LIMIT:
+            RingContext(d, bad)
+        if 3 <= d <= DENSE_DIM_LIMIT:
             with pytest.raises(ValueError, match="outside"):
-                RingContext(d, [0, bad, top])
+                RingContext._top_left_blocks(d, [0, bad, top])
 
 
 def _mixed_counters(rng, d, count):
@@ -615,7 +627,9 @@ def test_slots_round_trip(d, size):
     """The block contexts of d = 6..14, of dimension 4..12: the packed
     counters unstack to the counters, the widest and, from d = 12 on,
     those of 2^64 and more included; seeded stacked values unstack as
-    per-slot byte slices do, in slots of 2^(d-2) bits."""
+    per-slot byte slices do, in slots of 2^(d-2) bits and at least one
+    64-bit word: one word up to d = 8, two at d = 9, 2^(d-8) from
+    d = 10 on."""
     rng = random.Random(2500 + d + size)
     bits = d * (d - 1) // 2
     counters = [(1 << bits) - 1] + [rng.getrandbits(bits)
@@ -626,7 +640,8 @@ def test_slots_round_trip(d, size):
     assert ctx._unstack(ctx.entries) == counters
     if bits > 64:
         assert max(counters) >> 64
-    width = 1 << d - 2
+    width = max(1 << d - 2, 64)
+    assert ctx._width == width
     full = width * size
     values = [rng.getrandbits(full) for _ in range(3)] + [
         1 << full - 1, sum(1 << width * k for k in range(size)),
@@ -661,7 +676,7 @@ def test_top_left_blocks_read_whole_counters(d, size):
                 out[k] |= bool(v) << m
         return out
     assert [tuple(s) for s in zip(*map(slot_supports, ctx.y_form))] == \
-        [RingContext(n, [b]).y_support for b in blocks]
+        [RingContext(n, b).y_support for b in blocks]
     for form, col in zip(last, (n, d - 1)):
         assert slot_supports(form) == [
             m.column_support(col) & (1 << n) - 1 for m in matrices]
@@ -669,52 +684,46 @@ def test_top_left_blocks_read_whole_counters(d, size):
         [int(not orientable_by_rowsums(m)) for m in matrices]
 
 
-def test_top_left_blocks_refuse_counters_wider_than_a_slot():
-    """At d = 5 a counter has 10 bits and a slot of the 3 x 3 blocks' ring
-    only 8; from d = 6 on the counter fits."""
-    with pytest.raises(ValueError, match="does not fit"):
-        RingContext._top_left_blocks(5, [0])
-    assert RingContext._top_left_blocks(6, [(1 << 15) - 1])[0].slots == 1
-
-
 @pytest.mark.parametrize("d,size", [(9, 1), (9, 2), (9, 255), (9, 256),
                                     (DENSE_DIM_LIMIT, 256), (13, 1),
                                     (40, 1), (64, 1)])
 def test_slot_primitives_match_one_matrix_contexts(d, size):
-    """The slot primitives on dense stacks of ``size`` slots and on
-    sparse one-matrix contexts, each slot against its own one-matrix
-    context and the row-sum test: the slots with an odd row, the nonzero
-    slots of w1, w1^2, w1 * y_d and w1 * x_d (w1 is nonzero exactly where
-    a row is odd), and the lowest term and some coefficients of each slot's
-    values, against their polynomials."""
+    """The slot primitives on block stacks of ``size`` d x d counters, in
+    slots of one, two and sixteen words, and on blocks alone in a stack of
+    one, from the sparse kernel's on, each slot against the one-matrix
+    context of its block and the row-sum test: the slots whose matrix has
+    an odd row, then w1, w1^2, w1 * y_{d-2} and w1 * x_{d-2} of the block
+    (w1 is nonzero exactly where a row of the block is odd), and the
+    lowest term and some coefficients of each slot's values, against
+    their polynomials."""
     rng = random.Random(1900 + d + size)
     if d <= DENSE_DIM_LIMIT:
         stacks = [_mixed_counters(rng, d, size)]
     else:
         stacks = [[c] for c in _mixed_counters(rng, d, 6)]
     seen = set()
+    n = d - 2
     for part in stacks:
-        ctx = RingContext(d, part)
-        assert ctx.slots == size <= RingContext.stack_limit(d)
-
-        def slot_bits(flags):
-            return [v & 1 for v in ctx._unstack(flags)]
-        odd = [int(not orientable_by_rowsums(matrix_from_counter(d, c)))
-               for c in part]
-        assert slot_bits(ctx._odd_row_slots()) == odd
-        alone = [_slot_values(RingContext(d, [c])) for c in part]
+        ctx, _, odd = RingContext._top_left_blocks(d, part)
+        assert ctx.slots == size <= RingContext.stack_limit(n)
+        assert [v & 1 for v in ctx._unstack(odd)] == [
+            int(not orientable_by_rowsums(matrix_from_counter(d, c)))
+            for c in part]
+        blocks = [BottMatrix(n, tuple(row & (1 << n) - 1 for row in
+                                      matrix_from_counter(d, c).rows[:n]))
+                  for c in part]
+        alone = [_slot_values(make_context(b)) for b in blocks]
         values = _slot_values(ctx)
-        assert ctx._nonzero_slots(values[0]) == ctx._odd_row_slots()
-        for n, value in enumerate(values):
+        assert [bool(v) for v in ctx._unstack(values[0])] == \
+            [not orientable_by_rowsums(b) for b in blocks]
+        for k, value in enumerate(values):
             slots = ctx._unstack(value)
-            assert slots == [own[n] for own in alone]
-            assert slot_bits(ctx._nonzero_slots(value)) == \
-                [int(bool(v)) for v in slots]
+            assert slots == [own[k] for own in alone]
             for v in slots:
                 terms = RingContext._wrap(v).terms
-                seen.add((n, bool(terms)))
+                seen.add((k, bool(terms)))
                 assert RingContext._lowest(v) == min(terms, default=None)
-                probes = sorted(terms)[:6] + [rng.getrandbits(d)
+                probes = sorted(terms)[:6] + [rng.getrandbits(n)
                                               for _ in range(6)]
                 assert [RingContext._coefficient(v, m) for m in probes] == \
                     [int(m in terms) for m in probes]
@@ -723,43 +732,11 @@ def test_slot_primitives_match_one_matrix_contexts(d, size):
                 (3, True)} <= seen
 
 
-def test_stacked_context_has_no_single_y_classes():
-    """A stack of more than one matrix has no y_support or yclass of its
-    own: both read None, as documented.  A stack of one has both."""
-    ctx = RingContext(8, [0, 1])
-    assert ctx.slots == 2
-    assert ctx.y_support is None and ctx.yclass is None
-    one = RingContext(8, [1])
-    assert one.y_support == (0, 1) + (0,) * 6
-    assert one.yclass[1] == Gf2Poly.variable(0)
-
-
-def test_one_polynomial_functions_refuse_a_stack():
-    """multiply, square, reduce_exponents, relation_strings,
-    pairing_matrix and the Stiefel-Whitney and Steenrod functions answer
-    for one matrix, so a stack of more is refused with its slot count;
-    each slot's own context answers."""
-    p = Gf2Poly.from_monomial_strings(["x1", "x2", "x3x4"])
-    calls = (lambda ctx: multiply(ctx, p, p), lambda ctx: square(ctx, p),
-             lambda ctx: reduce_exponents(ctx, (0, 0, 2, 0)),
-             relation_strings, lambda ctx: pairing_matrix(ctx, 2),
-             lambda ctx: stiefel_whitney(ctx, 1), total_stiefel_whitney,
-             lambda ctx: total_steenrod_square(ctx, p))
-    for call in calls:
-        for counters in ([0, 0b111111], [7] * 5):
-            with pytest.raises(ValueError, match=f"stack of {len(counters)}"):
-                call(RingContext(4, counters))
-    # all entries 1: x1^2 = 0, x2^2 = x1x2, and x3^2 x4^2 = 0 by hand
-    assert square(RingContext(4, [0b111111]), p) == \
-        Gf2Poly.from_monomial_strings(["x1x2"])
-    assert square(RingContext(4, [0]), p) == Gf2Poly.zero()
-
-
 def test_foreign_monomials_are_refused():
     """A caller's polynomial with a monomial on a generator beyond the
     ring's is refused with a ValueError that names that monomial, where it
     would otherwise be read as 0 or index past the y classes."""
-    ctx = RingContext(3, [0b111])
+    ctx = RingContext(3, 0b111)
     x1 = Gf2Poly.variable(0)
     calls = (("square", lambda p: square(ctx, p)),
              ("multiply", lambda p: multiply(ctx, p, x1)),

@@ -8,6 +8,9 @@ through that module by another module of the package or by the
 benchmark; a test is no reader.
 Tower guard: ``odometer`` labels cosets through the adjugate, so it calls
 no Smith-form routine and, keeping no cache, imports no ``threading``.
+Stack guard: a public ring context holds one matrix, and only the
+search's block re-check stacks matrices, so the block stack builder has
+one caller and the packing of stacks stays inside ``gf2ring``.
 """
 
 import ast
@@ -258,3 +261,74 @@ def test_tower_guard_sees_each_kind_of_use():
     assert sorted(smith_machinery(source)) == [
         "1: threading", "2: threading", "3: threading", "7: FgAbGroup",
         "7: smith_normal_form", "8: _snf_full", "8: kernel_columns"]
+
+
+# each builder of a stacked context: the module that may call it, and the
+# function of that module that may, None for any
+STACK_BUILDERS = {
+    "_top_left_blocks": ("charclass", "criteria_by_blocks"),
+    "_load": ("gf2ring", None),
+    "_pack_words": ("gf2ring", None),
+}
+
+
+def stack_builds(source: str, module: str) -> list[str]:
+    """Each call in ``source``, the source of the package module
+    ``module``, of a routine in STACK_BUILDERS, by name or as an
+    attribute, from outside the module or function allowed to call it, as
+    ``line: name``; a call belongs to its innermost enclosing function."""
+    found = []
+
+    def visit(node, func):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                visit(child, child.name)
+                continue
+            if isinstance(child, ast.Call):
+                name = child.func.attr if isinstance(
+                    child.func, ast.Attribute) else getattr(
+                        child.func, "id", None)
+                if name in STACK_BUILDERS:
+                    home, caller = STACK_BUILDERS[name]
+                    if module != home or caller not in (None, func):
+                        found.append(f"{child.lineno}: {name}")
+            visit(child, func)
+    visit(ast.parse(source), None)
+    return found
+
+
+@pytest.mark.parametrize("module", MODULES)
+def test_only_the_block_recheck_stacks_matrices(module):
+    source = (PACKAGE / module).read_text()
+    assert stack_builds(source, module[:-3]) == []
+    # from no module at all, every call is flagged: the builders that the
+    # module calls, which the guard would miss under other names
+    called = {found.split(": ")[1] for found in stack_builds(source, "")}
+    assert called == {"charclass.py": {"_top_left_blocks"},
+                      "gf2ring.py": {"_load", "_pack_words"}}.get(
+                          module, set())
+
+
+def test_stack_guard_sees_each_kind_of_call():
+    """The guard is not vacuous: it flags each builder called by name or
+    as an attribute outside its module, the block builder called from
+    another function of charclass or from a function nested in the
+    re-check, and passes the calls where they belong."""
+    source = "\n".join([
+        "def criteria_by_blocks(d, cs):",
+        "    ctx = RingContext._top_left_blocks(d, cs)",
+        "    def inner():",
+        "        return _top_left_blocks(d, cs)",
+        "    return ctx._load(d, cs, d), _pack_words(cs, 1, 3)",
+        "def counterexample_criterion(m):",
+        "    return RingContext._top_left_blocks(m.dim, [0])",
+        "x = _load(1, [0], 1)",
+    ])
+    assert stack_builds(source, "charclass") == [
+        "4: _top_left_blocks", "5: _load", "5: _pack_words",
+        "7: _top_left_blocks", "8: _load"]
+    assert stack_builds(source, "gf2ring") == [
+        "2: _top_left_blocks", "4: _top_left_blocks", "7: _top_left_blocks"]
+    assert stack_builds(source, "search") == [
+        "2: _top_left_blocks", "4: _top_left_blocks", "5: _load",
+        "5: _pack_words", "7: _top_left_blocks", "8: _load"]

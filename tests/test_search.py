@@ -6,7 +6,7 @@ import os
 import pickle
 import random
 from dataclasses import fields, replace
-from itertools import islice, product
+from itertools import islice, pairwise, product
 
 import pytest
 
@@ -450,6 +450,47 @@ def test_run_partitioned_parts_share_exhaustive_work():
         assert len(bounds) - 1 == \
             max(1, -(-ranks[-1] // width) - ranks[0] // width)
     assert len(bounds) == 2
+
+
+def test_random_parts_hold_about_one_kernel_batch():
+    """Random-mode parts grow no longer with the run: past
+    PARTS_PER_JOB * jobs parts, none holds more than 2^(LANE_BITS + d - 1)
+    draws, about one kernel batch of orientable ones.  A d=20 batch takes
+    2^32 draws, so 10^9 of them keep PARTS_PER_JOB parts per worker."""
+    total = 10 ** 9
+    for d, jobs, parts, most in ((9, 2, 477, 1 << 21), (9, 7, 477, 1 << 21),
+                                 (3, 2, 30518, 1 << 15),
+                                 (20, 2, 16, total // 16)):
+        spec = SearchSpec(dim=d, mode="random", limit=total)
+        bounds = search._part_bounds(spec, 0, total, jobs)
+        sizes = [b - a for a, b in pairwise(bounds)]
+        assert bounds[0] == 0 and bounds[-1] == total
+        assert len(sizes) == parts
+        assert max(sizes) <= most
+        assert max(sizes) - min(sizes) <= 1
+
+
+def test_random_parts_are_never_empty():
+    """A short run splits into one part per draw at most, and a run of
+    one draw, or of none, runs without a pool."""
+    for limit in range(1, 41):
+        spec = SearchSpec(dim=9, mode="random", limit=limit)
+        bounds = search._part_bounds(spec, *search._spec_range(spec), 2)
+        assert all(a < b for a, b in pairwise(bounds))
+        assert len(bounds) - 1 == min(limit, search.PARTS_PER_JOB * 2)
+    assert search._part_bounds(spec, 7, 7, 2) == [7, 7]
+
+
+def test_run_partitioned_random_many_parts_match_serial():
+    """A d=3 run of 2^20 draws splits into 32 parts, more than
+    PARTS_PER_JOB per worker, and merges to the serial run."""
+    spec = SearchSpec(dim=3, mode="random", limit=1 << 20, seed=11)
+    assert len(search._part_bounds(spec, 0, 1 << 20, 2)) - 1 == 32
+    serial, serial_hits = run_partitioned(spec, 1)
+    merged, merged_hits = run_partitioned(spec, 2)
+    assert (merged.candidates, merged.tested, merged.pruned, merged.hits) == \
+        (serial.candidates, serial.tested, serial.pruned, serial.hits)
+    assert merged.tested > 0 and merged_hits == serial_hits == []
 
 
 def test_run_partitioned_streams_to_sink():
