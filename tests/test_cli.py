@@ -961,8 +961,8 @@ PUBLIC_NAMES = [
     "OdometerTower", "RingContext", "SearchHit", "SearchSpec", "SearchStats",
     "SingularMatrixError", "SmithDecomposition", "SpecTooLargeError",
     "StationarySystem", "SwReport", "__version__", "act", "basis_masks",
-    "check_beta_torsion_iso", "counterexample_criterion", "direct_limit_torsion", "enumerate_space",
-    "escape_level", "expanding_check", "format_monomial", "hit_record",
+    "check_beta_torsion_iso", "counterexample_criterion",
+    "direct_limit_torsion", "enumerate_space", "escape_level", "expanding_check", "format_monomial", "hit_record",
     "is_transitive", "level_order", "limit_torsion_bound", "make_context",
     "minimal_dimension_survey", "multiply", "pairing_matrix", "parse_monomial",
     "project", "reduce_exponents", "relation_strings", "reproduce_reference",
