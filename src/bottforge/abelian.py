@@ -36,6 +36,18 @@ class BudgetExceeded(RuntimeError):
     """Raised when an enumeration would exceed its element budget."""
 
 
+def _int_vector(vec, n: int | None = None) -> tuple[int, ...]:
+    """``vec`` as a tuple of ints, of length ``n`` when given; an entry
+    that is not an int (a bool is not) raises ``ValueError`` naming it."""
+    vec = tuple(vec)
+    if n is not None and len(vec) != n:
+        raise ValueError("vector length mismatch")
+    for x in vec:
+        if not isinstance(x, int) or isinstance(x, bool):
+            raise ValueError(f"entry {x!r} is not an integer")
+    return tuple(map(int, vec))
+
+
 class IntMatrix(FrozenRecord):
     """Immutable integer matrix stored as a tuple of row tuples."""
 
@@ -46,14 +58,7 @@ class IntMatrix(FrozenRecord):
 
     @classmethod
     def from_rows(cls, rows) -> "IntMatrix":
-        checked = []
-        for r in rows:
-            row = []
-            for x in r:
-                if not isinstance(x, int) or isinstance(x, bool):
-                    raise ValueError(f"entry {x!r} is not an integer")
-                row.append(int(x))
-            checked.append(tuple(row))
+        checked = [_int_vector(r) for r in rows]
         if not checked:
             raise ValueError("matrix needs at least one row")
         width = len(checked[0])
@@ -146,9 +151,6 @@ class IntMatrix(FrozenRecord):
         :meth:`charpoly_adjugate`; 1 for a 0 x 0 matrix."""
         return (-1) ** self.nrows * self.charpoly_adjugate()[0][-1]
 
-    def __str__(self) -> str:
-        return "\n".join(" ".join(str(x) for x in r) for r in self.rows)
-
 
 class SmithDecomposition(FrozenRecord):
     """U * M * V = D with U, V unimodular and D in Smith normal form."""
@@ -166,35 +168,24 @@ class SmithDecomposition(FrozenRecord):
 
 
 def _snf_full(m: IntMatrix):
-    """Return (U, D, V, Uinv) with U m V = D in Smith normal form.
+    """Return (U, D, V) with U m V = D in Smith normal form.
 
     Pivoting picks the smallest nonzero absolute value in the remaining
     block; a divisibility fix-up folds offending rows into the pivot row
     until the diagonal forms a chain.  Every elementary operation is one
     row operation on each tracked object: D and U share their rows as
-    ``[D | U]``, and V and Uinv are kept transposed, so a column operation
-    on V and the inverse of a row operation on U act on rows too.  The
-    inverse comes out exact.
+    ``[D | U]``, and V is kept transposed, so a column operation on V acts
+    on a row too.  U^-1 is not tracked; :meth:`FgAbGroup.element_from_coords`
+    forms it where it is read.
     """
     r, c = m.nrows, m.ncols
     d = [list(row + e)  # [D | U]
          for row, e in zip(m.rows, IntMatrix.identity(r).rows)]
-    uinv_t = [list(row) for row in IntMatrix.identity(r).rows]
     v_t = [list(row) for row in IntMatrix.identity(c).rows]
 
-    def row_swap(a, b):
-        d[a], d[b] = d[b], d[a]
-        uinv_t[a], uinv_t[b] = uinv_t[b], uinv_t[a]
-
     def row_addmul(dst, src, q):
-        # row dst += q * row src; the inverse op takes column src of uinv
-        # down by q * column dst
+        # row dst += q * row src
         d[dst] = [x + q * y for x, y in zip(d[dst], d[src])]
-        uinv_t[src] = [x - q * y for x, y in zip(uinv_t[src], uinv_t[dst])]
-
-    def row_negate(a):
-        d[a] = [-x for x in d[a]]
-        uinv_t[a] = [-x for x in uinv_t[a]]
 
     def col_swap(a, b):
         for row in d:
@@ -220,11 +211,11 @@ def _snf_full(m: IntMatrix):
             if best is None:
                 break
             if best[0] != t:
-                row_swap(t, best[0])
+                d[t], d[best[0]] = d[best[0]], d[t]
             if best[1] != t:
                 col_swap(t, best[1])
             if d[t][t] < 0:
-                row_negate(t)
+                d[t] = [-x for x in d[t]]
             pivot = d[t][t]
             dirty = False
             for i in range(t + 1, r):
@@ -254,18 +245,17 @@ def _snf_full(m: IntMatrix):
     # direct construction: a zero-column factor is a legal 0 x 0 matrix
     return (IntMatrix(tuple(tuple(row[c:]) for row in d)),
             IntMatrix(tuple(tuple(row[:c]) for row in d)),
-            IntMatrix(tuple(zip(*v_t))), IntMatrix(tuple(zip(*uinv_t))))
+            IntMatrix(tuple(zip(*v_t))))
 
 
 def smith_normal_form(m: IntMatrix) -> SmithDecomposition:
     """Smith normal form with transforming matrices, exact over Z."""
-    u, d, v, _ = _snf_full(m)
-    return SmithDecomposition(U=u, D=d, V=v)
+    return SmithDecomposition(*_snf_full(m))
 
 
 def kernel_columns(m: IntMatrix) -> IntMatrix:
     """Basis of the integer kernel of ``m``, returned as matrix columns."""
-    _, d, v, _ = _snf_full(m)
+    _, d, v = _snf_full(m)
     steps = min(m.nrows, m.ncols)
     keep = [j for j in range(m.ncols)
             if j >= steps or d.entry(j, j) == 0]
@@ -281,9 +271,8 @@ class FgAbGroup:
             raise ValueError("need at least one generator")
         self.relations = relations
         self.generators = relations.nrows
-        u, d, _, uinv = _snf_full(relations)
+        u, d, _ = _snf_full(relations)
         self._u = u
-        self._uinv = uinv
         steps = min(relations.nrows, relations.ncols)
         diag = [d.entry(i, i) for i in range(steps)]
         # pad with zeros: generators beyond the diagonal are free
@@ -328,7 +317,7 @@ class FgAbGroup:
         Entry i is taken mod the i-th diagonal invariant (exact for free
         positions), so equal classes get equal tuples.
         """
-        w = self._u.mul_vec(vec)
+        w = self._u.mul_vec(_int_vector(vec, self.generators))
         return tuple(x % dd if dd else x for x, dd in zip(w, self._diag))
 
     def is_endomorphism(self, b: IntMatrix) -> bool:
@@ -355,8 +344,14 @@ class FgAbGroup:
             yield tuple(full)
 
     def element_from_coords(self, coords) -> tuple[int, ...]:
-        """An ambient representative of the class with given coordinates."""
-        return self._uinv.mul_vec(coords)
+        """An ambient representative of the class with given coordinates:
+        U^-1 coords, for the U of :meth:`coords`.  As det U = +-1, U^-1 is
+        det(U) adj(U), and each call forms it by one Faddeev-LeVerrier
+        pass over U (:meth:`IntMatrix.charpoly_adjugate`)."""
+        coords = _int_vector(coords, self.generators)
+        poly, adj = self._u.charpoly_adjugate()
+        det = (-1) ** self.generators * poly[-1]
+        return tuple(det * x for x in adj.mul_vec(coords))
 
 
 def torsion_subgroup(group: FgAbGroup) -> list[int]:

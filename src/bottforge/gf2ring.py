@@ -416,22 +416,15 @@ class RingContext:
                 else rep >> mask & 1)
 
     def _odd_row_slots(self, d: int | None = None) -> int:
-        """Bit 0 of each slot set exactly where the d x d matrix of the
-        slot's counter (d = ``dim`` by default) has a row of odd sum: a
-        parity fold within rows leaves each row's sum at its last entry,
-        and the row ends of a slot, which all lie below the power of 2
-        ``span``, are ORed into its bit 0 by halving the span."""
-        d = d or self.dim
-        stages, ends = _row_fold(d)
+        """Nonzero in exactly the slots whose d x d matrix (d = ``dim`` by
+        default) has a row of odd sum: a parity fold within rows leaves
+        each row's sum at its last entry, and each slot keeps its own
+        row-end bits, set where the row is odd."""
+        stages, ends = _row_fold(d or self.dim)
         fold = self.entries
         for k, keep in stages:
             fold ^= fold << k & self._repeat(keep)
-        fold &= self._repeat(ends)
-        span = 1 << (d * (d - 1) // 2 - 1).bit_length()
-        while span > 1:
-            span >>= 1
-            fold |= fold >> span
-        return fold & self._repeat(1)
+        return fold & self._repeat(ends)
 
     def _unstack(self, rep, dim: int | None = None) -> list:
         """The one-slot kernel values of the slots of ``rep``, in order,

@@ -16,12 +16,15 @@ det^i divides M^i w, and M^i w / det^i is then a representative of its
 coset; translation and projection label that representative, which adds
 labels and maps w to M w / det.  The first inexact division by det is the
 escape level.  Every level is one orbit by theorem.
+
+Vectors, translations and labels have ``int`` entries; any other entry,
+a bool included, raises ``ValueError`` naming it.
 """
 
 from __future__ import annotations
 
 from ._record import FrozenRecord
-from .abelian import BudgetExceeded, IntMatrix
+from .abelian import BudgetExceeded, IntMatrix, _int_vector
 # importable from here for the benchmark's trace hooks, which patch it by
 # name; the tower itself builds no Smith form
 from .abelian import _snf_full  # noqa: F401
@@ -65,8 +68,7 @@ class OdometerTower:
         """The label adj(M)^i vec mod |det|^i of the coset of ``vec``."""
         if i < 0:
             raise ValueError("level must be non-negative")
-        if len(vec := tuple(vec)) != self.dim:
-            raise ValueError("vector length mismatch")
+        vec = _int_vector(vec, self.dim)
         modulus = abs(self.det) ** i
         for _ in range(i):
             vec = tuple(x % modulus for x in self.adjugate.mul_vec(vec))
@@ -80,8 +82,7 @@ class OdometerTower:
         otherwise when it has not escaped by level i (:func:`escape_level`)."""
         if i < 0:
             raise ValueError("level must be non-negative")
-        if len(vec := tuple(vec)) != self.dim:
-            raise ValueError("vector length mismatch")
+        vec = _int_vector(vec, self.dim)
         return i == 0 or not any(vec) or escape_level(self, vec, i) is None
 
 
@@ -96,7 +97,7 @@ def _representative(tower: OdometerTower, point: LevelPoint) -> tuple[int, ...]:
     """A vector v whose coset has the label w = ``point.coords``: v =
     M^i w / det^i, as adj(M)^i M^i = det^i I.  Such a v exists exactly when
     det^i divides M^i w; any other tuple labels no coset."""
-    vec = point.coords
+    vec = _int_vector(point.coords, tower.dim)
     for _ in range(point.level):
         vec = tower.matrix.mul_vec(vec)
     scale = tower.det ** point.level
@@ -111,8 +112,7 @@ def act(tower: OdometerTower, gamma, point: LevelPoint) -> LevelPoint:
     of v + gamma for the representative v of the point (labels add); a
     tuple that labels no coset raises ``ValueError``."""
     vec = _representative(tower, point)
-    if len(gamma := tuple(gamma)) != tower.dim:
-        raise ValueError("vector length mismatch")
+    gamma = _int_vector(gamma, tower.dim)
     return tower.reduce(point.level, [x + g for x, g in zip(vec, gamma)])
 
 
@@ -146,7 +146,7 @@ def escape_level(tower: OdometerTower, gamma, max_i: int) -> int | None:
     integral and lies in M^(i-1) Z^d, so the first inexact division by det
     marks the escape level.
     """
-    gamma = tuple(int(x) for x in gamma)
+    gamma = _int_vector(gamma, tower.dim)
     if all(x == 0 for x in gamma):
         raise ValueError("gamma must be nonzero")
     if max_i < 1:

@@ -88,7 +88,8 @@ class SearchSpec:
 
     ``partition = (k, K)`` restricts the run to the k-th of K equal chunks
     (0-based) of the counter range in exhaustive mode, or of the draw index
-    range in random mode.
+    range in random mode.  ``dim``, ``seed``, ``limit`` and the partition
+    entries are ints (a bool is not); a run refuses any other value.
     """
 
     dim: int
@@ -426,6 +427,13 @@ def _partition_range(total: int, partition) -> tuple[int, int]:
 
 
 def _validate_spec(spec: SearchSpec) -> None:
+    fields = [("dim", spec.dim), ("seed", spec.seed)]
+    if spec.limit is not None:
+        fields.append(("limit", spec.limit))
+    fields += [("partition entry", x) for x in spec.partition or ()]
+    for name, value in fields:
+        if not isinstance(value, int) or isinstance(value, bool):
+            raise ValueError(f"{name} {value!r} is not an integer")
     if not 1 <= spec.dim <= 64:
         raise ValueError(f"dimension {spec.dim} outside 1..64")
     if spec.mode not in ("exhaustive", "random"):

@@ -14,6 +14,7 @@ from fractions import Fraction
 from itertools import combinations, product
 from math import gcd
 
+from bottforge.abelian import IntMatrix
 from bottforge.gf2ring import BottMatrix, Gf2Poly, multiply
 from bottforge.odometer import act
 
@@ -311,8 +312,14 @@ def exponent_plus_one_identity(factors, e: int) -> bool:
 
 
 def beta_on_coords(group, beta):
-    """The matrix of ``beta`` in canonical coordinates: U . beta . U^-1."""
-    return group._u.mul(beta).mul(group._uinv)
+    """The matrix of ``beta`` in canonical coordinates: U . beta . U^-1,
+    with U inverted over the fractions (U is unimodular, so U^-1 is
+    integral)."""
+    uinv = fraction_inverse([list(row) for row in group._u.rows])
+    if any(x.denominator != 1 for row in uinv for x in row):
+        raise AssertionError("U^-1 is not integral")
+    return group._u.mul(beta).mul(
+        IntMatrix(tuple(tuple(int(x) for x in row) for row in uinv)))
 
 
 def beta_torsion_bijective_scan(system) -> bool:

@@ -24,6 +24,7 @@ from helpers import (
     beta_on_coords,
     beta_torsion_bijective_scan,
     det_fraction,
+    fraction_inverse,
     exponent_plus_one_identity,
     minors_invariant_factors,
     random_stationary_system,
@@ -110,7 +111,7 @@ def test_snf_already_diagonal():
     assert dec.diagonal() == (2, 4)
 
 
-def test_snf_random_suite():
+def snf_suite_cases():
     rng = random.Random(43)
     cases = [random_int_matrix(rng, rng.randint(1, 6), rng.randint(1, 6))
              for _ in range(1000)]
@@ -119,12 +120,15 @@ def test_snf_random_suite():
     cases += [IntMatrix.zero(nr, 0) for nr in range(1, 7)]
     cases += [random_int_matrix(rng, nr, nc)
               for nr, nc in ((10, 12), (12, 10)) * 3]
-    for m in cases:
+    return cases
+
+
+def test_snf_random_suite():
+    for m in snf_suite_cases():
         nr, nc = m.nrows, m.ncols
-        u, d, v, uinv = _snf_full(m)
+        u, d, v = _snf_full(m)
         assert u @ m @ v == d
         assert abs(u.det()) == 1 and abs(v.det()) == 1
-        assert u @ uinv == IntMatrix.identity(nr)
         diag = [d.entry(i, i) for i in range(min(nr, nc))]
         assert all(x >= 0 for x in diag)
         for a, b in zip(diag, diag[1:]):
@@ -247,6 +251,29 @@ def test_contains_in_relations_against_solver():
         assert g.contains_in_relations(vec) is want
         inside.add(want)
     assert inside == {False, True}
+
+
+def test_element_from_coords_is_u_inverse():
+    """element_from_coords(c) is U^-1 c, with U^-1 by Gauss-Jordan over
+    the fractions, for each unit vector c of every presentation of the
+    Smith form suite."""
+    for m in snf_suite_cases():
+        g = FgAbGroup(m)
+        uinv = fraction_inverse([list(row) for row in g._u.rows])
+        for j in range(g.generators):
+            unit = [int(i == j) for i in range(g.generators)]
+            assert g.element_from_coords(unit) == tuple(row[j] for row in uinv)
+
+
+@pytest.mark.parametrize("bad", [1.5, True, "3"])
+def test_group_vectors_refuse_non_integers(bad):
+    g = FgAbGroup(IntMatrix.from_rows([[4, 0], [0, 6]]))
+    for call in (g.coords, g.contains_in_relations, g.element_from_coords):
+        with pytest.raises(ValueError) as info:
+            call([0, bad])
+        assert str(info.value) == f"entry {bad!r} is not an integer"
+    with pytest.raises(ValueError, match="^vector length mismatch$"):
+        g.element_from_coords([0])
 
 
 def test_element_from_coords_roundtrip():

@@ -680,8 +680,8 @@ def test_top_left_blocks_read_whole_counters(d, size):
     for form, col in zip(last, (n, d - 1)):
         assert slot_supports(form) == [
             m.column_support(col) & (1 << n) - 1 for m in matrices]
-    assert [v & 1 for v in ctx._unstack(odd)] == \
-        [int(not orientable_by_rowsums(m)) for m in matrices]
+    assert [bool(v) for v in ctx._unstack(odd)] == \
+        [not orientable_by_rowsums(m) for m in matrices]
 
 
 @pytest.mark.parametrize("d,size", [(9, 1), (9, 2), (9, 255), (9, 256),
@@ -706,8 +706,8 @@ def test_slot_primitives_match_one_matrix_contexts(d, size):
     for part in stacks:
         ctx, _, odd = RingContext._top_left_blocks(d, part)
         assert ctx.slots == size <= RingContext.stack_limit(n)
-        assert [v & 1 for v in ctx._unstack(odd)] == [
-            int(not orientable_by_rowsums(matrix_from_counter(d, c)))
+        assert [bool(v) for v in ctx._unstack(odd)] == [
+            not orientable_by_rowsums(matrix_from_counter(d, c))
             for c in part]
         blocks = [BottMatrix(n, tuple(row & (1 << n) - 1 for row in
                                       matrix_from_counter(d, c).rows[:n]))

@@ -320,6 +320,23 @@ def test_escape_validation():
         escape_level(t, (1,), 0)
 
 
+@pytest.mark.parametrize("bad", [1.5, 0.5, True, "3"])
+def test_vectors_refuse_non_integers(bad):
+    """Every entry point that reads a vector refuses an entry that is not
+    an int, and names it, instead of truncating or passing it through."""
+    t = OdometerTower(IntMatrix.from_rows([[2, 1], [0, 2]]))
+    point = t.reduce(2, (1, 0))
+    for call in (lambda: escape_level(t, [bad, 0], 5),
+                 lambda: t.contains(3, [bad, 0]),
+                 lambda: t.reduce(2, [bad, 0]),
+                 lambda: act(t, [bad, 0], point),
+                 lambda: act(t, (1, 0), LevelPoint(2, (bad, 0))),
+                 lambda: project(t, LevelPoint(2, (bad, 0)))):
+        with pytest.raises(ValueError) as info:
+            call()
+        assert str(info.value) == f"entry {bad!r} is not an integer"
+
+
 def test_unit_vector_escapes_immediately():
     # gamma = e_1 never lies in M Z^d once |det| >= 2 ... not in general,
     # but it always escapes by the level where the smallest invariant

@@ -139,6 +139,25 @@ def test_spec_validation():
             enumerate_space(SearchSpec(dim=6, seed=seed), None)
 
 
+@pytest.mark.parametrize("field,spec", [
+    ("dim", SearchSpec(dim=8.0)),
+    ("dim", SearchSpec(dim=True)),
+    ("limit", SearchSpec(dim=9, mode="random", limit=1000.7, seed=3)),
+    ("limit", SearchSpec(dim=6, limit=True)),
+    ("seed", SearchSpec(dim=9, mode="random", limit=10, seed=1.5)),
+    ("seed", SearchSpec(dim=9, mode="random", limit=10, seed=True)),
+    ("partition entry", SearchSpec(dim=6, partition=(0.5, 2))),
+    ("partition entry", SearchSpec(dim=6, partition=(0, "2"))),
+])
+def test_spec_fields_refuse_non_integers(field, spec):
+    """A field that is not an int, a bool included, is refused by name
+    before the run starts, in one process and over a pool."""
+    for run in (lambda: enumerate_space(spec, None),
+                lambda: run_partitioned(spec, 2)):
+        with pytest.raises(ValueError, match=f"^{field} .* is not an integer$"):
+            run()
+
+
 def test_random_seed_64_bit_range_accepted():
     for seed in (0, (1 << 64) - 1):
         spec = SearchSpec(dim=9, mode="random", limit=3000, seed=seed)
